@@ -12,6 +12,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"easydram/internal/cache"
 	"easydram/internal/clock"
@@ -189,6 +190,9 @@ type Core struct {
 	cfg  Config
 	hier CacheView
 	strm workload.Stream
+	// issueShift is log2(IssueWidth) when the width is a power of two (every
+	// preset), else -1; see computeCycles.
+	issueShift int
 
 	op               workload.Op
 	opValid          bool
@@ -227,7 +231,11 @@ func New(cfg Config, hier CacheView, strm workload.Stream) (*Core, error) {
 	if strm == nil {
 		return nil, fmt.Errorf("cpu %s: nil op stream", cfg.Name)
 	}
-	return &Core{cfg: cfg, hier: hier, strm: strm, nextID: 1, idStride: 1}, nil
+	shift := -1
+	if w := uint(cfg.IssueWidth); w&(w-1) == 0 {
+		shift = bits.TrailingZeros(w)
+	}
+	return &Core{cfg: cfg, hier: hier, strm: strm, issueShift: shift, nextID: 1, idStride: 1}, nil
 }
 
 // SetIDSpace places the core's request IDs on an interleaved-dense lattice:
@@ -337,8 +345,7 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 			c.opsConsumed++
 			c.opValid = true
 			if c.op.Kind == workload.OpCompute {
-				w := clock.Cycles(c.cfg.IssueWidth)
-				c.computeRemaining = (clock.Cycles(c.op.N) + w - 1) / w
+				c.computeRemaining = c.computeCycles(c.op.N)
 				if c.computeRemaining == 0 {
 					c.computeRemaining = 1
 				}
@@ -502,6 +509,17 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 			panic(fmt.Sprintf("cpu %s: unknown op kind %v", c.cfg.Name, c.op.Kind))
 		}
 	}
+}
+
+// computeCycles is ceil(n/IssueWidth) for a non-negative instruction count:
+// a shift for power-of-two widths, so the per-op decode avoids a 64-bit
+// divide, and the divide for any other width.
+func (c *Core) computeCycles(n int64) clock.Cycles {
+	w := clock.Cycles(c.cfg.IssueWidth)
+	if c.issueShift >= 0 {
+		return (clock.Cycles(n) + w - 1) >> c.issueShift
+	}
+	return (clock.Cycles(n) + w - 1) / w
 }
 
 // hitCost converts a load-to-use latency into charged cycles. Out-of-order

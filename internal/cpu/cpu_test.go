@@ -63,6 +63,39 @@ func TestComputeRespectsBudgetAndWidth(t *testing.T) {
 	}
 }
 
+// TestComputeDecodeIsCeilDiv pins the compute-op decode to ceil(N/width),
+// clamped to one cycle, on the shift path (power-of-two widths) and the
+// divide path (width 3) alike.
+func TestComputeDecodeIsCeilDiv(t *testing.T) {
+	for _, w := range []int{1, 2, 3, 4, 8} {
+		cfg := CortexA57()
+		cfg.IssueWidth = w
+		c := newTestCore(t, cfg, nil)
+		if pow2 := w&(w-1) == 0; (c.issueShift >= 0) != pow2 {
+			t.Fatalf("width %d: issueShift = %d, power of two = %v", w, c.issueShift, pow2)
+		}
+		for _, n := range []int64{1, int64(w) - 1, int64(w), int64(w) + 1, 1<<40 + 3} {
+			want := n / int64(w)
+			if n%int64(w) != 0 {
+				want++
+			}
+			if got := c.computeCycles(n); int64(got) != want {
+				t.Fatalf("width %d: computeCycles(%d) = %d, want %d", w, n, got, want)
+			}
+			// The same decode as Step charges it, including the clamp of a
+			// zero-instruction op to one cycle.
+			sc := newTestCore(t, cfg, []workload.Op{{Kind: workload.OpCompute, N: n}})
+			sc.Step(0, 1)
+			if want == 0 {
+				want = 1
+			}
+			if got := sc.Stats().ComputeCycles; got != want {
+				t.Fatalf("width %d, N %d: Step charged %d compute cycles, want %d", w, n, got, want)
+			}
+		}
+	}
+}
+
 func TestInOrderBlocksOnMiss(t *testing.T) {
 	c := newTestCore(t, Rocket50(), []workload.Op{{Kind: workload.OpLoad, Addr: 0x100000}})
 	out := c.Step(0, 0)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"easydram/internal/core"
-	"easydram/internal/cpu"
 	"easydram/internal/stats"
 	"easydram/internal/workload"
 )
@@ -158,5 +157,3 @@ func Table1(opt Options) (*Table1Result, error) {
 
 // Render returns the table text.
 func (r *Table1Result) Render() string { return r.table.Render() }
-
-var _ = cpu.Config{}

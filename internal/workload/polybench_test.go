@@ -156,3 +156,29 @@ func TestExtraKernels(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkKernelStream drains a Small PolyBench gemm stream and reports
+// host nanoseconds per op, producer emission and consumer Next together:
+// the per-op cost every emulated run pays before the core model sees an op.
+func BenchmarkKernelStream(b *testing.B) {
+	var k Kernel
+	for _, kk := range Fig13Suite(Small) {
+		if kk.Name == "gemm" {
+			k = kk
+		}
+	}
+	if k.Body == nil {
+		b.Fatalf("no gemm kernel in Fig13Suite")
+	}
+	b.ReportAllocs()
+	var ops int64
+	for i := 0; i < b.N; i++ {
+		s := k.Stream()
+		var op Op
+		for s.Next(&op) {
+			ops++
+		}
+		s.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/emitted-op")
+}

@@ -5,8 +5,10 @@
 //
 // Kernels are written as ordinary nested Go loops that emit Ops through a
 // Gen; a Stream adapter runs the kernel body in a goroutine and hands the
-// consumer batched op slabs, so kernel code stays readable while the
-// consumer pays (amortised) nothing for the channel hop.
+// consumer batched op slabs, so kernel code stays readable and the channel
+// hop is paid once per 4096-op slab. What remains per op is the producer's
+// write into the slab and the consumer's copy out of it; emitters write in
+// place so the former does not stall (see ARCHITECTURE.md, "Op streams").
 package workload
 
 import (
@@ -60,10 +62,11 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one processor operation.
+// Op is one processor operation. Its field order, and so its 40-byte
+// size, is deliberate: see ARCHITECTURE.md, "Op streams".
 type Op struct {
 	Kind OpKind
-	// N is the instruction count for OpCompute.
+	// N is the (non-negative) instruction count for OpCompute.
 	N int64
 	// Addr is the target byte address (load/store/flush/rowclone dest).
 	Addr uint64
@@ -94,11 +97,44 @@ type Kernel struct {
 // Stream starts the kernel body and returns its op stream.
 func (k Kernel) Stream() Stream { return newGoStream(k.Body) }
 
-// Gen is the emission context handed to kernel bodies.
+// Gen is the emission context handed to kernel bodies. It fills the
+// stream's current slab in place: every emitter writes its op literal
+// straight into the slot returned by slot, so no Op travels by value
+// through a call (see ARCHITECTURE.md, "Op streams").
 type Gen struct {
-	emit func(Op)
+	// buf is the slab being filled; s is the stream it is handed to.
+	buf []Op
+	s   *goStream
+	// aborted is set once the consumer has closed the stream; later ops
+	// overwrite buf and are dropped.
+	aborted bool
 	// pendingCompute coalesces consecutive Compute emissions.
 	pendingCompute int64
+}
+
+// slot returns the next free op slot, handing a full slab to the consumer
+// first.
+func (g *Gen) slot() *Op {
+	if len(g.buf) == slabSize {
+		g.spill()
+	}
+	n := len(g.buf)
+	g.buf = g.buf[:n+1]
+	return &g.buf[n]
+}
+
+// spill hands the full slab to the consumer and starts a fresh one.
+func (g *Gen) spill() {
+	if !g.aborted {
+		select {
+		case g.s.ch <- g.buf:
+			g.buf = g.s.nextSlab()
+			return
+		case <-g.s.stop:
+			g.aborted = true
+		}
+	}
+	g.buf = g.buf[:0]
 }
 
 // Compute emits n instructions of non-memory work (coalesced).
@@ -110,7 +146,7 @@ func (g *Gen) Compute(n int64) {
 
 func (g *Gen) flushCompute() {
 	if g.pendingCompute > 0 {
-		g.emit(Op{Kind: OpCompute, N: g.pendingCompute})
+		*g.slot() = Op{Kind: OpCompute, N: g.pendingCompute}
 		g.pendingCompute = 0
 	}
 }
@@ -118,52 +154,54 @@ func (g *Gen) flushCompute() {
 // Load emits a load of addr.
 func (g *Gen) Load(addr uint64) {
 	g.flushCompute()
-	g.emit(Op{Kind: OpLoad, Addr: addr})
+	*g.slot() = Op{Kind: OpLoad, Addr: addr}
 }
 
 // LoadDep emits a load whose address depends on the previous load.
 func (g *Gen) LoadDep(addr uint64) {
 	g.flushCompute()
-	g.emit(Op{Kind: OpLoad, Addr: addr, Dep: true})
+	*g.slot() = Op{Kind: OpLoad, Addr: addr, Dep: true}
 }
 
 // Store emits a store to addr.
 func (g *Gen) Store(addr uint64) {
 	g.flushCompute()
-	g.emit(Op{Kind: OpStore, Addr: addr})
+	*g.slot() = Op{Kind: OpStore, Addr: addr}
 }
 
 // Flush emits a cache-line flush of addr.
 func (g *Gen) Flush(addr uint64) {
 	g.flushCompute()
-	g.emit(Op{Kind: OpFlush, Addr: addr})
+	*g.slot() = Op{Kind: OpFlush, Addr: addr}
 }
 
 // RowClone emits an in-DRAM copy of the row at src to the row at dst.
 func (g *Gen) RowClone(src, dst uint64) {
 	g.flushCompute()
-	g.emit(Op{Kind: OpRowClone, Addr: dst, Src: src})
+	*g.slot() = Op{Kind: OpRowClone, Addr: dst, Src: src}
 }
 
 // Barrier emits a full memory barrier.
 func (g *Gen) Barrier() {
 	g.flushCompute()
-	g.emit(Op{Kind: OpBarrier})
+	*g.slot() = Op{Kind: OpBarrier}
 }
 
 // Mark emits a measurement-window boundary (implies a barrier first, so a
 // window never charges work from outside it).
 func (g *Gen) Mark() {
 	g.Barrier()
-	g.emit(Op{Kind: OpMark})
+	*g.slot() = Op{Kind: OpMark}
 }
 
 // slabSize is the op batch size moved per channel operation.
 const slabSize = 4096
 
 // goStream runs a kernel body in a goroutine and streams op slabs. Spent
-// slabs are recycled back to the producer through the free channel, so a
-// steady-state stream allocates no new slabs after the pipeline fills.
+// slabs go back to the producer through the free channel while it has
+// room; the rest are dropped, and the producer allocates whenever free is
+// empty (ARCHITECTURE.md, "Op streams", says why not every slab is
+// recycled).
 type goStream struct {
 	ch   chan []Op
 	free chan []Op
@@ -189,43 +227,28 @@ func newGoStream(body func(*Gen)) *goStream {
 	go func() {
 		defer s.wg.Done()
 		defer close(s.ch)
-		nextSlab := func() []Op {
-			select {
-			case slab := <-s.free:
-				return slab
-			default:
-				return make([]Op, 0, slabSize)
-			}
-		}
-		slab := nextSlab()
-		aborted := false
-		g := &Gen{emit: func(op Op) {
-			if aborted {
-				return
-			}
-			slab = append(slab, op)
-			if len(slab) == slabSize {
-				select {
-				case s.ch <- slab:
-					slab = nextSlab()
-				case <-s.stop:
-					aborted = true
-				}
-			}
-		}}
+		g := &Gen{buf: s.nextSlab(), s: s}
 		body(g)
-		if aborted {
-			return
-		}
 		g.flushCompute()
-		if len(slab) > 0 {
+		if !g.aborted && len(g.buf) > 0 {
 			select {
-			case s.ch <- slab:
+			case s.ch <- g.buf:
 			case <-s.stop:
 			}
 		}
 	}()
 	return s
+}
+
+// nextSlab returns an empty slab for the producer, recycled when the
+// consumer has returned one.
+func (s *goStream) nextSlab() []Op {
+	select {
+	case slab := <-s.free:
+		return slab
+	default:
+		return make([]Op, 0, slabSize)
+	}
 }
 
 func (s *goStream) Next(op *Op) bool {

@@ -39,27 +39,34 @@ func TestGenOps(t *testing.T) {
 	k := Kernel{Name: "all", Body: func(g *Gen) {
 		g.Load(64)
 		g.LoadDep(128)
+		g.Compute(9)
 		g.Store(192)
 		g.Flush(256)
-		g.RowClone(0, 8192)
+		g.RowClone(4096, 8192)
 		g.Barrier()
 		g.Mark()
 	}}
+	// Every field of every op is compared, so an emitter that drops a field
+	// or fills the wrong one fails here, not only one that gets Kind wrong.
+	want := []Op{
+		{Kind: OpLoad, Addr: 64},
+		{Kind: OpLoad, Addr: 128, Dep: true},
+		{Kind: OpCompute, N: 9},
+		{Kind: OpStore, Addr: 192},
+		{Kind: OpFlush, Addr: 256},
+		{Kind: OpRowClone, Addr: 8192, Src: 4096},
+		{Kind: OpBarrier},
+		{Kind: OpBarrier},
+		{Kind: OpMark},
+	}
 	ops := collect(t, k)
-	wantKinds := []OpKind{OpLoad, OpLoad, OpStore, OpFlush, OpRowClone, OpBarrier, OpBarrier, OpMark}
-	if len(ops) != len(wantKinds) {
-		t.Fatalf("got %d ops, want %d: %v", len(ops), len(wantKinds), ops)
+	if len(ops) != len(want) {
+		t.Fatalf("got %d ops, want %d: %v", len(ops), len(want), ops)
 	}
-	for i, k := range wantKinds {
-		if ops[i].Kind != k {
-			t.Fatalf("op %d = %v, want %v", i, ops[i].Kind, k)
+	for i := range want {
+		if ops[i] != want[i] {
+			t.Fatalf("op %d = %+v, want %+v", i, ops[i], want[i])
 		}
-	}
-	if !ops[1].Dep {
-		t.Fatalf("LoadDep must set Dep")
-	}
-	if ops[4].Src != 0 || ops[4].Addr != 8192 {
-		t.Fatalf("rowclone op = %+v", ops[4])
 	}
 }
 
@@ -96,6 +103,90 @@ func TestStreamCloseMidway(t *testing.T) {
 	}
 	s.Close() // must unblock and stop the producer goroutine
 	if s.Next(&op) {
+		t.Fatalf("closed stream must not produce")
+	}
+}
+
+// TestStreamSlabBoundaries streams kernels whose last op lands just before,
+// on, and just past a slab boundary, including a trailing coalesced compute
+// op that fills or spills the final slab.
+func TestStreamSlabBoundaries(t *testing.T) {
+	for _, n := range []int{slabSize - 1, slabSize, slabSize + 1, 2 * slabSize} {
+		for _, trailing := range []bool{false, true} {
+			k := Kernel{Name: "edge", Body: func(g *Gen) {
+				for i := 0; i < n; i++ {
+					g.Load(uint64(i) * 64)
+				}
+				if trailing {
+					g.Compute(5)
+				}
+			}}
+			ops := collect(t, k)
+			want := n
+			if trailing {
+				want++
+			}
+			if len(ops) != want {
+				t.Fatalf("n=%d trailing=%v: streamed %d ops, want %d", n, trailing, len(ops), want)
+			}
+			if trailing && ops[n] != (Op{Kind: OpCompute, N: 5}) {
+				t.Fatalf("n=%d: trailing op = %+v", n, ops[n])
+			}
+		}
+	}
+}
+
+// TestStreamCloseAtSlabBoundary closes a stream right after the consumer has
+// taken exactly one full slab, while the producer is blocked handing over
+// later slabs.
+func TestStreamCloseAtSlabBoundary(t *testing.T) {
+	k := Kernel{Name: "huge", Body: func(g *Gen) {
+		for i := 0; i < 10*slabSize; i++ {
+			g.Load(uint64(i) * 64)
+		}
+	}}
+	s := k.Stream()
+	var op Op
+	for i := 0; i < slabSize; i++ {
+		if !s.Next(&op) || op.Addr != uint64(i)*64 {
+			t.Fatalf("op %d = %+v", i, op)
+		}
+	}
+	s.Close()
+	if s.Next(&op) {
+		t.Fatalf("closed stream must not produce")
+	}
+}
+
+// TestStreamCloseAfterProducerExit closes streams whose producer goroutine
+// has already returned: once with its slabs still queued unread, once after
+// the consumer drained them.
+func TestStreamCloseAfterProducerExit(t *testing.T) {
+	k := Kernel{Name: "short", Body: func(g *Gen) {
+		for i := 0; i < slabSize+10; i++ { // two slabs: both fit the channel
+			g.Load(uint64(i))
+		}
+	}}
+	var op Op
+
+	queued := k.Stream()
+	queued.(*goStream).wg.Wait() // producer has exited; its slabs are queued
+	queued.Close()
+	if queued.Next(&op) {
+		t.Fatalf("closed stream must not produce")
+	}
+
+	drained := k.Stream()
+	n := 0
+	for drained.Next(&op) {
+		n++
+	}
+	if n != slabSize+10 {
+		t.Fatalf("drained %d ops, want %d", n, slabSize+10)
+	}
+	drained.Close()
+	drained.Close() // idempotent
+	if drained.Next(&op) {
 		t.Fatalf("closed stream must not produce")
 	}
 }
