@@ -352,48 +352,6 @@ func BenchmarkSubstrateMissPath(b *testing.B) {
 	}
 }
 
-// BenchmarkSubstrateRowHitBurst measures row-hit burst service through the
-// SMC hot path itself: groups of RowBurstDepth same-row requests pending
-// together, served either serially (one scheduler pick, one Bender program,
-// one execution, one timing-check pass per request) or as a burst (one of
-// each per GROUP, with per-request modeled costs charged exactly as serial
-// service charges them — emulated timing is bit-identical, pinned by
-// core.TestBurstServiceBitIdentical). The timed region is the burst path;
-// an untimed serial run of the same request count yields the vs-serial-x
-// speedup. End-to-end workload effect is bounded by the SMC's share of the
-// full engine loop; this benchmark isolates the service path the burst
-// optimization targets.
-func BenchmarkSubstrateRowHitBurst(b *testing.B) {
-	const depth = workload.RowBurstDepth
-	mk := func() *smc.BenchHarness {
-		h, err := smc.NewBenchHarness()
-		if err != nil {
-			b.Fatal(err)
-		}
-		return h
-	}
-	run := func(h *smc.BenchHarness, n, budget int) {
-		if err := h.ServeRowBursts(n, depth, budget); err != nil {
-			b.Fatal(err)
-		}
-	}
-	burst, serial := mk(), mk()
-	run(burst, 50000, depth) // warm buffers outside the timer
-	run(serial, 50000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	run(burst, b.N, depth)
-	b.StopTimer()
-	burstNs := b.Elapsed()
-	t0 := time.Now()
-	run(serial, b.N, 1)
-	serialNs := time.Since(t0)
-	if burstNs > 0 {
-		b.ReportMetric(float64(serialNs)/float64(burstNs), "vs-serial-x")
-	}
-	b.ReportMetric(burst.Ctl.Stats().AvgBurstLen(), "avg-burst-len")
-}
-
 // BenchmarkSubstrateFaultFree measures what fault tolerance charges the SMC
 // service path when nothing goes wrong: every fault seam armed (chip
 // disturb counting with an unreachable threshold, the verify-and-retry
@@ -407,12 +365,12 @@ func BenchmarkSubstrateFaultFree(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Warm buffers outside the timer (slab, FIFO, and chip table growth).
-	if err := h.ServeRowBursts(50000, workload.RowBurstDepth, 1); err != nil {
+	if err := h.ServeRowGroups(50000, workload.RowBurstDepth); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if err := h.ServeRowBursts(b.N, workload.RowBurstDepth, 1); err != nil {
+	if err := h.ServeRowGroups(b.N, workload.RowBurstDepth); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -412,63 +412,17 @@ func substrateMetrics(snap *snapshot) error {
 			benchErr = err
 			b.Skip()
 		}
-		if err := h.ServeRowBursts(50000, workload.RowBurstDepth, 1); err != nil {
+		if err := h.ServeRowGroups(50000, workload.RowBurstDepth); err != nil {
 			benchErr = err
 			b.Skip()
 		}
 		b.ResetTimer()
-		if err := h.ServeRowBursts(b.N, workload.RowBurstDepth, 1); err != nil {
+		if err := h.ServeRowGroups(b.N, workload.RowBurstDepth); err != nil {
 			benchErr = err
 		}
 	})
 	if benchErr != nil {
 		return benchErr
-	}
-
-	// Row-hit burst service, via the same SMC-level harness as
-	// BenchmarkSubstrateRowHitBurst: burst ns/op (gated), its allocs/op
-	// (gated at zero), the vs-serial speedup, and the mean burst length
-	// (gated — a drop means the service path stopped coalescing).
-	var burstStats smc.ControllerStats
-	var serialSecs float64
-	burstRes := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		burst, err := smc.NewBenchHarness()
-		if err != nil {
-			benchErr = err
-			b.Skip()
-		}
-		serial, err := smc.NewBenchHarness()
-		if err != nil {
-			benchErr = err
-			b.Skip()
-		}
-		if err := burst.ServeRowBursts(50000, workload.RowBurstDepth, workload.RowBurstDepth); err != nil {
-			benchErr = err
-			b.Skip()
-		}
-		if err := serial.ServeRowBursts(50000, workload.RowBurstDepth, 1); err != nil {
-			benchErr = err
-			b.Skip()
-		}
-		b.ResetTimer()
-		if err := burst.ServeRowBursts(b.N, workload.RowBurstDepth, workload.RowBurstDepth); err != nil {
-			benchErr = err
-		}
-		b.StopTimer()
-		burstStats = burst.Ctl.Stats()
-		t0 := time.Now()
-		if err := serial.ServeRowBursts(b.N, workload.RowBurstDepth, 1); err != nil {
-			benchErr = err
-		}
-		serialSecs = time.Since(t0).Seconds()
-	})
-	if benchErr != nil {
-		return benchErr
-	}
-	burstSpeedup := 0.0
-	if s := burstRes.T.Seconds(); s > 0 {
-		burstSpeedup = serialSecs / s
 	}
 
 	// Multi-channel fan-out, via the same SMC-level harness as
@@ -545,9 +499,6 @@ func substrateMetrics(snap *snapshot) error {
 	snap.Metrics["substrate/miss_allocs_op"] = float64(missRes.AllocsPerOp())
 	snap.Metrics["substrate/fault_free_ns_op"] = float64(faultFreeRes.NsPerOp())
 	snap.Metrics["substrate/fault_free_allocs_op"] = float64(faultFreeRes.AllocsPerOp())
-	snap.Metrics["substrate/burst_ns_op"] = float64(burstRes.NsPerOp())
-	snap.Metrics["substrate/burst_allocs_op"] = float64(burstRes.AllocsPerOp())
-	snap.Metrics["substrate/burst_vs_serial_x"] = burstSpeedup
 	snap.Metrics["substrate/multichan_ns_op"] = float64(multiRes.NsPerOp())
 	snap.Metrics["substrate/multichan_allocs_op"] = float64(multiRes.AllocsPerOp())
 	snap.Metrics["substrate/multichan_overlap_x"] = multiOverlap
@@ -555,13 +506,11 @@ func substrateMetrics(snap *snapshot) error {
 	snap.Metrics["substrate/shard_speedup_x"] = shardSpeedup
 	snap.Metrics["substrate/settle_batch_len"] = settleBatchLen
 	snap.Metrics["shard/identity_mismatches"] = float64(shardMismatches)
-	snap.Metrics["smc/avg_burst_len"] = burstStats.AvgBurstLen()
 	snap.Metrics["characterization/rows_per_sec"] = rowsPerSec
 	snap.Metrics["characterization/roundtrips_per_row"] = tripsPerRow
-	fmt.Fprintf(os.Stderr, "benchall: substrate: cache %d ns/op (%d allocs/op), miss %d ns/op (%d allocs/op), fault-free %d ns/op (%d allocs/op), burst %d ns/op (%.2fx vs serial, avg len %.1f), multichan %d ns/op (%.2fx overlap), workers 1->4 %.2fx, shard 1->4 %.2fx (%d mismatches, settle batch %.1f), characterization %.0f rows/s (%.2f round-trips/row)\n",
+	fmt.Fprintf(os.Stderr, "benchall: substrate: cache %d ns/op (%d allocs/op), miss %d ns/op (%d allocs/op), fault-free %d ns/op (%d allocs/op), multichan %d ns/op (%.2fx overlap), workers 1->4 %.2fx, shard 1->4 %.2fx (%d mismatches, settle batch %.1f), characterization %.0f rows/s (%.2f round-trips/row)\n",
 		cacheRes.NsPerOp(), cacheRes.AllocsPerOp(), missRes.NsPerOp(), missRes.AllocsPerOp(),
 		faultFreeRes.NsPerOp(), faultFreeRes.AllocsPerOp(),
-		burstRes.NsPerOp(), burstSpeedup, burstStats.AvgBurstLen(),
 		multiRes.NsPerOp(), multiOverlap, workersSpeedup,
 		shardSpeedup, shardMismatches, settleBatchLen, rowsPerSec, tripsPerRow)
 	return nil

@@ -76,12 +76,10 @@ type gatedMetric struct {
 var trendMetrics = map[string]gatedMetric{
 	"substrate/cache_ns_op":         {lowerIsBetter: true, machineDependent: true},
 	"substrate/miss_ns_op":          {lowerIsBetter: true, machineDependent: true},
-	"substrate/burst_ns_op":         {lowerIsBetter: true, machineDependent: true},
 	"substrate/multichan_ns_op":     {lowerIsBetter: true, machineDependent: true},
 	"substrate/fault_free_ns_op":    {lowerIsBetter: true, machineDependent: true},
 	"substrate/cache_allocs_op":     {mustBeZero: true},
 	"substrate/miss_allocs_op":      {mustBeZero: true},
-	"substrate/burst_allocs_op":     {mustBeZero: true},
 	"substrate/multichan_allocs_op": {mustBeZero: true},
 	// Fault tolerance must not put allocations on the fault-free service
 	// loop: the verify-and-retry read path is armed in this benchmark, so a
@@ -110,12 +108,7 @@ var trendMetrics = map[string]gatedMetric{
 	// Sharded execution is byte-identical to serial by construction (the
 	// merge replays the exact serial step order), so any mismatch between
 	// worker counts is a determinism bug on any host.
-	"shard/identity_mismatches": {mustBeZero: true},
-	// The mean row-hit burst length is a pure property of the gather
-	// algorithm on the benchmark's traffic shape (no wall clock involved),
-	// so it gates on any host: a drop means the service path stopped
-	// coalescing.
-	"smc/avg_burst_len":                   {lowerIsBetter: false},
+	"shard/identity_mismatches":           {mustBeZero: true},
 	"characterization/rows_per_sec":       {lowerIsBetter: false, machineDependent: true},
 	"characterization/roundtrips_per_row": {lowerIsBetter: true},
 	// The differential sweep's worst fault-free cycle error across the

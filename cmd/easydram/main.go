@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	easydram [-quick] [-seed N] [-burst-cap N] [-shard-workers N] [-cores N]
-//	         [-faults] [-mitigation P] [-save-profile DIR] [-load-profile DIR]
-//	         [-checkpoint FILE] [-v] <experiment>
+//	easydram [-quick] [-seed N] [-channels N] [-ranks N] [-shard-workers N]
+//	         [-cores N] [-faults] [-mitigation P] [-save-profile DIR]
+//	         [-load-profile DIR] [-checkpoint FILE] [-v] <experiment>
 //
 // where experiment is one of: table1, fig2, validation, fig8, fig10,
 // fig11, fig12, fig13, fig14, energy, ablations, disturb, snapshot,
@@ -24,7 +24,6 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "use unit-test-scale parameters")
 	seed := flag.Uint64("seed", 1, "DRAM variation seed")
-	burstCap := flag.Int("burst-cap", 0, "row-hit burst service cap (0 = serial; emulated results are identical either way)")
 	channels := flag.Int("channels", 0, "memory channels (power of two; 0 = the paper's single channel). Topology is a workload axis: multi-channel runs overlap service and change emulated timing")
 	shardWorkers := flag.Int("shard-workers", 0, "host workers advancing emulated channels in parallel within one run (0 = GOMAXPROCS, 1 = serial); results are byte-identical at any count")
 	ranks := flag.Int("ranks", 0, "ranks per channel bus (power of two; 0 = the paper's single rank; rank switches pay the tRTRS turnaround)")
@@ -51,7 +50,6 @@ func main() {
 		opt.KernelSize = workload.Small
 	}
 	opt.Seed = *seed
-	opt.BurstCap = *burstCap
 	opt.Channels = *channels
 	opt.Ranks = *ranks
 	opt.Cores = *cores

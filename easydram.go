@@ -109,16 +109,9 @@ func WithScheduler(name string) Option {
 }
 
 // Scheduler is the pluggable memory-scheduling interface: Pick selects the
-// next buffered request to serve. Implement it (and optionally
-// BurstScheduler) to run a custom policy on the software-defined memory
-// controller; see examples/customscheduler.
+// next buffered request to serve. Implement it to run a custom policy on
+// the software-defined memory controller; see examples/customscheduler.
 type Scheduler = smc.Scheduler
-
-// BurstScheduler extends Scheduler with row-hit burst picking: PickBurst
-// returns the run of requests the policy would serve consecutively on one
-// (bank, row), which the controller then serves through a single DRAM
-// Bender program (see WithBurstCap).
-type BurstScheduler = smc.BurstScheduler
 
 // SchedEntry is one buffered request as schedulers see it: decoded DRAM
 // coordinates plus an arrival sequence number (the table is unordered;
@@ -144,16 +137,6 @@ const (
 // WithCustomScheduler installs a user-provided scheduling policy.
 func WithCustomScheduler(s Scheduler) Option {
 	return func(cfg *core.Config) { cfg.Scheduler = s }
-}
-
-// WithBurstCap bounds how many same-row requests one controller step may
-// serve through a single DRAM Bender program (0 = serial service). Burst
-// service is bit-identical to serial service in emulated time — the engine
-// grants a burst only when it can prove equivalence — so the cap trades
-// nothing but host time. It engages when refresh is off (see
-// WithRefresh).
-func WithBurstCap(n int) Option {
-	return func(cfg *core.Config) { cfg.BurstCap = n }
 }
 
 // WithRefresh toggles periodic refresh.

@@ -6,11 +6,6 @@
 // mode, the opposite bet to FR-FCFS's read priority) — and compares it
 // against the built-in FR-FCFS and FCFS policies on a workload with heavy
 // row-buffer locality.
-//
-// WritesDrain also implements easydram.BurstScheduler (PickBurst), so with
-// a burst cap set (easydram.WithBurstCap) the controller serves its
-// same-row runs through one DRAM Bender program per run — same emulated
-// cycles, fewer host-side programs.
 package main
 
 import (
@@ -90,57 +85,6 @@ func (s *WritesDrain) Pick(table []easydram.SchedEntry, openRows []int) int {
 	return oldest
 }
 
-// PickBurst implements easydram.BurstScheduler: the winner plus the
-// same-class, same-(bank, row) entries WritesDrain would provably serve
-// next, oldest first. It stops as soon as an older same-class row hit
-// exists on another bank (that hit would win the next serial pick), so the
-// controller's burst service stays bit-identical to serial picks.
-func (s *WritesDrain) PickBurst(table []easydram.SchedEntry, openRows []int, cap int, buf []int) []int {
-	w := s.Pick(table, openRows)
-	buf = append(buf, w)
-	winner := &table[w]
-	if cap <= 1 || !winner.IsAccess() {
-		return buf
-	}
-	winnerWrite := winner.Kind != easydram.ReqRead
-	// Oldest same-class row hit elsewhere bounds the run.
-	minOtherHit := ^uint64(0)
-	for i := range table {
-		e := &table[i]
-		if i == w || !e.IsAccess() || (e.Kind != easydram.ReqRead) != winnerWrite {
-			continue
-		}
-		if e.Addr.Bank == winner.Addr.Bank && e.Addr.Row == winner.Addr.Row {
-			continue
-		}
-		if openRows[e.Addr.Bank] == e.Addr.Row && e.Seq < minOtherHit {
-			minOtherHit = e.Seq
-		}
-	}
-	lastSeq := winner.Seq
-	for len(buf) < cap {
-		next := -1
-		for i := range table {
-			e := &table[i]
-			if !e.IsAccess() || (e.Kind != easydram.ReqRead) != winnerWrite || e.Seq <= lastSeq {
-				continue
-			}
-			if e.Addr.Bank != winner.Addr.Bank || e.Addr.Row != winner.Addr.Row {
-				continue
-			}
-			if next < 0 || e.Seq < table[next].Seq {
-				next = i
-			}
-		}
-		if next < 0 || table[next].Seq > minOtherHit {
-			break
-		}
-		buf = append(buf, next)
-		lastSeq = table[next].Seq
-	}
-	return buf
-}
-
 // readsVsWrites mixes a latency-critical dependent-load chain with store
 // bursts whose evictions flood the controller with writebacks — the traffic
 // where read-priority and write-drain policies pull apart.
@@ -184,23 +128,4 @@ func main() {
 	}
 	fmt.Println("FR-FCFS reorders requests to exploit open rows; FCFS serves them in arrival order;")
 	fmt.Println("WritesDrain batches the writeback backlog — a custom policy in ~70 lines.")
-
-	// The same custom policy with row-hit burst service: identical emulated
-	// cycles, fewer host-side Bender programs (WritesDrain implements
-	// BurstScheduler). Refresh is off because burst service engages only in
-	// refresh-free configurations.
-	for _, cap := range []int{0, 8} {
-		sys, err := easydram.NewSystem(easydram.TimeScaled(),
-			easydram.WithCustomScheduler(&WritesDrain{Threshold: 12}),
-			easydram.WithRefresh(false), easydram.WithBurstCap(cap))
-		if err != nil {
-			log.Fatalf("customscheduler: %v", err)
-		}
-		res, err := sys.Run(readsVsWrites())
-		if err != nil {
-			log.Fatalf("customscheduler: %v", err)
-		}
-		fmt.Printf("writes-drain burst-cap=%d: %8d cycles, %d bursts (avg len %.1f), %d Bender programs\n",
-			cap, res.ProcCycles, res.Ctrl.BurstsServed, res.Ctrl.AvgBurstLen(), res.Tile.ProgramsRun)
-	}
 }

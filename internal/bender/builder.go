@@ -10,19 +10,12 @@ import (
 // emission and the timing-aware command sequences the EasyAPI exposes
 // (read_sequence, write_sequence, rowclone, reduced-tRCD reads).
 //
-// A Builder tracks the cursor position in bus cycles so WAITs can be
-// computed from timing parameters. The zero value is not usable; construct
-// with NewBuilder.
+// A Builder computes WAITs from timing parameters. The zero value is not
+// usable; construct with NewBuilder.
 type Builder struct {
 	p    timing.Params
 	prog []Instr
 	wr   [][]byte
-	// cursor is the bus time the program occupies so far: one bus cycle per
-	// SEND-class command, the programmed delay per WAIT, tRFC per REF. It
-	// mirrors the executor's time advance exactly (control instructions are
-	// free), which is what lets the burst service path attribute a precise
-	// slice of one program's bus time to each coalesced request.
-	cursor clock.PS
 }
 
 // NewBuilder returns a Builder that computes delays from p.
@@ -34,15 +27,7 @@ func NewBuilder(p timing.Params) *Builder {
 func (b *Builder) Reset() {
 	b.prog = b.prog[:0]
 	b.wr = b.wr[:0]
-	b.cursor = 0
 }
-
-// Cursor reports the bus time the program assembled so far will occupy,
-// exactly as the executor will account it (commands one bus cycle each,
-// WAITs their programmed delay, REF tRFC). Loops emitted via Loop are not
-// position-independent and are not reflected beyond one iteration; the
-// service paths that consume Cursor never use loops.
-func (b *Builder) Cursor() clock.PS { return b.cursor }
 
 // Len reports the current instruction count.
 func (b *Builder) Len() int { return len(b.prog) }
@@ -59,14 +44,6 @@ func (b *Builder) WriteBuf() [][]byte { return b.wr }
 // Emit appends a raw instruction.
 func (b *Builder) Emit(in Instr) *Builder {
 	b.prog = append(b.prog, in)
-	switch in.Op {
-	case OpNOP, OpACT, OpPRE, OpRD, OpWR:
-		b.cursor += b.p.Bus.Period()
-	case OpWAIT:
-		b.cursor += clock.PS(in.A) * b.p.Bus.Period()
-	case OpREF:
-		b.cursor += b.p.TRFC
-	}
 	return b
 }
 

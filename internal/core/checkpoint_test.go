@@ -13,8 +13,8 @@ import (
 
 // checkpointMatrix is the configuration sweep the bit-identity guarantee is
 // pinned over: both engines, multi-channel/multi-rank topologies, refresh,
-// burst service, a stateful scheduler, and full fault injection with
-// mitigation — every subsystem with checkpointable state.
+// a stateful scheduler, and full fault injection with mitigation — every
+// subsystem with checkpointable state.
 func checkpointMatrix() []struct {
 	name string
 	cfg  Config
@@ -23,7 +23,6 @@ func checkpointMatrix() []struct {
 	bliss := TimeScalingA57()
 	bliss.Scheduler = smc.NewBLISS()
 	bliss.RefreshEnabled = true
-	bliss.BurstCap = 8
 
 	faulty := faultyConfig()
 	faulty.Mitigation = fault.MitigationConfig{Policy: "trr", TRRThreshold: 4}
@@ -41,7 +40,7 @@ func checkpointMatrix() []struct {
 		{"scaled", TimeScalingA57(), workload.PBGemver(48)},
 		{"unscaled", NoTimeScaling(), workload.PBGemver(32)},
 		{"scaled-2ch2rk", withTopology(TimeScalingA57(), 2, 2), workload.PBGemver(48)},
-		{"bliss-refresh-burst", bliss, workload.PBGemver(48)},
+		{"bliss-refresh", bliss, workload.PBGemver(48)},
 		{"faulty-mitigated", faulty, workload.PBGemver(32)},
 		{"tracked-data", tracked, workload.PBGemver(32)},
 	}
@@ -166,7 +165,7 @@ func TestRestoreRejectsBadBlobs(t *testing.T) {
 	})
 	t.Run("key-mismatch", func(t *testing.T) {
 		other := cfg
-		other.BurstCap = 7
+		other.RefreshEnabled = !other.RefreshEnabled
 		s, err := NewSystem(other)
 		if err != nil {
 			t.Fatal(err)

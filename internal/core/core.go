@@ -81,17 +81,6 @@ type Config struct {
 	// last-level cache and the memory controller in the target system.
 	MemPathLatency clock.PS
 
-	// BurstCap bounds how many same-row requests one SMC step may serve
-	// through a single Bender program (row-hit burst service). 0 or 1
-	// selects serial service. Bursting never changes emulated timing: the
-	// engine only grants a burst when serving it is provably bit-identical
-	// to serial service (and per-request modeled costs are charged exactly
-	// as the serial path charges them), so this knob trades nothing but
-	// host time. With refresh enabled the burst gates additionally replay
-	// the per-step refresh-horizon check and cut the burst before any REF
-	// would fall due, so refresh-on configurations burst too (see burst.go).
-	BurstCap int
-
 	// ShardWorkers bounds the host worker pool the engine shards per-channel
 	// service onto during fence and drain phases (see shard.go). This is
 	// host parallelism only: results are byte-identical at any worker count.
@@ -109,8 +98,8 @@ type Config struct {
 	// to the pre-multicore engine, golden-pinned). Above 1, the system
 	// models N cores with private L1s behind a shared L2 competing for the
 	// per-channel controllers; runs take one workload stream per core via
-	// RunStreams (see multicore.go). Multi-core runs force BurstCap and
-	// ShardWorkers to their serial settings and reject checkpoints.
+	// RunStreams (see multicore.go). Multi-core runs force ShardWorkers to
+	// its serial setting and reject checkpoints.
 	Cores int
 
 	// Topology selects the module organisation: independent channels, each
@@ -152,9 +141,6 @@ func (c Config) Validate() error {
 	}
 	if c.ModeledCtrlLatency < 0 || c.MemPathLatency < 0 {
 		return fmt.Errorf("core: modeled latencies must be non-negative")
-	}
-	if c.BurstCap < 0 {
-		return fmt.Errorf("core: burst cap must be non-negative, got %d", c.BurstCap)
 	}
 	if c.ShardWorkers < 0 {
 		return fmt.Errorf("core: shard workers must be non-negative, got %d", c.ShardWorkers)
@@ -500,24 +486,16 @@ func (s *System) run(strm workload.Stream, ck *ckptReq, restore *snapshot.Reader
 		inflight:      make([]slotRing, nch),
 		ready:         newReleaseQueue(),
 		trackArrivals: s.cfg.RefreshEnabled,
-		burstCap:      1,
 		chanFree:      make([]clock.PS, nch),
 		chanMC:        make([]clock.PS, nch),
 		arrivals:      make([]arrivalRing, nch),
 		staged:        make([][]stagedReq, nch),
-		burstLimit:    make([]int64, nch),
 		shardWorkers:  effectiveShardWorkers(s.cfg.ShardWorkers, nch),
 		ckpt:          ck,
 		restore:       restore,
 	}
 	for i := range e.inflight {
 		e.inflight[i] = newSlotRing()
-	}
-	if s.cfg.BurstCap > 1 {
-		// With refresh enabled the burst gates replay the per-step
-		// refresh-horizon check and cut the burst before a REF falls due
-		// (see burst.go), so the cap engages in every configuration.
-		e.burstCap = s.cfg.BurstCap
 	}
 	defer e.stopShard()
 	if s.cfg.Scaling {
@@ -593,16 +571,6 @@ type engine struct {
 	// See checkpoint.go.
 	ckpt    *ckptReq
 	restore *snapshot.Reader
-
-	// Burst service state: burstCap is the per-step budget granted to the
-	// controller (1 = serial); burstPhase records which engine state the
-	// current SMC step runs under; and burstLimit is, per channel, the next
-	// staged arrival (unscaled mode) the channel's burst service chain must
-	// stay below. The gates learn the stepped channel through per-env
-	// closures bound at run start. See burst.go.
-	burstCap   int
-	burstPhase burstPhase
-	burstLimit []int64
 
 	// shardWorkers is the effective host worker count (1 = serial path);
 	// shard is the lazily created worker pool. See shard.go.
@@ -701,33 +669,6 @@ func (e *engine) earliestArrival(ch int) (int64, bool) {
 			return ent.key, true
 		}
 		ring.skipHead()
-	}
-	return 0, false
-}
-
-// earliestUnservedArrival reports the smallest arrival key among channel
-// ch's requests that are in flight and NOT yet responded in the channel's
-// current (burst) step — the arrival the next serial step's refresh horizon
-// would see. Unlike earliestArrival it must not pop ring heads: responded
-// requests stay in the inflight table until the step settles.
-func (e *engine) earliestUnservedArrival(ch int) (int64, bool) {
-	resp := e.sys.chans[ch].env.Responses()
-	ring := &e.arrivals[ch]
-	for i := ring.head; i < len(ring.buf); i++ {
-		ent := ring.buf[i]
-		if !e.inflight[ch].Contains(ent.id) {
-			continue
-		}
-		responded := false
-		for _, r := range resp {
-			if r.ReqID == ent.id {
-				responded = true
-				break
-			}
-		}
-		if !responded {
-			return ent.key, true
-		}
 	}
 	return 0, false
 }

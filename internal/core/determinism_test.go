@@ -92,6 +92,44 @@ func TestGoldenCycleCounts(t *testing.T) {
 	}
 }
 
+// TestBurstGoldenCycleCounts pins absolute cycle counts of the row-burst
+// kernel (same-row groups of RowBurstDepth reads) on MLP-8 cores, scaled
+// and unscaled, alongside the in-order goldens above: the only
+// configurations that hold a full same-row group in the request table at
+// once.
+func TestBurstGoldenCycleCounts(t *testing.T) {
+	type golden struct {
+		proc, global clock.Cycles
+		served       int64
+	}
+	rowBurst := workload.SubstrateRowBurst(1024)
+	cases := []struct {
+		name string
+		cfg  Config
+		want golden
+	}{
+		{"scaled", mlp8(TimeScalingA57()), golden{18968, 156608, 1024}},
+		{"unscaled", unscaledOoO(), golden{30895, 61790, 1024}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.RefreshEnabled = false
+			sys, err := NewSystem(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Run(rowBurst.Stream())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := golden{res.ProcCycles, res.GlobalCycles, res.Ctrl.Served}
+			if got != c.want {
+				t.Fatalf("golden drifted:\n got %+v\nwant %+v", got, c.want)
+			}
+		})
+	}
+}
+
 // TestSeedChangesOutcomes verifies the seed actually flows into behaviour
 // that depends on the chip (RowClone success patterns).
 func TestSeedChangesOutcomes(t *testing.T) {

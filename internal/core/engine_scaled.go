@@ -5,7 +5,6 @@ import (
 
 	"easydram/internal/clock"
 	"easydram/internal/mem"
-	"easydram/internal/smc"
 	"easydram/internal/timescale"
 )
 
@@ -21,10 +20,6 @@ func (e *engine) runScaled() error {
 		return err
 	}
 	e.ts = ts
-	for c := range e.sys.chans {
-		ch := c
-		e.sys.chans[c].env.SetBurst(1, func() bool { return e.mayExtendBurstScaled(ch) })
-	}
 	if e.restore != nil {
 		if err := e.loadCheckpoint(); err != nil {
 			return err
@@ -51,7 +46,6 @@ func (e *engine) runScaled() error {
 				e.deliverMaturedScaled()
 				continue
 			}
-			e.burstPhase = burstPhaseBlocked
 			if err := e.smcStepScaled(); err != nil {
 				return err
 			}
@@ -72,7 +66,6 @@ func (e *engine) runScaled() error {
 				e.consumeScaled(it.id)
 				continue
 			}
-			e.burstPhase = burstPhaseFence
 			if ran, err := e.shardRoundScaled(true); err != nil {
 				return err
 			} else if ran {
@@ -86,7 +79,6 @@ func (e *engine) runScaled() error {
 
 		allowance := ts.ProcAllowance()
 		if allowance == 0 {
-			e.burstPhase = burstPhaseStall
 			if err := e.smcStepScaled(); err != nil {
 				return err
 			}
@@ -113,15 +105,7 @@ func (e *engine) runScaled() error {
 			return err
 		}
 		for i := range out.Reqs {
-			if debugTrace {
-				tracef("S issue id=%d kind=%v proc=%d", out.Reqs[i].ID, out.Reqs[i].Kind, ts.Proc())
-			}
 			e.issueScaled(&out.Reqs[i])
-		}
-		if out.WaitID != 0 {
-			if debugTrace {
-				tracef("S block on %d at proc=%d", out.WaitID, ts.Proc())
-			}
 		}
 		if out.Fence {
 			e.fencing = true
@@ -132,7 +116,6 @@ func (e *engine) runScaled() error {
 	}
 
 	// Drain posted writebacks so wall-time accounting covers them.
-	e.burstPhase = burstPhaseDrain
 	for e.inflightLen() > 0 {
 		if ran, err := e.shardRoundScaled(false); err != nil {
 			return err
@@ -340,9 +323,6 @@ func (e *engine) settleRefreshesScaled(ch int, fx *chanFX) error {
 		} else {
 			e.serveModeledChan(ch, fx, e.cfg.CPU.Clock.CyclesCeil(due), env.Occupancy(), env.Latency())
 		}
-		if debugTrace && fx == nil {
-			tracef("S refresh ch=%d due=%v occ=%v mc=%d", ch, due, env.Occupancy(), e.ts.MC())
-		}
 	}
 }
 
@@ -377,7 +357,6 @@ func (e *engine) stepChannelScaled(ch int, fx *chanFX) error {
 	c := &e.sys.chans[ch]
 	env := c.env
 	env.Reset(e.cfg.CPU.Clock.ToTime(e.cfg.CPU.Clock.CyclesFloor(e.mcTimeOf(ch))))
-	env.SetBurstBudget(e.burstBudget())
 	worked, err := c.ctl.ServeOne(env)
 	if err != nil {
 		return err
@@ -401,10 +380,6 @@ func (e *engine) stepChannelScaled(ch int, fx *chanFX) error {
 	}
 
 	single := len(e.sys.chans) == 1
-
-	if len(env.Segments()) > 0 {
-		return e.settleScaledSegments(ch, env, fx)
-	}
 
 	charged := env.ChargedFPGA()
 	if e.cfg.HardwareMC {
@@ -430,11 +405,6 @@ func (e *engine) stepChannelScaled(ch int, fx *chanFX) error {
 	} else {
 		release = e.serveModeledChan(ch, fx, arrival, env.Occupancy(), env.Latency()+e.extraModeled(len(responses)))
 	}
-	if len(responses) > 0 {
-		if debugTrace && fx == nil {
-			tracef("S serve ch=%d id=%d arrival=%d occ=%v lat=%v mc=%d release=%d proc=%d", ch, responses[0].ReqID, arrival, env.Occupancy(), env.Latency(), e.ts.MC(), release, e.ts.Proc())
-		}
-	}
 	for _, r := range responses {
 		p, ok := e.inflight[ch].Take(r.ReqID)
 		if !ok {
@@ -449,61 +419,6 @@ func (e *engine) stepChannelScaled(ch int, fx *chanFX) error {
 			continue
 		}
 		e.pushReady(fx, r.ReqID, int64(release))
-	}
-	if fx == nil {
-		e.maybeExitCritical()
-	}
-	return nil
-}
-
-// settleScaledSegments settles a burst step segment by segment, applying to
-// each served request exactly the arithmetic its own serial step would have
-// received: one AdvanceWall per segment (per-call FPGA-cycle ceilings
-// included), one MC service chained through the channel's modeled-MC
-// resource, and one release tag per response — so responses enter the
-// release queue with their individual latencies and the counters advance
-// bit-identically to serial service.
-func (e *engine) settleScaledSegments(ch int, env *smc.Env, fx *chanFX) error {
-	single := len(e.sys.chans) == 1
-	responses := env.Responses()
-	var prev smc.Segment
-	for _, s := range env.Segments() {
-		charged := s.Charged - prev.Charged
-		if e.cfg.HardwareMC {
-			charged = 0
-		}
-		e.chargeWallScaled(fx, clock.PS(charged)*e.cfg.FPGA.Period()+s.Wall)
-		if s.Responses != prev.Responses+1 {
-			return fmt.Errorf("core: burst segment closed with %d responses, want 1", s.Responses-prev.Responses)
-		}
-		r := responses[s.Responses-1]
-		arrival := clock.Cycles(0)
-		p, ok := e.inflight[ch].Get(r.ReqID)
-		if ok {
-			arrival = p.tag
-		}
-		var release clock.Cycles
-		if single {
-			release = e.ts.ServeModeled(arrival, s.Occupancy-prev.Occupancy,
-				s.Latency-prev.Latency+e.extraModeled(1))
-		} else {
-			release = e.serveModeledChan(ch, fx, arrival, s.Occupancy-prev.Occupancy,
-				s.Latency-prev.Latency+e.extraModeled(1))
-		}
-		if debugTrace && fx == nil {
-			tracef("S burst-serve ch=%d id=%d arrival=%d occ=%v lat=%v mc=%d release=%d proc=%d", ch, r.ReqID, arrival,
-				s.Occupancy-prev.Occupancy, s.Latency-prev.Latency, e.ts.MC(), release, e.ts.Proc())
-		}
-		if _, ok := e.inflight[ch].Take(r.ReqID); !ok {
-			return fmt.Errorf("core: response for unknown request %d", r.ReqID)
-		}
-		e.noteRelease(fx, release)
-		if e.multi != nil {
-			e.multi.noteSettled(r.ReqID, int64(release), p.posted)
-		} else if !p.posted {
-			e.pushReady(fx, r.ReqID, int64(release))
-		}
-		prev = s
 	}
 	if fx == nil {
 		e.maybeExitCritical()

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"easydram/internal/clock"
-	"easydram/internal/smc"
 )
 
 // runUnscaled executes the workload without time scaling. The processor
@@ -23,10 +21,6 @@ func (e *engine) runUnscaled() error {
 	procPeriod := e.cfg.ProcPhys.Period()
 
 	proc := func() clock.Cycles { return clock.Cycles(e.wallNow / procPeriod) }
-	for c := range e.sys.chans {
-		ch := c
-		e.sys.chans[c].env.SetBurst(1, func() bool { return e.mayExtendBurstUnscaled(ch) })
-	}
 	if e.restore != nil {
 		if err := e.loadCheckpoint(); err != nil {
 			return err
@@ -61,7 +55,6 @@ func (e *engine) runUnscaled() error {
 				e.drainMaturedUnscaled()
 				continue
 			}
-			e.burstPhase = burstPhaseBlocked
 			w, err := e.smcStepUnscaled()
 			if err != nil {
 				return err
@@ -82,7 +75,6 @@ func (e *engine) runUnscaled() error {
 				continue
 			}
 			if e.inflightLen() > 0 {
-				e.burstPhase = burstPhaseFence
 				if ran, err := e.shardRoundUnscaled(true); err != nil {
 					return err
 				} else if ran {
@@ -129,20 +121,12 @@ func (e *engine) runUnscaled() error {
 			req := &out.Reqs[i]
 			req.Tag = proc()
 			ch := e.sys.chanIndex(req.Addr)
-			if debugTrace {
-				tracef("U issue id=%d kind=%v ch=%d wall=%d proc=%d", req.ID, req.Kind, ch, e.wallNow, proc())
-			}
 			// Copy into the owning channel's tile slab once; stage the slot
 			// until arrival.
 			e.staged[ch] = append(e.staged[ch], stagedReq{slot: e.sys.chans[ch].tile.Stage(req), id: req.ID})
 			e.inflight[ch].Put(req.ID, pending{posted: req.Posted, arrival: e.wallNow})
 			if e.trackArrivals {
 				e.arrivals[ch].Push(req.ID, int64(e.wallNow))
-			}
-		}
-		if out.WaitID != 0 {
-			if debugTrace {
-				tracef("U block on %d at wall=%d", out.WaitID, e.wallNow)
 			}
 		}
 		if out.Fence {
@@ -155,7 +139,6 @@ func (e *engine) runUnscaled() error {
 
 	e.procCycles = proc()
 	// Drain remaining posted writebacks for wall-time accounting.
-	e.burstPhase = burstPhaseDrain
 	for e.inflightLen() > 0 {
 		if ran, err := e.shardRoundUnscaled(false); err != nil {
 			return err
@@ -277,9 +260,6 @@ func (e *engine) settleRefreshesUnscaled(ch int) error {
 			smcOcc = clock.PS(env.ChargedFPGA()) * e.cfg.FPGA.Period()
 		}
 		e.chanFree[ch] = start + smcOcc + env.Occupancy()
-		if debugTrace {
-			tracef("U refresh ch=%d due=%v occ=%v free=%d", ch, due, env.Occupancy(), e.chanFree[ch])
-		}
 	}
 }
 
@@ -335,21 +315,11 @@ func (e *engine) stepChannelUnscaled(ch int, fx *chanFX) (clock.PS, error) {
 	}
 	e.staged[ch] = kept
 
-	// A burst's service chain must stop before the next staged arrival:
-	// serial stepping would ingest that request first (see burst.go).
-	e.burstLimit[ch] = math.MaxInt64
-	if len(e.staged[ch]) > 0 {
-		if p, ok := e.inflight[ch].Get(e.staged[ch][0].id); ok {
-			e.burstLimit[ch] = int64(p.arrival)
-		}
-	}
-
 	now := e.wallNow
 	if e.chanFree[ch] > now {
 		now = e.chanFree[ch]
 	}
 	env.Reset(now)
-	env.SetBurstBudget(e.burstBudget())
 	worked, err := c.ctl.ServeOne(env)
 	if err != nil {
 		return 0, err
@@ -369,10 +339,6 @@ func (e *engine) stepChannelUnscaled(ch int, fx *chanFX) (clock.PS, error) {
 	}
 
 	responses := env.Responses()
-
-	if len(env.Segments()) > 0 {
-		return e.settleUnscaledSegments(ch, env, fx)
-	}
 
 	// Service start: the SMC must be free and the request must have
 	// arrived (the model serves one request per step, so the first
@@ -403,11 +369,6 @@ func (e *engine) stepChannelUnscaled(ch int, fx *chanFX) (clock.PS, error) {
 		release = completion
 	}
 	e.chanFree[ch] = completion
-	if len(responses) > 0 {
-		if debugTrace && fx == nil {
-			tracef("U serve ch=%d id=%d start=%d occ=%v lat=%v completion=%d release=%d", ch, responses[0].ReqID, start, env.Occupancy(), env.Latency(), completion, release)
-		}
-	}
 
 	for _, r := range responses {
 		p, ok := e.inflight[ch].Take(r.ReqID)
@@ -422,57 +383,6 @@ func (e *engine) stepChannelUnscaled(ch int, fx *chanFX) (clock.PS, error) {
 			continue
 		}
 		e.pushReady(fx, r.ReqID, int64(release))
-	}
-	return completion, nil
-}
-
-// settleUnscaledSegments settles a burst step segment by segment with the
-// exact wall-clock service math of a serial step sequence: each segment
-// starts at max(the channel's SMC free point, its request's arrival),
-// chains the serial resource by its charged SMC cycles plus modeled
-// occupancy, and releases its response at its own latency. The returned
-// completion is the last segment's (the chain's maximum).
-func (e *engine) settleUnscaledSegments(ch int, env *smc.Env, fx *chanFX) (clock.PS, error) {
-	responses := env.Responses()
-	var prev smc.Segment
-	var completion clock.PS
-	for _, s := range env.Segments() {
-		if s.Responses != prev.Responses+1 {
-			return 0, fmt.Errorf("core: burst segment closed with %d responses, want 1", s.Responses-prev.Responses)
-		}
-		r := responses[s.Responses-1]
-		p, ok := e.inflight[ch].Get(r.ReqID)
-		if !ok {
-			return 0, fmt.Errorf("core: response for unknown request %d", r.ReqID)
-		}
-		start := e.chanFree[ch]
-		if p.arrival > start {
-			start = p.arrival
-		}
-		var smcOcc, smcLat clock.PS
-		if e.cfg.HardwareMC {
-			smcLat = e.extraModeled(1)
-		} else {
-			chargedPS := clock.PS(s.Charged-prev.Charged) * e.cfg.FPGA.Period()
-			smcOcc = chargedPS
-			smcLat = chargedPS + e.extraModeled(1)
-		}
-		completion = start + smcOcc + (s.Occupancy - prev.Occupancy)
-		release := start + smcLat + (s.Latency - prev.Latency)
-		if release < completion {
-			release = completion
-		}
-		e.chanFree[ch] = completion
-		if debugTrace && fx == nil {
-			tracef("U burst-serve ch=%d id=%d start=%d completion=%d release=%d", ch, r.ReqID, start, completion, release)
-		}
-		e.inflight[ch].Take(r.ReqID)
-		if e.multi != nil {
-			e.multi.noteSettled(r.ReqID, int64(release), p.posted)
-		} else if !p.posted {
-			e.pushReady(fx, r.ReqID, int64(release))
-		}
-		prev = s
 	}
 	return completion, nil
 }

@@ -35,9 +35,7 @@ func faultyConfig() Config {
 // engine (the golden cycle-count tests cover that — Config.Faults zero value
 // IS the pre-fault configuration), but that merely ARMING the seams — chip
 // disturb counting with an unreachable threshold plus the verify-and-retry
-// read path — changes no emulated counter when nothing fires. Recovery
-// disables host-side burst coalescing, so this doubles as a check that burst
-// service really is bit-identical to serial service.
+// read path — changes no emulated counter when nothing fires.
 func TestArmedButIdleFaultsMatchBaseline(t *testing.T) {
 	kernel := workload.PBGemver(48)
 	run := func(cfg Config) Result {

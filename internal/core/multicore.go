@@ -184,9 +184,6 @@ func (m *mcEngine) deadlockErr() error {
 func (e *engine) runMultiUnscaled() error {
 	m := e.multi
 	procPeriod := e.cfg.ProcPhys.Period()
-	for c := range e.sys.chans {
-		e.sys.chans[c].env.SetBurst(1, func() bool { return false })
-	}
 
 	chanKey := func(ch int) (int64, bool) {
 		if !e.channelHasWorkUnscaled(ch) {
@@ -348,9 +345,6 @@ func (e *engine) runMultiScaled() error {
 	}
 	e.ts = ts
 	m := e.multi
-	for c := range e.sys.chans {
-		e.sys.chans[c].env.SetBurst(1, func() bool { return false })
-	}
 
 	for {
 		ch, ci, _ := m.pickActor(m.chanKeyScaled)
@@ -538,15 +532,12 @@ func (s *System) runMulti(strms []workload.Stream) (Result, error) {
 		inflight:      make([]slotRing, nch),
 		ready:         newReleaseQueue(),
 		trackArrivals: s.cfg.RefreshEnabled,
-		// Burst service and shard workers are single-core machinery; the
-		// merge loop forces both off (burst gates return false, channel
-		// steps run serial).
-		burstCap:     1,
+		// Shard workers are single-core machinery; the merge loop runs
+		// channel steps serial.
 		chanFree:     make([]clock.PS, nch),
 		chanMC:       make([]clock.PS, nch),
 		arrivals:     make([]arrivalRing, nch),
 		staged:       make([][]stagedReq, nch),
-		burstLimit:   make([]int64, nch),
 		shardWorkers: 1,
 	}
 	for i := range e.inflight {

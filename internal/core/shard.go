@@ -6,7 +6,7 @@ package core
 // every channel's remaining work — its pick keys, its controller decisions,
 // its service chain — is a pure function of channel-local state (tile FIFO,
 // controller tables, staged list, chanFree/chanMC chain, per-channel fault
-// seams) plus frozen engine state (wallNow, blockedOn=0, burstPhase). The
+// seams) plus frozen engine state (wallNow, blockedOn=0). The
 // shard runner exploits exactly that: it runs each channel with work to
 // exhaustion on a bounded pool of host workers, records every effect that
 // would have touched shared state in a per-channel sink (chanFX), and then
@@ -186,7 +186,7 @@ func (e *engine) stopShard() {
 
 // shardChannelUnscaled runs channel ch to exhaustion, recording each step's
 // pick key and shared effects into fx. Channel-local state (chanFree,
-// controller, tile, staged list, inflight ring, burst limit) is mutated
+// controller, tile, staged list, inflight ring) is mutated
 // directly — no other worker touches it.
 func (e *engine) shardChannelUnscaled(ch int, fx *chanFX) {
 	for e.channelHasWorkUnscaled(ch) {

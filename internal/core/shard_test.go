@@ -7,13 +7,50 @@ import (
 	"testing"
 
 	"easydram/internal/fault"
+	"easydram/internal/workload"
 )
 
 // Host-parallel shard-runner tests. Config.ShardWorkers is a pure host-side
 // parallelism knob: every emulated counter, statistic, and mark must be
 // byte-identical at any worker count, on both engines, with faults armed or
-// not and burst service on or off — and the worker-count-1 path must carry
-// zero shard overhead (no allocations, no pool).
+// not — and the worker-count-1 path must carry zero shard overhead (no
+// allocations, no pool).
+
+// mlp8 widens the A57 core so a full RowBurstDepth group can be outstanding
+// together.
+func mlp8(cfg Config) Config {
+	cfg.CPU.MLP = 8
+	return cfg
+}
+
+// unscaledOoO is the no-time-scaling configuration with an out-of-order
+// core (MLP 8) at the physical clock: the in-order Rocket blocks on every
+// miss and so never holds a same-row run in the request table.
+func unscaledOoO() Config {
+	cfg := NoTimeScaling()
+	cfg.CPU = mlp8(TimeScalingA57()).CPU
+	cfg.CPU.Clock = cfg.ProcPhys
+	return cfg
+}
+
+// wbRowKernel dirties whole rows line by line, flushes them (posted
+// writebacks), and fences — so the controller's table fills with same-row
+// writebacks that drain during the fence.
+func wbRowKernel(rows int) workload.Kernel {
+	return workload.Kernel{Name: "wb-rows", Body: func(g *workload.Gen) {
+		const rowBytes = 8192
+		for r := 0; r < rows; r++ {
+			base := uint64(r) * rowBytes
+			for c := 0; c < rowBytes/64; c++ {
+				g.Store(base + uint64(c)*64)
+			}
+			for c := 0; c < rowBytes/64; c++ {
+				g.Flush(base + uint64(c)*64)
+			}
+			g.Barrier()
+		}
+	}}
+}
 
 // shardFaults arms the per-channel fault seams on cfg (the injection-heavy
 // profile of faultyConfig, portable to any base config).
@@ -71,8 +108,7 @@ func assertResultsIdentical(t *testing.T, label string, a, b Result) {
 
 // TestShardWorkerByteIdentityMatrix is the identity matrix the ROADMAP
 // promises: worker counts 1/2/4/8 (8 > 4 channels exercises clamping) ×
-// scaled/unscaled × faults on/off × burst service on/off, all byte-identical
-// to the serial run. The wb-rows kernel fences with posted writebacks
+// scaled/unscaled × faults on/off, all byte-identical to the serial run. The wb-rows kernel fences with posted writebacks
 // spread across the channels, so fences carry genuinely parallel work; the
 // non-vacuity check at the end proves the parallel path actually engaged.
 func TestShardWorkerByteIdentityMatrix(t *testing.T) {
@@ -82,40 +118,35 @@ func TestShardWorkerByteIdentityMatrix(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"scaled", withTopology(burstMLP8(TimeScalingA57()), 4, 1)},
+		{"scaled", withTopology(mlp8(TimeScalingA57()), 4, 1)},
 		{"unscaled", withTopology(unscaledOoO(), 4, 1)},
 	} {
 		for _, faults := range []bool{false, true} {
-			for _, burst := range []bool{false, true} {
-				cfg := base.cfg
-				if faults {
-					cfg = shardFaults(cfg)
-				}
-				if burst {
-					cfg.BurstCap = 8
-				}
-				name := fmt.Sprintf("%s/faults=%v/burst=%v", base.name, faults, burst)
-				t.Run(name, func(t *testing.T) {
-					serial := cfg
-					serial.ShardWorkers = 1
-					want := runTopo(t, serial, k)
-					for _, workers := range []int{2, 4, 8} {
-						c := cfg
-						c.ShardWorkers = workers
-						sys, err := NewSystem(c)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := sys.Run(k.Stream())
-						if err != nil {
-							t.Fatal(err)
-						}
-						assertResultsIdentical(t, fmt.Sprintf("workers=%d", workers), want, got)
-						rounds, _ := sys.ShardStats()
-						engagedRounds += rounds
-					}
-				})
+			cfg := base.cfg
+			if faults {
+				cfg = shardFaults(cfg)
 			}
+			name := fmt.Sprintf("%s/faults=%v", base.name, faults)
+			t.Run(name, func(t *testing.T) {
+				serial := cfg
+				serial.ShardWorkers = 1
+				want := runTopo(t, serial, k)
+				for _, workers := range []int{2, 4, 8} {
+					c := cfg
+					c.ShardWorkers = workers
+					sys, err := NewSystem(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := sys.Run(k.Stream())
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertResultsIdentical(t, fmt.Sprintf("workers=%d", workers), want, got)
+					rounds, _ := sys.ShardStats()
+					engagedRounds += rounds
+				}
+			})
 		}
 	}
 	if engagedRounds == 0 {

@@ -143,26 +143,6 @@ func TestMultiRankTurnaround(t *testing.T) {
 	}
 }
 
-// TestMultiChannelBurstBitIdentical extends the burst-service equivalence
-// to multi-channel topologies: the per-channel gates must keep burst
-// service bit-identical to serial service with traffic fanned across
-// channels (and with refresh on).
-func TestMultiChannelBurstBitIdentical(t *testing.T) {
-	rowBurst := workload.SubstrateRowBurst(1024)
-	for _, c := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"scaled-2ch", withTopology(burstMLP8(TimeScalingA57()), 2, 1)},
-		{"unscaled-2ch", withTopology(unscaledOoO(), 2, 1)},
-		{"scaled-2ch2rk", withTopology(burstMLP8(TimeScalingA57()), 2, 2)},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			assertBurstIdentical(t, c.cfg, rowBurst)
-		})
-	}
-}
-
 // TestMultiChannelSchedulers pins per-channel scheduler instances: BLISS
 // (stateful) clones per channel and runs deterministically; a custom
 // scheduler without ChannelScheduler is rejected on multi-channel shapes.

@@ -2,16 +2,18 @@
 // a deterministic, seeded config-space fuzzer that cross-validates the
 // EasyDRAM emulator against its direct-simulation baseline (the role
 // Ramulator plays in the paper's Figure 13) across the whole configuration
-// space — topology, scheduler, burst cap, refresh, time scaling, faults,
-// and mitigation — instead of just the golden validation configs.
+// space — topology, scheduler, refresh, time scaling, faults, mitigation,
+// checkpoints, shard workers and cores — instead of just the golden
+// validation configs.
 //
 // A Case is a pure function of a uint64 seed. For each case the engine
 // runs the EasyDRAM stack and, on comparable (fault-free, time-scaled)
 // configs, the derived baseline (ramulator.Baseline), gating the paper's
 // <1% max / 0.1% avg cycle-error envelope; on ALL configs it checks
-// oracle-free invariants: request conservation, burst-on ≡ burst-off
-// bit-identity, run-to-run determinism, zero-fault ≡ fault-armed-but-idle
-// identity, and TRR's zero-escaped-flips guarantee.
+// oracle-free invariants: request conservation, run-to-run determinism,
+// sharded ≡ serial and checkpoint-restored ≡ straight-through bit-identity,
+// zero-fault ≡ fault-armed-but-idle identity, and TRR's zero-escaped-flips
+// guarantee.
 //
 // Three entry points share this one engine: the tier-1 deterministic sweep
 // (difffuzz_test.go, runs in go test ./...), the native fuzz target
@@ -100,8 +102,6 @@ type Case struct {
 
 	// Scheduler is "fr-fcfs", "fcfs", or "bliss".
 	Scheduler string `json:"scheduler"`
-	// BurstCap bounds row-hit burst service (0 = serial).
-	BurstCap int `json:"burst_cap"`
 	// Refresh issues REF every tREFI.
 	Refresh bool `json:"refresh"`
 	// TimeScaling selects the paper's time-scaled emulation; false runs the
@@ -196,8 +196,12 @@ func Decode(seed uint64) Case {
 		c.Scheduler = "fr-fcfs"
 	}
 
+	// Retired ordinals: these two draws once chose a row-hit burst cap (an
+	// axis since removed). They are still consumed and discarded so every
+	// later axis keeps its ordinal and decodes exactly as before
+	// (TestDecodeStability pins that).
 	if s.chance(1, 2) {
-		c.BurstCap = 1 << (2 + s.mod(3)) // 4, 8, 16
+		s.next()
 	}
 	c.Refresh = s.chance(3, 4)
 	c.TimeScaling = s.chance(3, 4)
@@ -270,12 +274,11 @@ func Decode(seed uint64) Case {
 	// axis trades away the envelope oracle (the baseline is single-core), so
 	// the bias keeps most of the corpus comparable. Armed cases disarm the
 	// axes multi-core systems reject or force serial anyway: checkpoints are
-	// unsupported and the engine pins burst/shard service to the serial path.
+	// unsupported and the engine pins shard service to the serial path.
 	if s.chance(1, 4) {
 		c.Cores = 2 + int(s.mod(3)) // 2, 3, 4
 		c.CheckpointFrac = 0
 		c.ShardWorkers = 0
-		c.BurstCap = 0
 	}
 	return c
 }
@@ -315,7 +318,6 @@ func (c Case) SystemConfig() (core.Config, error) {
 		return core.Config{}, fmt.Errorf("difffuzz: unknown scheduler %q", c.Scheduler)
 	}
 
-	cfg.BurstCap = c.BurstCap
 	cfg.RefreshEnabled = c.Refresh
 	// Unarmed cases pin ShardWorkers to 1 (not 0 = GOMAXPROCS): the fuzzer's
 	// baseline runs must take the serial path so the shard-identity check
@@ -338,9 +340,9 @@ func (c Case) String() string {
 	if mit == "" {
 		mit = "none"
 	}
-	return fmt.Sprintf("%s/%d %dch%drk/%s %s burst=%d refresh=%v ts=%v faults=%v mit=%s ck=%d shard=%d cores=%d",
+	return fmt.Sprintf("%s/%d %dch%drk/%s %s refresh=%v ts=%v faults=%v mit=%s ck=%d shard=%d cores=%d",
 		c.Kernel, c.KernelDim, c.Channels, c.Ranks, c.Interleave, c.Scheduler,
-		c.BurstCap, c.Refresh, c.TimeScaling, c.Faults.Enabled(), mit, c.CheckpointFrac, c.ShardWorkers, c.Cores)
+		c.Refresh, c.TimeScaling, c.Faults.Enabled(), mit, c.CheckpointFrac, c.ShardWorkers, c.Cores)
 }
 
 // MarshalIndent renders the case as the canonical JSON used in regression

@@ -1,6 +1,7 @@
 package difffuzz
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -28,6 +29,11 @@ type Regression struct {
 	Detail string `json:"detail"`
 	// Note is the human triage summary added when committing the case.
 	Note string `json:"note,omitempty"`
+	// File is the base name (without .json) the regression was loaded
+	// from; empty for regressions not read by Load. A committed case keeps
+	// its file name, and so its replay subtest name, even when a retired
+	// field changes the content hash Name would derive today.
+	File string `json:"-"`
 }
 
 // Name derives the regression's stable identity: the failed check plus a
@@ -54,7 +60,10 @@ func Save(dir string, r Regression) (string, error) {
 }
 
 // Load reads every *.json regression in dir, sorted by filename. A missing
-// directory is an empty corpus, not an error.
+// directory is an empty corpus, not an error. Unknown fields are an error:
+// a retired or misspelled field must fail the replay rather than be
+// silently ignored, which would replay a different case than the file
+// describes.
 func Load(dir string) ([]Regression, error) {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
@@ -76,11 +85,27 @@ func Load(dir string) ([]Regression, error) {
 		if err != nil {
 			return nil, err
 		}
-		var r Regression
-		if err := json.Unmarshal(b, &r); err != nil {
+		r, err := decodeRegression(b)
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
+		r.File = strings.TrimSuffix(name, ".json")
 		regs = append(regs, r)
 	}
 	return regs, nil
+}
+
+// decodeRegression strictly decodes one regression file: unknown fields
+// and trailing data are errors.
+func decodeRegression(b []byte) (Regression, error) {
+	var r Regression
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
+		return Regression{}, err
+	}
+	if dec.More() {
+		return Regression{}, fmt.Errorf("trailing data after the regression object")
+	}
+	return r, nil
 }

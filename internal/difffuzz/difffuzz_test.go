@@ -2,6 +2,9 @@ package difffuzz
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,8 +27,8 @@ func tier1Sweep() *SweepResult {
 }
 
 // TestTier1Sweep is the deterministic config-space sweep that runs in
-// go test ./...: 64 seeded cases across topology, scheduler, burst,
-// refresh, time-scaling, fault, and mitigation axes, every one holding its
+// go test ./...: 64 seeded cases across topology, scheduler, refresh,
+// time-scaling, fault, mitigation, checkpoint, shard, and core axes, every one holding its
 // invariants and the comparable ones holding the paper's <1% max / 0.1%
 // avg cycle-error envelope against the direct-simulation baseline.
 func TestTier1Sweep(t *testing.T) {
@@ -167,9 +170,6 @@ func TestDecodeCoversEveryAxis(t *testing.T) {
 		if c.Scheduler == "bliss" {
 			seen["bliss"] = true
 		}
-		if c.BurstCap > 0 {
-			seen["burst"] = true
-		}
 		if !c.Refresh {
 			seen["refresh-off"] = true
 		}
@@ -205,7 +205,7 @@ func TestDecodeCoversEveryAxis(t *testing.T) {
 		}
 	}
 	for _, axis := range []string{
-		"multi-channel", "multi-rank", "row-interleave", "fcfs", "bliss", "burst",
+		"multi-channel", "multi-rank", "row-interleave", "fcfs", "bliss",
 		"refresh-off", "direct-mode", "faults", "disturb", "link-faults", "para",
 		"trr", "comparable", "checkpoint", "shard", "multi-core",
 	} {
@@ -263,7 +263,7 @@ func TestBrokenSchedulerCaughtAndMinimized(t *testing.T) {
 		t.Fatalf("minimization lost the failure: %+v", minRep.Failure)
 	}
 	if minC.KernelDim > found.Case.KernelDim || minC.Channels > found.Case.Channels ||
-		minC.Ranks > found.Case.Ranks || minC.BurstCap > found.Case.BurstCap {
+		minC.Ranks > found.Case.Ranks {
 		t.Errorf("minimized case grew: %s -> %s", found.Case, minC)
 	}
 	t.Logf("minimized in %d runs: [%s] %s", runs, minC, minRep.Failure.Detail)
@@ -316,12 +316,45 @@ func TestRegressionCorpus(t *testing.T) {
 		t.Skip("no committed regressions")
 	}
 	for _, reg := range regs {
-		t.Run(reg.Name(), func(t *testing.T) {
+		t.Run(reg.File, func(t *testing.T) {
 			rep := RunCase(reg.Case, nil)
 			if rep.Failure != nil {
 				t.Errorf("committed regression resurfaced (%s)\n  originally: %s: %s\n  now: %s: %s\n  case: %s",
 					reg.Note, reg.Check, reg.Detail, rep.Failure.Check, rep.Failure.Detail, reg.Case)
 			}
 		})
+	}
+}
+
+// TestLoadRejectsUnknownFields pins the corpus's strict decoding: a
+// regression carrying a field Case no longer has (here the retired
+// burst_cap) fails to load instead of silently replaying a different case.
+func TestLoadRejectsUnknownFields(t *testing.T) {
+	dir := t.TempDir()
+	path, err := Save(dir, Regression{Case: Decode(DefaultSeed), Check: "envelope", Detail: "test"})
+	if err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	regs, err := Load(dir)
+	if err != nil || len(regs) != 1 {
+		t.Fatalf("strict load of a well-formed regression: %v (%d regressions)", err, len(regs))
+	}
+	if want := strings.TrimSuffix(filepath.Base(path), ".json"); regs[0].File != want {
+		t.Errorf("loaded File = %q, want %q", regs[0].File, want)
+	}
+
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := strings.Replace(string(b), `"seed":`, `"burst_cap": 8, "seed":`, 1)
+	if bad == string(b) {
+		t.Fatal("test fixture did not inject the unknown field")
+	}
+	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "burst_cap") {
+		t.Fatalf("Load accepted an unknown field: err = %v", err)
 	}
 }

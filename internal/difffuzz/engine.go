@@ -37,8 +37,7 @@ const maxProcCycles = clock.Cycles(2_000_000_000)
 type Failure struct {
 	// Check identifies the oracle: "decode", "run", "conservation",
 	// "rank-bus", "fault-counters", "trr-escape", "determinism",
-	// "burst-identity", "shard-identity", "armed-idle",
-	// "checkpoint-identity", "envelope".
+	// "shard-identity", "armed-idle", "checkpoint-identity", "envelope".
 	Check string `json:"check"`
 	// Detail is the human-readable mismatch.
 	Detail string `json:"detail"`
@@ -76,9 +75,10 @@ func (c Case) Comparable() bool {
 
 // runOnce assembles a fresh system for the case and runs its kernel.
 // mutate is the test-only breakage hook (applied to the EasyDRAM side
-// only, never the baseline); transform derives the run variant (burst-off,
-// armed-idle, baseline). A fresh core.Config per run is load-bearing:
-// stateful schedulers (BLISS) must never be shared between runs.
+// only, never the baseline); transform derives the run variant (serial
+// shard twin, armed-idle, baseline). A fresh core.Config per run is
+// load-bearing: stateful schedulers (BLISS) must never be shared between
+// runs.
 func runOnce(c Case, mutate, transform func(*core.Config)) (core.Result, error) {
 	k, err := c.Workload()
 	if err != nil {
@@ -164,66 +164,6 @@ func runRestored(c Case, mutate func(*core.Config), blob []byte) (core.Result, e
 // both sides, so equal runs produce equal bytes.
 func resultDigest(r core.Result) string {
 	b, err := json.Marshal(r)
-	if err != nil {
-		return "unencodable: " + err.Error()
-	}
-	return string(b)
-}
-
-// emulatedIdentity projects a result onto the fields burst-on/off service
-// must agree on: everything in emulated time plus every counter except the
-// burst bookkeeping itself and the host-side program/instruction counts
-// (one burst program replaces several serial ones by design).
-type emulatedIdentity struct {
-	ProcCycles   clock.Cycles
-	EmulatedTime clock.PS
-	Marks        []clock.Cycles
-	CPU          any
-	L1, L2       any
-	Served       int64
-	Reads        int64
-	Writes       int64
-	RowClones    int64
-	Refreshes    int64
-	RowHits      int64
-	RowMisses    int64
-	RankSwitches int64
-	Retries      int64
-	RetryGiveUps int64
-	Quarantined  int64
-	Remapped     int64
-	MitRefreshes int64
-	Chip         any
-	RequestsIn   int64
-	ResponsesOut int64
-}
-
-func projectEmulated(r core.Result) string {
-	p := emulatedIdentity{
-		ProcCycles:   r.ProcCycles,
-		EmulatedTime: r.EmulatedTime,
-		Marks:        r.Marks,
-		CPU:          r.CPU,
-		L1:           r.L1,
-		L2:           r.L2,
-		Served:       r.Ctrl.Served,
-		Reads:        r.Ctrl.Reads,
-		Writes:       r.Ctrl.Writes,
-		RowClones:    r.Ctrl.RowClones,
-		Refreshes:    r.Ctrl.Refreshes,
-		RowHits:      r.Ctrl.RowHits,
-		RowMisses:    r.Ctrl.RowMisses,
-		RankSwitches: r.Ctrl.RankSwitches,
-		Retries:      r.Ctrl.Retries,
-		RetryGiveUps: r.Ctrl.RetryGiveUps,
-		Quarantined:  r.Ctrl.QuarantinedRows,
-		Remapped:     r.Ctrl.RemappedAccesses,
-		MitRefreshes: r.Ctrl.MitigationRefreshes,
-		Chip:         r.Chip,
-		RequestsIn:   r.Tile.RequestsIn,
-		ResponsesOut: r.Tile.ResponsesOut,
-	}
-	b, err := json.Marshal(p)
 	if err != nil {
 		return "unencodable: " + err.Error()
 	}
@@ -340,25 +280,6 @@ func RunCase(c Case, mutate func(*core.Config)) Report {
 		if a, b := resultDigest(main), resultDigest(serial); a != b {
 			rep.Failure = failf("shard-identity", "%d shard workers changed the result:\n  sharded: %s\n  serial:  %s",
 				c.ShardWorkers, a, b)
-			return rep
-		}
-	}
-
-	// Burst-on ≡ burst-off: row-hit burst service is a host-time
-	// optimisation that must not move emulated time or any served-request
-	// counter. Link faults draw per Bender program and bursting changes the
-	// program count, so those cases legitimately diverge and are skipped —
-	// as are multi-core cases, whose engine pins service to the serial path.
-	if c.BurstCap > 1 && c.Cores <= 1 && c.Faults.LinkFailRate == 0 && c.Faults.LinkCorruptRate == 0 && c.Faults.LinkDropRate == 0 {
-		serial, err := runOnce(c, mutate, func(cfg *core.Config) { cfg.BurstCap = 0 })
-		rep.Runs++
-		if err != nil {
-			rep.Failure = failf("burst-identity", "serial counterpart failed: %v", err)
-			return rep
-		}
-		if a, b := projectEmulated(main), projectEmulated(serial); a != b {
-			rep.Failure = failf("burst-identity", "burst cap %d changed emulated results:\n  burst:  %s\n  serial: %s",
-				c.BurstCap, a, b)
 			return rep
 		}
 	}

@@ -92,20 +92,6 @@ var shrinkers = []struct {
 		c.Scheduler = "fr-fcfs"
 		return c, true
 	}},
-	{"drop-burst", func(c Case) (Case, bool) {
-		if c.BurstCap == 0 {
-			return c, false
-		}
-		c.BurstCap = 0
-		return c, true
-	}},
-	{"halve-burst", func(c Case) (Case, bool) {
-		if c.BurstCap < 4 {
-			return c, false
-		}
-		c.BurstCap /= 2
-		return c, true
-	}},
 	{"drop-cores", func(c Case) (Case, bool) {
 		// Disarming the multi-core axis puts the case back on the unchanged
 		// single-core engine; a contention-dependent failure rejects the

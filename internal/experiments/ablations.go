@@ -154,7 +154,7 @@ func AblationDDR5(opt Options) (*AblationResult, error) {
 
 // AblationTopology sweeps the module topology (channels x ranks) on
 // MLP-heavy row-burst traffic — the workload axis the multi-channel module
-// model opens. Unlike Workers or BurstCap, topology changes emulated
+// model opens. Unlike Workers, topology changes emulated
 // results: a second channel overlaps service, and a second rank pays
 // rank-to-rank turnarounds for wider banking.
 func AblationTopology(opt Options) (*AblationResult, error) {

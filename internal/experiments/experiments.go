@@ -57,21 +57,12 @@ type Options struct {
 	// EffectiveWorkers); 1 forces serial execution. Results are
 	// deterministic at any setting.
 	Workers int
-	// BurstCap bounds row-hit burst service in the software memory
-	// controller (core.Config.BurstCap): how many same-row requests one SMC
-	// step may serve through a single Bender program. 0 leaves the presets'
-	// serial service. Burst service is bit-identical in emulated time, so
-	// every experiment result is unchanged by this knob; it only trades
-	// host time (refresh-on configurations burst too: the engine replays
-	// the refresh-horizon check inside each burst).
-	BurstCap int
 	// Channels and Ranks select the module topology every kernel runs
 	// under (core.Config.Topology): independent channels and ranks per
 	// channel bus. 0 leaves the presets' single-channel, single-rank
 	// module, which is bit-identical to the legacy engine. Topology is a
 	// workload axis: multi-channel runs overlap service and change
-	// emulated timing (unlike Workers or BurstCap, which are
-	// result-neutral).
+	// emulated timing (unlike Workers, which is result-neutral).
 	Channels int
 	// Ranks is the per-channel rank count (see Channels).
 	Ranks int
@@ -158,13 +149,10 @@ func Quick() Options {
 }
 
 // runKernel executes one kernel on a fresh system built from cfg, with the
-// option-level knobs (cycle cap, burst cap) applied.
+// option-level knobs (cycle cap, shard workers, topology, faults) applied.
 func runKernel(cfg core.Config, k workload.Kernel, opt Options) (core.Result, error) {
 	if opt.MaxProcCycles > 0 {
 		cfg.MaxProcCycles = opt.MaxProcCycles
-	}
-	if opt.BurstCap > 0 {
-		cfg.BurstCap = opt.BurstCap
 	}
 	if opt.ShardWorkers > 0 {
 		cfg.ShardWorkers = opt.ShardWorkers

@@ -7,7 +7,7 @@ import (
 // Baseline derives the software-simulator reference for an arbitrary
 // EasyDRAM configuration: the same emulated system (CPU model, cache
 // hierarchy, DRAM timing and topology, scheduler policy, page policy,
-// burst cap, refresh, fault and mitigation setup) simulated directly —
+// refresh, fault and mitigation setup) simulated directly —
 // no time scaling, with a zero-cost hardware controller making the same
 // scheduling decisions. This generalizes the §6 validation pair
 // (core.TimeScaling1GHz vs core.Reference1GHz) across every configuration

@@ -11,9 +11,9 @@ import (
 
 // BenchHarness is a standalone controller + environment over a paper-class
 // chip, for benchmarking the SMC service path in isolation (no engine, no
-// processor model). BenchmarkSubstrateRowHitBurst and cmd/benchall's
-// snapshot metrics share it, so the CI-gated burst numbers measure exactly
-// the benchmarked code.
+// processor model). BenchmarkSubstrateFaultFree and cmd/benchall's
+// snapshot metrics share it, so the CI-gated numbers measure exactly the
+// benchmarked code.
 type BenchHarness struct {
 	// Ctl is the controller under measurement.
 	Ctl *BaseController
@@ -22,27 +22,6 @@ type BenchHarness struct {
 
 	nextID   uint64
 	nextAddr uint64
-}
-
-// NewBenchHarness builds the harness: FR-FCFS, open page, data tracking
-// off (the substrate benchmarks measure timing, not contents).
-func NewBenchHarness() (*BenchHarness, error) {
-	cfg := dram.DefaultConfig()
-	cfg.TrackData = false
-	chip, err := dram.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	tl := tile.New(chip, tile.DefaultCostModel())
-	m, err := NewRowBankCol(chip.Geometry().Banks, cfg.ColsPerRow)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := NewBaseController(Config{Mapper: m, Scheduler: FRFCFS{}}, chip.Timing(), chip.Geometry().Banks)
-	if err != nil {
-		return nil, err
-	}
-	return &BenchHarness{Ctl: ctl, Env: NewEnv(tl)}, nil
 }
 
 // NewFaultFreeBenchHarness builds the harness with every fault seam armed
@@ -80,15 +59,12 @@ func NewFaultFreeBenchHarness() (*BenchHarness, error) {
 	return &BenchHarness{Ctl: ctl, Env: NewEnv(tl)}, nil
 }
 
-// ServeRowBursts pushes and serves n read requests in same-row groups of
-// `depth` under the given burst budget (1 = serial service): each group is
-// made pending together, then the controller runs until the table drains.
-// Addresses walk consecutive cache lines, so groups are row hits with a row
-// miss at each row boundary — the row-locality traffic shape burst service
-// targets.
-func (h *BenchHarness) ServeRowBursts(n, depth, budget int) error {
+// ServeRowGroups pushes and serves n read requests in same-row groups of
+// `depth`: each group is made pending together, then the controller runs
+// one request per step until the table drains. Addresses walk consecutive
+// cache lines, so groups are row hits with a row miss at each row boundary.
+func (h *BenchHarness) ServeRowGroups(n, depth int) error {
 	env := h.Env
-	env.SetBurst(budget, nil)
 	for served := 0; served < n; {
 		for k := 0; k < depth; k++ {
 			h.nextID++

@@ -17,10 +17,6 @@ type BLISS struct {
 
 	streakBank int
 	streak     int
-	// burstBase is the streak value right after the most recent PickBurst's
-	// winner, so NoteBurstServed can rewind the streak when the controller
-	// serves only a prefix of the returned burst.
-	burstBase int
 }
 
 // NewBLISS returns a BLISS scheduler with the published default threshold.
@@ -67,80 +63,11 @@ func (s *BLISS) Pick(table []Entry, openRows []int) int {
 	return pick
 }
 
-// PickBurst implements BurstScheduler. After the winner, BLISS serves the
-// oldest eligible row hit; the burst is the run of same-(bank, row) entries
-// that stays oldest among all row hits and within the blacklisting streak
-// cap. The streak state advances exactly as the equivalent Pick sequence
-// would; NoteBurstServed rewinds it when the controller serves only a
-// prefix.
-func (s *BLISS) PickBurst(table []Entry, openRows []int, cap int, buf []int) []int {
-	w := s.Pick(table, openRows)
-	s.burstBase = s.streak
-	buf = append(buf, w)
-	if cap <= 1 || !table[w].IsAccess() {
-		return buf
-	}
-	max := s.MaxStreak
-	if max <= 0 {
-		max = 4
-	}
-	tb, tr := table[w].Addr.Bank, table[w].Addr.Row
-
-	// Oldest row hit on any other (bank, row); other banks are never
-	// blacklisted mid-burst (the streak bank is the winner's), so any such
-	// hit is eligible and bounds the same-row run.
-	const noSeq = ^uint64(0)
-	minOtherHit := noSeq
-	for i := range table {
-		e := &table[i]
-		if i == w || !e.IsAccess() {
-			continue
-		}
-		if e.Addr.Bank == tb && e.Addr.Row == tr {
-			continue
-		}
-		if openRows[e.Addr.Bank] == e.Addr.Row && e.Seq < minOtherHit {
-			minOtherHit = e.Seq
-		}
-	}
-
-	lastSeq := table[w].Seq
-	for len(buf) < cap && s.streak < max {
-		next := -1
-		for i := range table {
-			e := &table[i]
-			if !e.IsAccess() || e.Addr.Bank != tb || e.Addr.Row != tr || e.Seq <= lastSeq {
-				continue
-			}
-			if next < 0 || e.Seq < table[next].Seq {
-				next = i
-			}
-		}
-		if next < 0 || table[next].Seq > minOtherHit {
-			break
-		}
-		buf = append(buf, next)
-		lastSeq = table[next].Seq
-		s.streak++
-	}
-	return buf
-}
-
 // CloneForChannel implements ChannelScheduler: each channel gets its own
 // streak state under the same threshold.
 func (s *BLISS) CloneForChannel() Scheduler { return &BLISS{MaxStreak: s.MaxStreak, streakBank: -1} }
 
-// NoteBurstServed rewinds the streak when only the first n entries of the
-// last PickBurst result were served.
-func (s *BLISS) NoteBurstServed(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.streak = s.burstBase + (n - 1)
-}
-
 var (
 	_ Scheduler        = (*BLISS)(nil)
-	_ BurstScheduler   = (*BLISS)(nil)
 	_ ChannelScheduler = (*BLISS)(nil)
 )

@@ -89,10 +89,6 @@ type Config struct {
 // Entry.Seq (a monotone counter), which schedulers use for age-based
 // tie-breaking. Entries carry a slot into the tile's pooled request slab
 // instead of a copy of the request itself.
-//
-// When the environment grants a burst budget (see Env.SetBurst) and the
-// scheduler implements BurstScheduler, a single step may serve a whole
-// row-hit burst through one Bender program — see serveAccessBurst.
 type BaseController struct {
 	cfg      Config
 	p        timing.Params
@@ -104,12 +100,9 @@ type BaseController struct {
 
 	refreshDue clock.PS
 
-	// burstSched is cfg.Scheduler when it supports burst picking (and the
-	// page policy allows coalescing); statelessSched marks the built-in
-	// stateless schedulers, for which a one-entry table needs no Pick call.
-	burstSched     BurstScheduler
+	// statelessSched marks the built-in stateless schedulers, for which a
+	// one-entry table needs no Pick call.
 	statelessSched bool
-	burstIdx       []int
 
 	// rankShift splits a channel-global bank index into its rank (bank >>
 	// rankShift); lastCASRank tracks the rank of the previous column
@@ -148,10 +141,10 @@ type ControllerStats struct {
 	Refreshes     int64
 	RowHits       int64
 	RowMisses     int64
-	// BurstsServed counts steps that served more than one request through
-	// one Bender program; BurstedRequests counts the requests those steps
-	// covered. Both stay zero with bursting disabled — every other counter
-	// is bit-identical either way.
+	// BurstsServed and BurstedRequests are always zero: the controller
+	// serves one request per step. They remain only because
+	// bench/testdata/golden.json pins the SHA-256 of the JSON-encoded
+	// core.Result, which includes these two fields.
 	BurstsServed    int64
 	BurstedRequests int64
 	// RankSwitches counts column accesses that paid the shared bus's
@@ -185,23 +178,12 @@ func (s *ControllerStats) Accumulate(o ControllerStats) {
 	s.Refreshes += o.Refreshes
 	s.RowHits += o.RowHits
 	s.RowMisses += o.RowMisses
-	s.BurstsServed += o.BurstsServed
-	s.BurstedRequests += o.BurstedRequests
 	s.RankSwitches += o.RankSwitches
 	s.Retries += o.Retries
 	s.RetryGiveUps += o.RetryGiveUps
 	s.QuarantinedRows += o.QuarantinedRows
 	s.RemappedAccesses += o.RemappedAccesses
 	s.MitigationRefreshes += o.MitigationRefreshes
-}
-
-// AvgBurstLen reports the mean requests per multi-request step (0 when no
-// bursts were served).
-func (s ControllerStats) AvgBurstLen() float64 {
-	if s.BurstsServed == 0 {
-		return 0
-	}
-	return float64(s.BurstedRequests) / float64(s.BurstsServed)
 }
 
 // NewBaseController builds the controller for a chip with the given timing.
@@ -230,13 +212,6 @@ func NewBaseController(cfg Config, p timing.Params, banks int) (*BaseController,
 			return nil, fmt.Errorf("smc: recovery needs RowsPerBank (%d) above its %d spare rows", cfg.RowsPerBank, c.recov.SpareRows)
 		}
 		c.spareBase = cfg.RowsPerBank - c.recov.SpareRows
-	}
-	// Burst coalescing is disabled under recovery or mitigation: verify
-	// re-reads and victim refreshes extend a request's program after the
-	// fact, which the burst segment arithmetic does not model. Zero-
-	// injection configs keep bursting untouched.
-	if bs, ok := cfg.Scheduler.(BurstScheduler); ok && cfg.Policy == OpenPage && !c.recov.Enabled && c.mit == nil {
-		c.burstSched = bs
 	}
 	c.statelessSched = Stateless(cfg.Scheduler)
 	for i := range c.profilePattern {
@@ -324,27 +299,6 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 	// preserved in Entry.Seq, not in slice positions.
 	env.Charge(costs.ScheduleBase + costs.SchedulePerReq*len(c.table))
 
-	// Burst path: when the step's burst budget allows it, ask the scheduler
-	// for the run of requests it would serve consecutively on one
-	// (bank, row) and serve them all through one Bender program.
-	if c.burstSched != nil && env.BurstBudget() > 1 && len(c.table) > 1 {
-		c.burstIdx = c.burstSched.PickBurst(c.table, c.openRows, env.BurstBudget(), c.burstIdx[:0])
-		if len(c.burstIdx) > 1 {
-			if err := c.serveAccessBurst(env); err != nil {
-				return false, err
-			}
-			if len(c.table) == 0 && env.Tile().IncomingEmpty() {
-				// The serial path's final step charges its critical exit
-				// inside the step; fold it into the last segment.
-				env.SetCritical(false)
-				env.AbsorbTrailingCharge()
-			}
-			return true, nil
-		}
-		// A burst of one is just the scheduling decision.
-		return c.serveIndex(env, c.burstIdx[0])
-	}
-
 	var idx int
 	if len(c.table) == 1 && c.statelessSched {
 		// The built-in stateless schedulers can only pick the sole entry;
@@ -395,9 +349,7 @@ func (c *BaseController) serveIndex(env *Env, idx int) (bool, error) {
 // emitAccess appends the DRAM command sequence for one cache-line access to
 // b and returns the activation latency it incurred (0 for a row hit). It
 // charges the Bloom lookup when the tRCD provider is consulted and updates
-// open-row state and hit/miss statistics — exactly the front half of the
-// serial access path, shared with the burst path so the two stay identical
-// by construction.
+// open-row state and hit/miss statistics.
 func (c *BaseController) emitAccess(env *Env, b *bender.Builder, a dram.Addr, isWrite bool) clock.PS {
 	var actLatency clock.PS
 	if c.quarantine != nil {
@@ -647,129 +599,6 @@ func (c *BaseController) serveAccess(env *Env, ent Entry, isWrite bool) error {
 	env.Respond(ent.ID, ok)
 	env.Tile().Release(ent.Slot)
 	return nil
-}
-
-// serveAccessBurst serves the row-hit burst in c.burstIdx (at least two
-// same-(bank, row) accesses, in service order) through ONE Bender program:
-// the winner's row preparation (when it misses) followed by the per-line
-// column commands, with a one-bus-cycle gap between requests standing in
-// for the serial path's program-launch turnaround. Every modeled cost —
-// Poll, the scheduling decision over the table size that serial step would
-// have seen, MapAddr, per-program build/flush charges, column latencies —
-// is charged per request exactly as the serial path charges it, and each
-// request's accumulator slice is recorded as an Env segment, so the engine
-// settles the burst bit-identically to serial service. The host-side win is
-// everything that is NOT modeled: one scheduler pick, one program build,
-// one Bender execution, one timing-check pass, and one engine round-trip
-// instead of one per request.
-//
-// Between requests the controller asks Env.ExtendBurst whether serving the
-// next one is still provably serial-equivalent (the engine's gate cuts the
-// burst at arrivals, refreshes, or processor wake-ups); unserved entries
-// simply stay in the table.
-func (c *BaseController) serveAccessBurst(env *Env) error {
-	t := env.Tile()
-	costs := t.Costs()
-	b := t.Builder()
-	n0 := len(c.table)
-
-	// Entries are read in place (removal is deferred to the end, so the
-	// gathered indices stay valid); the gate may cut the tail, and the
-	// table is only edited once the served prefix is known.
-	served := 0
-	for j, idx := range c.burstIdx {
-		if j > 0 {
-			if !env.ExtendBurst() {
-				break
-			}
-			// Inter-request gap: the serial path's per-program launch
-			// turnaround (one bus cycle), reproduced so every command lands
-			// on the same absolute bus cycle as it would have serially.
-			b.Emit(bender.Instr{Op: bender.OpWAIT, A: 1})
-		}
-		ent := &c.table[idx]
-		isWrite := ent.Kind != mem.Read
-
-		lenBefore := b.Len()
-		curBefore := b.Cursor()
-		actLatency := c.emitAccess(env, b, ent.Addr, isWrite)
-		// A row hit's program is a single column command: one bus cycle of
-		// wall time, no cursor arithmetic needed.
-		wall := c.p.Bus.Period()
-		if actLatency != 0 {
-			wall = b.Cursor() - curBefore
-		}
-
-		// The j-th serial step's charges in one add: poll (steps beyond the
-		// first see an empty FIFO — the gate guarantees no mid-burst
-		// arrival), the scheduling decision over the table that step would
-		// have seen, address translation, and its own program's build and
-		// flush costs.
-		instrs := b.Len() - lenBefore
-		charge := costs.MapAddr + costs.BuildPerInstr*instrs + costs.FlushLaunch + costs.FlushPerInstr*instrs
-		if j > 0 {
-			charge += costs.Poll + costs.ScheduleBase + costs.SchedulePerReq*(n0-j)
-		}
-
-		occ := actLatency + c.p.TBL
-		if isWrite {
-			env.AddService(occ, actLatency+c.p.TCWL+c.p.TBL)
-		} else {
-			charge += costs.ReadbackPerLine
-			env.AddService(occ, actLatency+c.p.TCL+c.p.TBL)
-		}
-		env.Charge(charge)
-		env.Respond(ent.ID, true)
-		t.Release(ent.Slot)
-		c.stats.Served++
-		served++
-		env.CloseSegment(wall)
-	}
-	if served < len(c.burstIdx) {
-		if tr, ok := c.burstSched.(burstTruncater); ok {
-			tr.NoteBurstServed(served)
-		}
-	}
-	if served > 1 {
-		c.stats.BurstsServed++
-		c.stats.BurstedRequests += int64(served)
-	}
-
-	// One real execution for the whole batch.
-	if _, err := env.ExecAccessPrecharged(); err != nil {
-		return err
-	}
-
-	// Remove the served prefix from the table: wholesale when the burst
-	// consumed every entry (the common case for a full same-row run),
-	// highest index first otherwise so swap-remove cannot disturb a lower
-	// still-pending index.
-	if served == n0 {
-		c.table = c.table[:0]
-	} else {
-		c.removeServed(c.burstIdx[:served])
-	}
-	return nil
-}
-
-// removeServed swap-removes the given table indices (sorted in place,
-// removed highest first).
-func (c *BaseController) removeServed(idxs []int) {
-	// Insertion sort: bursts are short and the buffer is reused.
-	for i := 1; i < len(idxs); i++ {
-		v := idxs[i]
-		j := i - 1
-		for j >= 0 && idxs[j] < v {
-			idxs[j+1] = idxs[j]
-			j--
-		}
-		idxs[j+1] = v
-	}
-	for _, idx := range idxs {
-		last := len(c.table) - 1
-		c.table[idx] = c.table[last]
-		c.table = c.table[:last]
-	}
 }
 
 // serveRowClone serves an in-DRAM row copy (§7).

@@ -186,7 +186,7 @@ func TestFaultFreeHarnessStaysClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.ServeRowBursts(512, 8, 1); err != nil {
+	if err := h.ServeRowGroups(512, 8); err != nil {
 		t.Fatal(err)
 	}
 	st := h.Ctl.Stats()

@@ -12,7 +12,7 @@ import (
 // state: open-row tracking, the arrival sequence allocator, the refresh
 // schedule, rank-turnaround history, the quarantine filter, mitigation and
 // scheduler state, and statistics. Derived configuration (recovery limits,
-// spare base, burst wiring, the profile pattern) is rebuilt by
+// spare base, the profile pattern) is rebuilt by
 // NewBaseController.
 
 // StatefulScheduler is implemented by schedulers that carry cross-request
@@ -28,14 +28,12 @@ type StatefulScheduler interface {
 func (s *BLISS) SaveState(e *snapshot.Enc) {
 	e.Int(s.streakBank)
 	e.Int(s.streak)
-	e.Int(s.burstBase)
 }
 
 // LoadState implements StatefulScheduler.
 func (s *BLISS) LoadState(d *snapshot.Dec) {
 	s.streakBank = d.Int()
 	s.streak = d.Int()
-	s.burstBase = d.Int()
 }
 
 var _ StatefulScheduler = (*BLISS)(nil)
@@ -106,7 +104,7 @@ func (c *BaseController) saveStats(e *snapshot.Enc) {
 	for _, v := range []int64{
 		s.Served, s.Reads, s.Writes, s.RowClones, s.BitwiseOps,
 		s.Profiles, s.ProfileRows, s.ProfiledLines, s.Refreshes,
-		s.RowHits, s.RowMisses, s.BurstsServed, s.BurstedRequests,
+		s.RowHits, s.RowMisses,
 		s.RankSwitches, s.Retries, s.RetryGiveUps, s.QuarantinedRows,
 		s.RemappedAccesses, s.MitigationRefreshes,
 	} {
@@ -119,7 +117,7 @@ func (c *BaseController) loadStats(d *snapshot.Dec) {
 	for _, p := range []*int64{
 		&s.Served, &s.Reads, &s.Writes, &s.RowClones, &s.BitwiseOps,
 		&s.Profiles, &s.ProfileRows, &s.ProfiledLines, &s.Refreshes,
-		&s.RowHits, &s.RowMisses, &s.BurstsServed, &s.BurstedRequests,
+		&s.RowHits, &s.RowMisses,
 		&s.RankSwitches, &s.Retries, &s.RetryGiveUps, &s.QuarantinedRows,
 		&s.RemappedAccesses, &s.MitigationRefreshes,
 	} {

@@ -76,8 +76,7 @@ func (c *Counters) Proc() clock.Cycles { return c.proc }
 func (c *Counters) MC() clock.Cycles { return c.ProcEmul.CyclesFloor(c.mcPS) }
 
 // MCTime returns the memory-controller service point in exact picoseconds
-// of emulated time (the value MC() floors to cycles). The engine's burst
-// gate projects service chains from it without mutating the counters.
+// of emulated time (the value MC() floors to cycles).
 func (c *Counters) MCTime() clock.PS { return c.mcPS }
 
 // Global returns the FPGA cycle counter.

@@ -60,18 +60,16 @@ func SubstrateMisses(n int) Kernel {
 }
 
 // RowBurstDepth is the group size of SubstrateRowBurst: the number of
-// same-row misses outstanding together, which is also the row-hit burst
-// length an SMC with a sufficient burst cap serves per step.
+// same-row misses outstanding together.
 const RowBurstDepth = 8
 
 // SubstrateRowBurst is the row-locality companion of SubstrateMisses: n
 // line-granularity loads in groups of RowBurstDepth independent loads to
 // consecutive lines of one DRAM row, each group closed by a barrier. With a
 // core whose MLP covers the group, all of a group's misses are outstanding
-// together, so the controller's request table holds a full same-row run —
-// the traffic shape the row-hit burst service path (BenchmarkSubstrateRow-
-// HitBurst, core.Config.BurstCap) exists for. Lines are touched once each,
-// so every access misses the caches.
+// together, so the controller's request table holds a full same-row run of
+// row hits behind one activation. Lines are touched once each, so every
+// access misses the caches.
 func SubstrateRowBurst(n int) Kernel {
 	return Kernel{Name: "substrate-rowburst", Body: func(g *Gen) {
 		const span = uint64(1) << 31

@@ -21,7 +21,7 @@ type fuzzKernel struct {
 // serialize to JSON and reproduce byte-identically later. The pool mixes
 // dense linear algebra (row-friendly), triangular/recurrence kernels
 // (irregular reuse), an all-pairs cubic nest, a streaming kernel, and a
-// pointer-chase microbenchmark, so fuzz cases exercise row-hit bursts,
+// pointer-chase microbenchmark, so fuzz cases exercise same-row hit runs,
 // row conflicts, and dependent-miss chains alike.
 // Dimension minimums are set so a kernel at its floor still runs a few
 // thousand emulated cycles: the differential envelope judges RELATIVE
