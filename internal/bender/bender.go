@@ -104,9 +104,6 @@ type Engine struct {
 
 	readback []ReadLine
 	maxRead  int
-	// discard suppresses readback accumulation for the current execution
-	// (plain access programs; nobody consumes their read data).
-	discard bool
 }
 
 // ReadbackLines is the default readback-buffer capacity in cache lines
@@ -153,9 +150,8 @@ func (e *Engine) DrainReadback() []ReadLine {
 // never consumed, so moving 64-byte lines per RD would be pure overhead.
 // Chip state, statistics, and Result are identical to a buffered run.
 func (e *Engine) ExecDiscardReads(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, error) {
-	e.discard = true
-	res, err := e.Exec(prog, start, wrbuf)
-	e.discard = false
+	var res Result
+	err := e.ExecInto(&res, prog, start, wrbuf, true)
 	return res, err
 }
 
@@ -164,13 +160,25 @@ func (e *Engine) ExecDiscardReads(prog []Instr, start clock.PS, wrbuf [][]byte) 
 // or an error for malformed programs.
 func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, error) {
 	var res Result
+	err := e.ExecInto(&res, prog, start, wrbuf, false)
+	return res, err
+}
+
+// ExecInto is the interpreter behind Exec and ExecDiscardReads: it
+// overwrites *res with the result of running prog, so callers on the
+// service path can keep one Result and pass it by reference instead of
+// copying it through every layer. discard drops read data as
+// ExecDiscardReads does. On error *res holds the counts up to the failing
+// instruction.
+func (e *Engine) ExecInto(res *Result, prog []Instr, start clock.PS, wrbuf [][]byte, discard bool) error {
+	*res = Result{}
 	var regs [NumRegs]int
 	period := e.bus.Period()
 	t := start
 	pc := 0
 	for steps := 0; ; steps++ {
 		if steps > maxSteps {
-			return res, fmt.Errorf("bender: program exceeded %d steps (missing END?)", maxSteps)
+			return fmt.Errorf("bender: program exceeded %d steps (missing END?)", maxSteps)
 		}
 		if pc < 0 || pc >= len(prog) {
 			// Falling off the end terminates, like END.
@@ -195,7 +203,7 @@ func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, err
 			res.Commands++
 			t += period
 		case OpRD:
-			if e.discard {
+			if discard {
 				// The line's reliability and data go nowhere: the caller
 				// declared the readback unused (ExecDiscardReads), so skip
 				// building and buffering the 64-byte line entirely. Chip
@@ -203,7 +211,7 @@ func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, err
 				// buffered read's would.
 				rel, err := e.chip.Read(in.A, in.B, t, nil)
 				if err != nil {
-					return res, fmt.Errorf("bender: pc=%d: %w", pc, err)
+					return fmt.Errorf("bender: pc=%d: %w", pc, err)
 				}
 				if !rel {
 					res.UnreliableReads++
@@ -214,12 +222,12 @@ func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, err
 				break
 			}
 			if len(e.readback) >= e.maxRead {
-				return res, fmt.Errorf("bender: readback buffer overflow (%d lines)", e.maxRead)
+				return fmt.Errorf("bender: readback buffer overflow (%d lines)", e.maxRead)
 			}
 			var line ReadLine
 			rel, err := e.chip.Read(in.A, in.B, t, line.Data[:])
 			if err != nil {
-				return res, fmt.Errorf("bender: pc=%d: %w", pc, err)
+				return fmt.Errorf("bender: pc=%d: %w", pc, err)
 			}
 			line.Reliable = rel
 			if !rel {
@@ -235,7 +243,7 @@ func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, err
 				src = wrbuf[in.C]
 			}
 			if err := e.chip.Write(in.A, in.B, t, src); err != nil {
-				return res, fmt.Errorf("bender: pc=%d: %w", pc, err)
+				return fmt.Errorf("bender: pc=%d: %w", pc, err)
 			}
 			res.Commands++
 			t += period
@@ -246,22 +254,22 @@ func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, err
 			t += e.chip.Timing().TRFC
 		case OpWAIT:
 			if in.A < 0 {
-				return res, fmt.Errorf("bender: pc=%d: negative WAIT %d", pc, in.A)
+				return fmt.Errorf("bender: pc=%d: negative WAIT %d", pc, in.A)
 			}
 			t += clock.PS(in.A) * period
 		case OpLDI:
 			if err := checkReg(in.A, pc); err != nil {
-				return res, err
+				return err
 			}
 			regs[in.A] = in.B
 		case OpDEC:
 			if err := checkReg(in.A, pc); err != nil {
-				return res, err
+				return err
 			}
 			regs[in.A]--
 		case OpBNZ:
 			if err := checkReg(in.A, pc); err != nil {
-				return res, err
+				return err
 			}
 			if regs[in.A] != 0 {
 				pc = in.B
@@ -272,14 +280,14 @@ func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, err
 			continue
 		case OpEND:
 			res.Elapsed = t - start
-			return res, nil
+			return nil
 		default:
-			return res, fmt.Errorf("bender: pc=%d: unknown opcode %v", pc, in.Op)
+			return fmt.Errorf("bender: pc=%d: unknown opcode %v", pc, in.Op)
 		}
 		pc++
 	}
 	res.Elapsed = t - start
-	return res, nil
+	return nil
 }
 
 func checkReg(r, pc int) error {

@@ -63,6 +63,14 @@ func (b *Builder) Wait(t clock.PS) *Builder {
 	return b
 }
 
+// WaitCycles appends a WAIT of n bus cycles (nothing when n <= 0): Wait
+// for callers that emit the same delay on every program and convert it to
+// cycles once.
+func (b *Builder) WaitCycles(n int) *Builder {
+	b.waitCycles(n)
+	return b
+}
+
 // ACT appends an activate with nominal tRCD spacing left to the caller.
 func (b *Builder) ACT(bank, row int) *Builder {
 	return b.Emit(Instr{Op: OpACT, A: bank, B: row})

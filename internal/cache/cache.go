@@ -175,6 +175,51 @@ func (c *Cache) Install(addr uint64, dirty bool) Victim {
 	return v
 }
 
+// accessFill is a read Access followed, on a miss, by Install(addr, false),
+// fused into one scan of the set: a hit updates LRU and reports hit=true;
+// a miss installs the clean line over the victim Install would choose (the
+// first invalid way, otherwise the first least-recently-used way) and
+// returns that victim. Statistics match the two-call sequence exactly.
+func (c *Cache) accessFill(addr uint64) (hit bool, v Victim) {
+	set, tag := c.setOf(addr), c.tagOf(addr)
+	ss := c.setSlice(set)
+	invalid, lruIdx := -1, 0
+	var oldest uint64 = ^uint64(0)
+	for i := range ss {
+		l := &ss[i]
+		if !l.valid {
+			if invalid < 0 {
+				invalid = i
+			}
+			continue
+		}
+		if l.tag == tag {
+			c.lruClock++
+			l.lru = c.lruClock
+			c.stats.Hits++
+			return true, Victim{}
+		}
+		if l.lru < oldest {
+			oldest = l.lru
+			lruIdx = i
+		}
+	}
+	c.stats.Misses++
+	victimIdx := invalid
+	if victimIdx < 0 {
+		victimIdx = lruIdx
+		old := &ss[victimIdx]
+		v = Victim{Addr: c.lineAddr(set, old.tag), Dirty: old.dirty, Valid: true}
+		c.stats.Evictions++
+		if v.Dirty {
+			c.stats.Writebacks++
+		}
+	}
+	c.lruClock++
+	ss[victimIdx] = line{tag: tag, valid: true, lru: c.lruClock}
+	return false, v
+}
+
 // Flush removes addr from the cache if present, reporting whether it was
 // present and dirty.
 func (c *Cache) Flush(addr uint64) (present, dirty bool) {

@@ -63,12 +63,11 @@ func (h *Hierarchy) Access(addr uint64, write bool) (level int, writebacks []uin
 		return 1, nil
 	}
 	h.wbScratch = h.wbScratch[:0]
-	level = 3
-	if h.L2.Access(addr, false) {
-		level = 2
-	} else {
-		// Fill L2 from memory.
-		if v := h.L2.Install(addr, false); v.Valid {
+	level = 2
+	// One L2 scan finds the line or fills it from memory.
+	if hit, v := h.L2.accessFill(addr); !hit {
+		level = 3
+		if v.Valid {
 			// Keep the hierarchy inclusive: an L2 eviction removes the
 			// line from L1 too, merging its dirtiness.
 			if p, d := h.L1.Flush(v.Addr); p && d || v.Dirty {

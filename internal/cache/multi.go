@@ -88,14 +88,13 @@ func (v *CoreView) Access(addr uint64, write bool) (level int, writebacks []uint
 		return 1, nil
 	}
 	m.wbScratch = m.wbScratch[:0]
-	level = 3
-	if m.l2.Access(addr, false) {
-		level = 2
-	} else {
+	level = 2
+	if hit, vic := m.l2.accessFill(addr); !hit {
+		level = 3
 		// Fill the shared L2 from memory. Inclusion is global: the L2
 		// victim is back-invalidated in every core's L1, merging each
 		// private copy's dirtiness into one writeback decision.
-		if vic := m.l2.Install(addr, false); vic.Valid {
+		if vic.Valid {
 			dirty := vic.Dirty
 			for _, other := range m.l1s {
 				if p, d := other.Flush(vic.Addr); p && d {

@@ -111,6 +111,11 @@ type BaseController struct {
 	rankShift   uint
 	lastCASRank int
 
+	// preWait and actWait are the WAITs after a PRE and after a
+	// nominal-tRCD ACT, in bus cycles, converted once at construction
+	// instead of on every access.
+	preWait, actWait int
+
 	// recov is the normalized recovery config; mit the channel's mitigation
 	// policy (nil = none) with mitBuf its reused victim buffer; quarantine
 	// the Bloom filter of given-up rows (lazily created on first
@@ -199,6 +204,8 @@ func NewBaseController(cfg Config, p timing.Params, banks int) (*BaseController,
 		open[i] = -1
 	}
 	c := &BaseController{cfg: cfg, p: p, openRows: open, refreshDue: p.TREFI, lastCASRank: -1}
+	c.preWait = int(p.Bus.CyclesCeil(p.TRP - p.Bus.Period()))
+	c.actWait = int(p.Bus.CyclesCeil(p.TRCD - p.Bus.Period()))
 	if cfg.Ranks > 1 {
 		if banks%cfg.Ranks != 0 || banks&(banks-1) != 0 {
 			return nil, fmt.Errorf("smc: %d banks across %d ranks must be a power-of-two split", banks, cfg.Ranks)
@@ -280,13 +287,15 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 		}
 		env.Charge(costs.ReceiveRequest)
 		req := t.Req(slot)
-		ent := Entry{Slot: slot, ID: req.ID, Kind: req.Kind, Addr: c.cfg.Mapper.Map(req.Addr), Seq: c.nextSeq}
+		c.table = append(c.table, Entry{})
+		ent := &c.table[len(c.table)-1]
+		ent.Slot, ent.ID, ent.Kind, ent.Seq = slot, req.ID, req.Kind, c.nextSeq
+		ent.Addr = c.cfg.Mapper.Map(req.Addr)
 		c.nextSeq++
 		switch req.Kind {
 		case mem.RowClone, mem.Bitwise:
 			ent.Src = c.cfg.Mapper.Map(req.Src)
 		}
-		c.table = append(c.table, ent)
 	}
 	if len(c.table) == 0 {
 		return false, nil
@@ -312,13 +321,11 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 	return c.serveIndex(env, idx)
 }
 
-// serveIndex serves the table entry at idx and removes it.
+// serveIndex serves the table entry at idx in place and then removes it
+// by swap-remove — also when service fails, so a failed request leaves the
+// table exactly as a served one does.
 func (c *BaseController) serveIndex(env *Env, idx int) (bool, error) {
-	ent := c.table[idx]
-	last := len(c.table) - 1
-	c.table[idx] = c.table[last]
-	c.table = c.table[:last]
-
+	ent := &c.table[idx]
 	var err error
 	switch ent.Kind {
 	case mem.Read:
@@ -336,6 +343,9 @@ func (c *BaseController) serveIndex(env *Env, idx int) (bool, error) {
 	default:
 		err = fmt.Errorf("smc: unknown request kind %v", ent.Kind)
 	}
+	last := len(c.table) - 1
+	c.table[idx] = c.table[last]
+	c.table = c.table[:last]
 	if err != nil {
 		return false, err
 	}
@@ -369,7 +379,7 @@ func (c *BaseController) emitAccess(env *Env, b *bender.Builder, a dram.Addr, is
 		c.stats.RowMisses++
 		if c.openRows[a.Bank] >= 0 {
 			b.PRE(a.Bank)
-			b.Wait(c.p.TRP - c.p.Bus.Period())
+			b.WaitCycles(c.preWait)
 			actLatency += c.p.TRP
 		}
 		if c.mit != nil {
@@ -383,7 +393,11 @@ func (c *BaseController) emitAccess(env *Env, b *bender.Builder, a dram.Addr, is
 			}
 		}
 		b.ACTWithRCD(a.Bank, a.Row, rcd)
-		b.Wait(rcd - c.p.Bus.Period())
+		if rcd == c.p.TRCD {
+			b.WaitCycles(c.actWait)
+		} else {
+			b.Wait(rcd - c.p.Bus.Period())
+		}
 		actLatency += rcd
 		c.openRows[a.Bank] = a.Row
 	}
@@ -463,7 +477,7 @@ func (c *BaseController) emitMitigation(env *Env, b *bender.Builder, bank, row i
 		b.ACT(bank, v)
 		b.Wait(c.p.TRAS - c.p.Bus.Period())
 		b.PRE(bank)
-		b.Wait(c.p.TRP - c.p.Bus.Period())
+		b.WaitCycles(c.preWait)
 		lat += c.p.TRAS + c.p.TRP
 		c.stats.MitigationRefreshes++
 	}
@@ -473,7 +487,7 @@ func (c *BaseController) emitMitigation(env *Env, b *bender.Builder, bank, row i
 // execAccess runs the built access program, re-flushing it on injected
 // transient launch failures (the builder still holds the program — see
 // Tile.Exec). The fault-free path is a single nil-latency branch.
-func (c *BaseController) execAccess(env *Env) (bender.Result, error) {
+func (c *BaseController) execAccess(env *Env) (*bender.Result, error) {
 	res, err := env.ExecAccess()
 	if err != nil || !res.LaunchFailed {
 		return res, err
@@ -482,7 +496,7 @@ func (c *BaseController) execAccess(env *Env) (bender.Result, error) {
 }
 
 // exec is execAccess for programs whose readback is consumed (profiling).
-func (c *BaseController) exec(env *Env) (bender.Result, error) {
+func (c *BaseController) exec(env *Env) (*bender.Result, error) {
 	res, err := env.Exec()
 	if err != nil || !res.LaunchFailed {
 		return res, err
@@ -495,9 +509,9 @@ func (c *BaseController) exec(env *Env) (bender.Result, error) {
 // a host link that fails MaxRetries+1 consecutive launches is dead, and the
 // emulation cannot meaningfully continue past it (at the default 1e-4 fail
 // rate the chance is ~1e-16 per program).
-func (c *BaseController) retryLaunch(env *Env, exec func() (bender.Result, error)) (bender.Result, error) {
+func (c *BaseController) retryLaunch(env *Env, exec func() (*bender.Result, error)) (*bender.Result, error) {
 	if !c.recov.Enabled {
-		return bender.Result{}, fmt.Errorf("smc: Bender launch failed with recovery disabled")
+		return nil, fmt.Errorf("smc: Bender launch failed with recovery disabled")
 	}
 	backoff := c.recov.Backoff
 	for attempt := 0; attempt < c.recov.MaxRetries; attempt++ {
@@ -510,7 +524,7 @@ func (c *BaseController) retryLaunch(env *Env, exec func() (bender.Result, error
 		backoff *= 2
 	}
 	c.stats.RetryGiveUps++
-	return bender.Result{}, fmt.Errorf("smc: Bender launch failed %d times; giving up", c.recov.MaxRetries+1)
+	return nil, fmt.Errorf("smc: Bender launch failed %d times; giving up", c.recov.MaxRetries+1)
 }
 
 // retryRead is the verify-and-retry read path: the chip flagged this access's
@@ -544,7 +558,7 @@ func (c *BaseController) retryRead(env *Env, a dram.Addr, occ, lat *clock.PS) (b
 }
 
 // serveAccess serves a cache-line read or write with an open-row policy.
-func (c *BaseController) serveAccess(env *Env, ent Entry, isWrite bool) error {
+func (c *BaseController) serveAccess(env *Env, ent *Entry, isWrite bool) error {
 	costs := env.Tile().Costs()
 	env.Charge(costs.MapAddr)
 	a := ent.Addr
@@ -602,7 +616,7 @@ func (c *BaseController) serveAccess(env *Env, ent Entry, isWrite bool) error {
 }
 
 // serveRowClone serves an in-DRAM row copy (§7).
-func (c *BaseController) serveRowClone(env *Env, ent Entry) error {
+func (c *BaseController) serveRowClone(env *Env, ent *Entry) error {
 	costs := env.Tile().Costs()
 	env.Charge(2 * costs.MapAddr)
 	src, dst := ent.Src, ent.Addr
@@ -618,7 +632,7 @@ func (c *BaseController) serveRowClone(env *Env, ent Entry) error {
 	b := env.Tile().Builder()
 	if c.openRows[src.Bank] >= 0 {
 		b.PRE(src.Bank)
-		b.Wait(c.p.TRP - c.p.Bus.Period())
+		b.WaitCycles(c.preWait)
 	}
 	b.RowClone(src.Bank, src.Row, dst.Row)
 	res, err := c.exec(env)
@@ -635,7 +649,7 @@ func (c *BaseController) serveRowClone(env *Env, ent Entry) error {
 // serveBitwise serves an in-DRAM bulk bitwise majority: a many-row
 // activation of the rows at Src and Addr (which drags in their address-OR
 // row). Success means the chip committed the majority result.
-func (c *BaseController) serveBitwise(env *Env, ent Entry) error {
+func (c *BaseController) serveBitwise(env *Env, ent *Entry) error {
 	costs := env.Tile().Costs()
 	env.Charge(2 * costs.MapAddr)
 	r1, r2 := ent.Src, ent.Addr
@@ -648,7 +662,7 @@ func (c *BaseController) serveBitwise(env *Env, ent Entry) error {
 	b := env.Tile().Builder()
 	if c.openRows[r1.Bank] >= 0 {
 		b.PRE(r1.Bank)
-		b.Wait(c.p.TRP - c.p.Bus.Period())
+		b.WaitCycles(c.preWait)
 	}
 	b.BitwiseMAJ(r1.Bank, r1.Row, r2.Row)
 	res, err := c.exec(env)
@@ -665,7 +679,7 @@ func (c *BaseController) serveBitwise(env *Env, ent Entry) error {
 // serveProfile serves a §8.1 profiling request: initialize the target line
 // with a known pattern, read it back with the requested tRCD, and report
 // whether the data survived.
-func (c *BaseController) serveProfile(env *Env, ent Entry) error {
+func (c *BaseController) serveProfile(env *Env, ent *Entry) error {
 	costs := env.Tile().Costs()
 	env.Charge(costs.MapAddr)
 	a := ent.Addr
@@ -677,7 +691,7 @@ func (c *BaseController) serveProfile(env *Env, ent Entry) error {
 	for attempt := 0; ; attempt++ {
 		if c.openRows[a.Bank] >= 0 {
 			b.PRE(a.Bank)
-			b.Wait(c.p.TRP - c.p.Bus.Period())
+			b.WaitCycles(c.preWait)
 		}
 		// Initialize the target cache line with the known pattern, then
 		// access it with the requested (reduced) tRCD.
@@ -727,7 +741,7 @@ func (c *BaseController) serveProfile(env *Env, ent Entry) error {
 // to 64 rows. Per-line outcomes are identical to the per-line path because
 // each line's test read happens exactly RCD after its own activation (see
 // Builder.ProfileCheck).
-func (c *BaseController) serveProfileRow(env *Env, ent Entry) error {
+func (c *BaseController) serveProfileRow(env *Env, ent *Entry) error {
 	costs := env.Tile().Costs()
 	env.Charge(costs.MapAddr)
 	a := ent.Addr
@@ -759,7 +773,7 @@ func (c *BaseController) serveProfileRow(env *Env, ent Entry) error {
 		b := env.Tile().Builder()
 		if c.openRows[a.Bank] >= 0 {
 			b.PRE(a.Bank)
-			b.Wait(c.p.TRP - c.p.Bus.Period())
+			b.WaitCycles(c.preWait)
 		}
 		b.ProfileRowStripe(a.Bank, a.Row, rows, cols, c.profilePattern[:], rcd)
 

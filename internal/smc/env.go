@@ -34,6 +34,9 @@ type Env struct {
 	responses   []mem.Response
 	readback    []bender.ReadLine
 	critical    bool
+	// execRes holds the result of the last Exec, which Exec returns by
+	// reference like ExecAccess.
+	execRes bender.Result
 }
 
 // NewEnv returns an Env over t.
@@ -94,12 +97,16 @@ func (e *Env) SetCritical(on bool) {
 func (e *Env) Critical() bool { return e.critical }
 
 // Exec flushes the built command batch to DRAM Bender and executes it,
-// charging transfer and launch costs (EasyAPI flush_commands).
-func (e *Env) Exec() (bender.Result, error) {
+// charging transfer and launch costs (EasyAPI flush_commands). The result
+// stays valid until the next Exec.
+func (e *Env) Exec() (*bender.Result, error) {
 	costs := e.tile.Costs()
 	n := e.tile.Builder().Len()
 	e.Charge(costs.BuildPerInstr*n + costs.FlushLaunch + costs.FlushPerInstr*n)
-	res, rb, err := e.tile.Exec()
+	res := &e.execRes
+	var rb []bender.ReadLine
+	var err error
+	*res, rb, err = e.tile.Exec()
 	if err != nil {
 		return res, fmt.Errorf("smc: %w", err)
 	}
@@ -110,8 +117,10 @@ func (e *Env) Exec() (bender.Result, error) {
 
 // ExecAccess executes the built command batch for a plain cache-line access
 // step: charged like Exec, but read data is dropped instead of buffered —
-// access responses carry no data, so nobody ever consumes it.
-func (e *Env) ExecAccess() (bender.Result, error) {
+// access responses carry no data, so nobody ever consumes it. The result is
+// the tile's (see tile.Tile.ExecDiscardReads): valid until the tile's next
+// exec.
+func (e *Env) ExecAccess() (*bender.Result, error) {
 	costs := e.tile.Costs()
 	n := e.tile.Builder().Len()
 	e.Charge(costs.BuildPerInstr*n + costs.FlushLaunch + costs.FlushPerInstr*n)

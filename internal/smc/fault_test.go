@@ -226,3 +226,54 @@ func TestRecoveryDeterminism(t *testing.T) {
 		t.Fatal(fmt.Sprintf("determinism test exercised no retries: %+v", s1))
 	}
 }
+
+// TestServeOneLaunchFailureRemovesEntry pins the error path of the request
+// table: with every Bender launch failing and recovery disabled, each
+// ServeOne reports the error and still removes the entry it picked, so
+// Pending drops by one per call and the entries left are the others.
+func TestServeOneLaunchFailureRemovesEntry(t *testing.T) {
+	cfg := dram.DefaultConfig()
+	cfg.TrackData = false
+	chip, err := dram.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := tile.New(chip, tile.DefaultCostModel())
+	tl.SetFaultLink(fault.NewLinkModel(fault.LinkConfig{ExecFailRate: 1}, 1))
+	m, err := NewRowBankCol(chip.Geometry().Banks, cfg.ColsPerRow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := NewBaseController(Config{Mapper: m, Scheduler: FRFCFS{}}, chip.Timing(), chip.Geometry().Banks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv(tl)
+	const n = 3
+	for i := 1; i <= n; i++ {
+		tl.PushRequest(&mem.Request{ID: uint64(i), Kind: mem.Read, Addr: uint64(i) * 4096 * dram.LineBytes})
+	}
+	for left := n - 1; left >= 0; left-- {
+		env.Reset(0)
+		worked, err := ctl.ServeOne(env)
+		if err == nil || worked {
+			t.Fatalf("ServeOne = (%v, %v), want the launch failure", worked, err)
+		}
+		if ctl.Pending() != left {
+			t.Fatalf("Pending = %d after a failed serve, want %d", ctl.Pending(), left)
+		}
+		seen := map[uint64]bool{}
+		for _, e := range ctl.table {
+			if e.ID < 1 || e.ID > n || seen[e.ID] {
+				t.Fatalf("table holds %+v after a failed serve", ctl.table)
+			}
+			seen[e.ID] = true
+		}
+	}
+	if st := ctl.Stats(); st.Served != 0 {
+		t.Fatalf("Served = %d, want 0", st.Served)
+	}
+	if len(env.Responses()) != 0 {
+		t.Fatalf("failed serves responded: %+v", env.Responses())
+	}
+}

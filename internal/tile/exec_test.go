@@ -1,0 +1,125 @@
+package tile
+
+import (
+	"testing"
+
+	"easydram/internal/bender"
+	"easydram/internal/clock"
+	"easydram/internal/dram"
+	"easydram/internal/fault"
+)
+
+// TestExecDiscardReadsMatchesEngineExec checks the by-reference result seam:
+// the Result a tile's ExecDiscardReads returns must equal what a plain
+// bender.Engine.Exec reports for the same program on a twin device, one
+// program at a time, so no counter carries over from the previous program.
+// An injected launch failure reports LaunchFailed alone and leaves the
+// program in the builder for the retry. The tile's DRAM cursor and Stats
+// must track the twin's.
+func TestExecDiscardReadsMatchesEngineExec(t *testing.T) {
+	cfg := dram.DefaultConfig()
+	cfg.RowsPerBank = 4096
+	chip, err := dram.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twinChip, err := dram.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := New(chip, DefaultCostModel())
+	eng := bender.NewEngine(twinChip, 0)
+	p := chip.Timing()
+	period := p.Bus.Period()
+	pattern := make([]byte, dram.LineBytes)
+	for i := range pattern {
+		pattern[i] = byte(i)
+	}
+
+	programs := []struct {
+		name  string
+		build func(b *bender.Builder)
+	}{
+		{"act-rd-wr-pre", func(b *bender.Builder) {
+			b.ACT(1, 7).Wait(p.TRCD - period)
+			b.RD(1, 3).RD(1, 4).Wait(p.TCCDL)
+			b.WR(1, 5, pattern).Wait(p.TCWL + p.TBL + p.TWR)
+			b.PRE(1).Wait(p.TRP - period)
+		}},
+		// Fewer commands than the previous program: a carried-over count
+		// would show here.
+		{"refresh", func(b *bender.Builder) {
+			b.REF().Wait(p.TRP)
+		}},
+		{"loop", func(b *bender.Builder) {
+			b.ACT(2, 9).Wait(p.TRCD - period)
+			b.Loop(0, 5, func(b *bender.Builder) {
+				b.RD(2, 1).Wait(p.TCCDL)
+				b.WR(2, 2, nil).Wait(p.TCCDL)
+			})
+			b.Wait(p.TWR + p.TRTP)
+			b.PRE(2).Wait(p.TRP - period)
+		}},
+		{"launch-fail", func(b *bender.Builder) {
+			b.ACT(3, 11).Wait(p.TRCD - period)
+			b.RD(3, 0)
+			b.Wait(p.TRTP).PRE(3)
+		}},
+		{"wait-only", func(b *bender.Builder) {
+			b.WaitCycles(4)
+		}},
+	}
+
+	var cursor clock.PS
+	var want Stats
+	for _, pr := range programs {
+		b := tl.Builder()
+		pr.build(b)
+		prog := append([]bender.Instr(nil), b.Program()...)
+		wrbuf := append([][]byte(nil), b.WriteBuf()...)
+
+		if pr.name == "launch-fail" {
+			tl.SetFaultLink(fault.NewLinkModel(fault.LinkConfig{ExecFailRate: 1}, 1))
+			res, err := tl.ExecDiscardReads()
+			if err != nil {
+				t.Fatalf("%s: %v", pr.name, err)
+			}
+			if *res != (bender.Result{LaunchFailed: true}) {
+				t.Fatalf("%s: failed launch reported %+v, want LaunchFailed alone", pr.name, *res)
+			}
+			if tl.Builder().Len() != len(prog)-1 {
+				t.Fatalf("%s: builder holds %d instrs after a failed launch, want %d", pr.name, tl.Builder().Len(), len(prog)-1)
+			}
+			want.LaunchFails++
+			tl.SetFaultLink(nil)
+		}
+
+		got, err := tl.ExecDiscardReads()
+		if err != nil {
+			t.Fatalf("%s: tile: %v", pr.name, err)
+		}
+		ref, err := eng.Exec(prog, cursor, wrbuf)
+		if err != nil {
+			t.Fatalf("%s: engine: %v", pr.name, err)
+		}
+		if *got != ref {
+			t.Fatalf("%s: ExecDiscardReads = %+v, Engine.Exec = %+v", pr.name, *got, ref)
+		}
+		if ref.Commands == 0 && pr.name != "wait-only" {
+			t.Fatalf("%s: program issued no commands", pr.name)
+		}
+		eng.DrainReadback()
+		cursor += ref.Elapsed + period
+		want.ProgramsRun++
+		want.InstrsRun += int64(len(prog))
+		if tl.dramCursor != cursor {
+			t.Fatalf("%s: tile cursor %d, want %d", pr.name, tl.dramCursor, cursor)
+		}
+		if tl.Stats() != want {
+			t.Fatalf("%s: tile stats %+v, want %+v", pr.name, tl.Stats(), want)
+		}
+		if tl.Builder().Len() != 0 {
+			t.Fatalf("%s: builder not reset after exec", pr.name)
+		}
+	}
+}

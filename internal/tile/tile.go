@@ -144,6 +144,10 @@ type Tile struct {
 	// link is the host-link fault model (nil without injection — the exec
 	// path then pays a single nil check).
 	link *fault.LinkModel
+
+	// last is the result of the most recent exec. ExecDiscardReads hands
+	// out a pointer to it, so the access path moves no Result copies.
+	last bender.Result
 }
 
 // New builds a tile over the given chip.
@@ -241,7 +245,7 @@ func (t *Tile) SetFaultLink(m *fault.LinkModel) { t.link = m }
 func (t *Tile) Exec() (bender.Result, []bender.ReadLine, error) {
 	res, err := t.exec(false)
 	if err != nil || res.LaunchFailed {
-		return res, nil, err
+		return *res, nil, err
 	}
 	rb := t.engine.DrainReadback()
 	if t.link != nil && len(rb) > 0 {
@@ -259,34 +263,30 @@ func (t *Tile) Exec() (bender.Result, []bender.ReadLine, error) {
 			t.stats.CorruptLines++
 		}
 	}
-	return res, rb, nil
+	return *res, rb, nil
 }
 
 // ExecDiscardReads runs the builder's current program like Exec but drops
 // read data instead of buffering it (plain access service, whose readback
-// nobody consumes).
-func (t *Tile) ExecDiscardReads() (bender.Result, error) {
+// nobody consumes). The returned Result is the tile's own: it describes
+// this program only and stays valid until the tile's next exec.
+func (t *Tile) ExecDiscardReads() (*bender.Result, error) {
 	return t.exec(true)
 }
 
-func (t *Tile) exec(discard bool) (bender.Result, error) {
+func (t *Tile) exec(discard bool) (*bender.Result, error) {
+	res := &t.last
 	if t.link != nil && t.link.FailLaunch() {
 		// Transient launch failure: the program never reaches Bender. The
 		// builder is NOT reset and the cursor does not advance, so the
 		// controller can re-flush the identical program; the modeled retry
 		// backoff is the controller's to charge.
 		t.stats.LaunchFails++
-		return bender.Result{LaunchFailed: true}, nil
+		*res = bender.Result{LaunchFailed: true}
+		return res, nil
 	}
 	prog := t.builder.Program()
-	var res bender.Result
-	var err error
-	if discard {
-		res, err = t.engine.ExecDiscardReads(prog, t.dramCursor, t.builder.WriteBuf())
-	} else {
-		res, err = t.engine.Exec(prog, t.dramCursor, t.builder.WriteBuf())
-	}
-	if err != nil {
+	if err := t.engine.ExecInto(res, prog, t.dramCursor, t.builder.WriteBuf(), discard); err != nil {
 		return res, fmt.Errorf("tile: %w", err)
 	}
 	t.dramCursor += res.Elapsed
