@@ -8,10 +8,12 @@ package easydram
 // evaluation sit at the bottom.
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"easydram/internal/core"
+	"easydram/internal/dram"
 	"easydram/internal/experiments"
 	"easydram/internal/smc"
 	"easydram/internal/stats"
@@ -281,22 +283,23 @@ func BenchmarkAblationBloomFP(b *testing.B) {
 func clockPS(v int64) PS { return PS(v) }
 
 // BenchmarkWeakRowCharacterization measures the §8.1 weak-row profiling
-// pass both ways: the whole-row fast path (one host round-trip and one
-// Bender program per row) against the legacy per-line path (one round-trip
-// per cache line). It reports the host round-trip reduction — the dominant
-// cost of Figure 13's characterization stage — plus the fast path's row
+// pass both ways: the bank-stripe fast path (techniques.ProfileWeakRows)
+// against a line-by-line walk of the same span through System.ProfileLine
+// (one host round-trip per cache line, stopping at a row's first failing
+// line). It reports the host round-trip reduction — the dominant cost of
+// Figure 13's characterization stage — plus the fast path's row
 // throughput, and fails if the weak-row sets ever diverge.
 func BenchmarkWeakRowCharacterization(b *testing.B) {
 	cfg := core.TimeScalingA57()
 	cfg.DRAM = core.TechniqueDRAM()
 	const rows = 512
-	var span uint64
 	for i := 0; i < b.N; i++ {
 		rowSys, err := core.NewSystem(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		span = uint64(rows) * uint64(rowSys.Mapper().RowBytes())
+		rowBytes := uint64(rowSys.Mapper().RowBytes())
+		span := rows * rowBytes
 		t0 := time.Now()
 		weakRow, _, err := techniques.ProfileWeakRows(rowSys, 0, span, techniques.ReducedTRCD)
 		if err != nil {
@@ -308,7 +311,7 @@ func BenchmarkWeakRowCharacterization(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		weakLine, _, err := techniques.ProfileWeakRowsPerLine(lineSys, 0, span, techniques.ReducedTRCD)
+		weakLine, err := weakRowsLineByLine(lineSys, span, rowBytes)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -323,6 +326,31 @@ func BenchmarkWeakRowCharacterization(b *testing.B) {
 		b.ReportMetric(float64(lineSys.HostRequests())/float64(rowSys.HostRequests()), "roundtrip-reduction-x")
 		b.ReportMetric(float64(rows)/rowSecs, "rows/s")
 	}
+}
+
+// weakRowsLineByLine profiles [0, span) of a single-channel system one
+// line at a time at the reduced tRCD. Each rowBytes-aligned block is one
+// DRAM row there; a row is weak at its first failing line, and it is keyed
+// by the physical address of its column 0, as ProfileWeakRows keys it.
+// The keys come back ascending.
+func weakRowsLineByLine(sys *core.System, span, rowBytes uint64) ([]uint64, error) {
+	m := sys.Mapper()
+	var weak []uint64
+	for base := uint64(0); base < span; base += rowBytes {
+		for pa := base; pa < base+rowBytes; pa += dram.LineBytes {
+			ok, err := sys.ProfileLine(pa, techniques.ReducedTRCD)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				a := m.Map(base)
+				weak = append(weak, m.Unmap(dram.Addr{Chan: a.Chan, Bank: a.Bank, Row: a.Row}))
+				break
+			}
+		}
+	}
+	slices.Sort(weak)
+	return weak, nil
 }
 
 // ---------------------------------------------------------------------------

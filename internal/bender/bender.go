@@ -203,37 +203,23 @@ func (e *Engine) ExecInto(res *Result, prog []Instr, start clock.PS, wrbuf [][]b
 			res.Commands++
 			t += period
 		case OpRD:
+			var rel bool
+			var err error
 			if discard {
 				// The line's reliability and data go nowhere: the caller
-				// declared the readback unused (ExecDiscardReads), so skip
-				// building and buffering the 64-byte line entirely. Chip
-				// state, statistics, and timing checks advance exactly as a
-				// buffered read's would.
-				rel, err := e.chip.Read(in.A, in.B, t, nil)
-				if err != nil {
-					return fmt.Errorf("bender: pc=%d: %w", pc, err)
-				}
-				if !rel {
-					res.UnreliableReads++
-				}
-				res.Commands++
-				res.Reads++
-				t += period
-				break
+				// declared the readback unused (ExecDiscardReads), so no
+				// line is buffered. Chip state, statistics, and timing
+				// checks advance exactly as a buffered read's would.
+				rel, err = e.chip.Read(in.A, in.B, t, nil)
+			} else {
+				rel, err = e.readBuffered(in.A, in.B, t)
 			}
-			if len(e.readback) >= e.maxRead {
-				return fmt.Errorf("bender: readback buffer overflow (%d lines)", e.maxRead)
-			}
-			var line ReadLine
-			rel, err := e.chip.Read(in.A, in.B, t, line.Data[:])
 			if err != nil {
 				return fmt.Errorf("bender: pc=%d: %w", pc, err)
 			}
-			line.Reliable = rel
 			if !rel {
 				res.UnreliableReads++
 			}
-			e.readback = append(e.readback, line)
 			res.Commands++
 			res.Reads++
 			t += period
@@ -288,6 +274,25 @@ func (e *Engine) ExecInto(res *Result, prog []Instr, start clock.PS, wrbuf [][]b
 	}
 	res.Elapsed = t - start
 	return nil
+}
+
+// readBuffered issues a RD whose line lands straight in the readback
+// buffer's next entry: a local line passed through the Device interface
+// would escape to the heap on every test read. A failed read leaves the
+// buffer as it was.
+func (e *Engine) readBuffered(bank, col int, t clock.PS) (bool, error) {
+	n := len(e.readback)
+	if n >= e.maxRead {
+		return false, fmt.Errorf("readback buffer overflow (%d lines)", e.maxRead)
+	}
+	e.readback = append(e.readback, ReadLine{})
+	rel, err := e.chip.Read(bank, col, t, e.readback[n].Data[:])
+	if err != nil {
+		e.readback = e.readback[:n]
+		return false, err
+	}
+	e.readback[n].Reliable = rel
+	return rel, nil
 }
 
 func checkReg(r, pc int) error {

@@ -236,21 +236,39 @@ func (b *Builder) ProfileCheck(a dram.Addr, rcd clock.PS) *Builder {
 // exactly the single-line sequence's ACT->RD spacing. One program replaces
 // cols request round-trips through the controller. The readback buffer
 // receives exactly cols lines, in column order.
+//
+// Column 0's check is emitted by ProfileCheck itself; every later column
+// copies it with the RD's column patched, so the delays are converted to
+// bus cycles once per row and the program stays instruction for
+// instruction the one per-column ProfileCheck calls would emit.
 func (b *Builder) ProfileRow(bank, row, cols int, pattern []byte, rcd clock.PS) *Builder {
 	b.ACT(bank, row)
 	b.Wait(b.p.TRCD - b.p.Bus.Period())
 	idx := b.StageWrite(pattern)
+	ccd := int(b.p.Bus.CyclesCeil(b.p.TCCDL - b.p.Bus.Period()))
 	for col := 0; col < cols; col++ {
 		b.WRStaged(bank, col, idx)
 		if col != cols-1 {
-			b.Wait(b.p.TCCDL - b.p.Bus.Period())
+			b.waitCycles(ccd)
 		}
 	}
 	b.Wait(b.p.TCWL + b.p.TBL + b.p.TWR)
 	b.PRE(bank)
 	b.Wait(b.p.TRP - b.p.Bus.Period())
-	for col := 0; col < cols; col++ {
-		b.ProfileCheck(dram.Addr{Bank: bank, Row: row, Col: col}, rcd)
+	if cols <= 0 {
+		return b
+	}
+	start := len(b.prog)
+	b.ProfileCheck(dram.Addr{Bank: bank, Row: row}, rcd)
+	check := b.prog[start:]
+	rd := 0
+	for check[rd].Op != OpRD {
+		rd++
+	}
+	for col := 1; col < cols; col++ {
+		n := len(b.prog)
+		b.prog = append(b.prog, check...)
+		b.prog[n+rd].B = col
 	}
 	return b
 }

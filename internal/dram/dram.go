@@ -163,6 +163,13 @@ type bankState struct {
 	// preGap is the ACT->PRE spacing of the last precharge (distinguishes
 	// the many-row-activation window from RowClone's).
 	preGap clock.PS
+	// rcdRow's line thresholds (variation.Model.LineThresholds), memoized
+	// by the last reduced-tRCD read of the bank (rcdRow -1 = none), so a
+	// row's 128 test reads evaluate the noise field once. They are derived
+	// state — a pure function of (bank, rcdRow) under the seeded model —
+	// so checkpoints omit them.
+	rcdRow, weakCol   int
+	weakRCD, otherRCD clock.PS
 }
 
 // Chip is the behavioural rank model. Not safe for concurrent use; the
@@ -219,7 +226,7 @@ func New(cfg Config) (*Chip, error) {
 	}
 	banks := make([]bankState, geom.Banks)
 	for i := range banks {
-		banks[i] = bankState{openRow: -1, lastActRow: -1, lastActTime: -1 << 60, lastPreTime: -1 << 60}
+		banks[i] = bankState{openRow: -1, lastActRow: -1, lastActTime: -1 << 60, lastPreTime: -1 << 60, rcdRow: -1}
 	}
 	c := &Chip{
 		cfg:       cfg,
@@ -374,7 +381,7 @@ func (c *Chip) Read(bank, col int, t clock.PS, dst []byte) (reliable bool, err e
 	}
 	// At or above the variation grid's top level every line is reliable;
 	// normal (nominal-timing) reads skip the noise-field evaluation.
-	varReliable := c.cfg.Ideal || effRCD >= c.maxMinRCD || c.vm.ReadReliable(bank, b.openRow, col, effRCD)
+	varReliable := c.cfg.Ideal || effRCD >= c.maxMinRCD || effRCD >= c.lineThreshold(b, bank, col)
 	if !varReliable {
 		c.stats.CorruptedReads++
 	}
@@ -406,6 +413,19 @@ func (c *Chip) Read(bank, col int, t clock.PS, dst []byte) (reliable bool, err e
 		}
 	}
 	return reliable, nil
+}
+
+// lineThreshold is vm.MinTRCDLine(bank, b.openRow, col) served from the
+// bank's memo, which is refilled only when the tested row changes.
+func (c *Chip) lineThreshold(b *bankState, bank, col int) clock.PS {
+	if b.rcdRow != b.openRow {
+		b.weakCol, b.weakRCD, b.otherRCD = c.vm.LineThresholds(bank, b.openRow)
+		b.rcdRow = b.openRow
+	}
+	if col == b.weakCol {
+		return b.weakRCD
+	}
+	return b.otherRCD
 }
 
 // Write issues WR(bank, open row, col) at absolute time t, storing src when

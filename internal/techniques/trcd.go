@@ -60,9 +60,8 @@ func (s ProfileStats) StrongFraction() float64 {
 // orders of magnitude below the original one per line. A stripe reports the
 // leading reliable lines, so when a weak row interrupts it the scan records
 // that row and resumes the stripe just past it; weak-row sets and
-// ProfileStats stay identical to the per-line path
-// (ProfileWeakRowsPerLine), which remains as a compatibility shim and as
-// the equivalence-test reference.
+// ProfileStats stay identical to the line-at-a-time path the equivalence
+// tests keep as their reference.
 func ProfileWeakRows(sys *core.System, start, end uint64, rcd clock.PS) ([]uint64, ProfileStats, error) {
 	var stats ProfileStats
 	var weak []uint64
@@ -191,41 +190,6 @@ func coveredRows(m smc.Mapper, start, end uint64) []rowGroup {
 	return groups
 }
 
-// ProfileWeakRowsPerLine is the original line-at-a-time characterization:
-// one profiling request round-trip per cache line, stopping at a row's
-// first failure. It survives as a compatibility shim and as the reference
-// the whole-row fast path is equivalence-tested against.
-func ProfileWeakRowsPerLine(sys *core.System, start, end uint64, rcd clock.PS) ([]uint64, ProfileStats, error) {
-	var stats ProfileStats
-	var weak []uint64
-	m := sys.Mapper()
-	cols := m.RowBytes() / int(dram.LineBytes)
-	for _, group := range coveredRows(m, start, end) {
-		for _, ref := range group.rows {
-			stats.Rows++
-			rowWeak := false
-			for col := 0; col < cols; col++ {
-				stats.LinesTried++
-				pa := m.Unmap(dram.Addr{Chan: group.ch, Bank: group.bank, Row: ref.row, Col: col})
-				ok, err := sys.ProfileLine(pa, rcd)
-				if err != nil {
-					return nil, stats, fmt.Errorf("techniques: profiling row %#x: %w", ref.key, err)
-				}
-				if !ok {
-					rowWeak = true
-					break
-				}
-			}
-			if rowWeak {
-				stats.WeakRows++
-				weak = append(weak, ref.key)
-			}
-		}
-	}
-	sort.Slice(weak, func(i, j int) bool { return weak[i] < weak[j] })
-	return weak, stats, nil
-}
-
 // MinReliableTRCD characterizes one row against the full level grid and
 // returns the smallest tRCD at which every line reads reliably (the value
 // Figure 12 plots). Nominal tRCD is returned when even the largest grid
@@ -237,32 +201,6 @@ func MinReliableTRCD(sys *core.System, rowBase uint64, nominal clock.PS) (clock.
 			return 0, err
 		}
 		if ok {
-			return lv, nil
-		}
-	}
-	return nominal, nil
-}
-
-// MinReliableTRCDPerLine is the line-at-a-time variant of MinReliableTRCD,
-// kept as the equivalence-test reference for the whole-row path.
-func MinReliableTRCDPerLine(sys *core.System, rowBase uint64, nominal clock.PS) (clock.PS, error) {
-	m := sys.Mapper()
-	a := m.Map(rowBase)
-	cols := m.RowBytes() / int(dram.LineBytes)
-	for _, lv := range RCDLevels {
-		allOK := true
-		for col := 0; col < cols; col++ {
-			pa := m.Unmap(dram.Addr{Chan: a.Chan, Bank: a.Bank, Row: a.Row, Col: col})
-			ok, err := sys.ProfileLine(pa, lv)
-			if err != nil {
-				return 0, err
-			}
-			if !ok {
-				allOK = false
-				break
-			}
-		}
-		if allOK {
 			return lv, nil
 		}
 	}

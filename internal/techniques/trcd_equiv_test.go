@@ -1,9 +1,13 @@
 package techniques
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
+	"easydram/internal/clock"
 	"easydram/internal/core"
+	"easydram/internal/dram"
 )
 
 // The whole-row profiling fast path must be observationally identical to
@@ -147,4 +151,65 @@ func TestProfileRowStripeMatchesWholeRowPath(t *testing.T) {
 			}
 		})
 	}
+}
+
+// ProfileWeakRowsPerLine is the original line-at-a-time characterization:
+// one profiling request round-trip per cache line, stopping at a row's
+// first failure. It is the reference the whole-row fast path is
+// equivalence-tested against.
+func ProfileWeakRowsPerLine(sys *core.System, start, end uint64, rcd clock.PS) ([]uint64, ProfileStats, error) {
+	var stats ProfileStats
+	var weak []uint64
+	m := sys.Mapper()
+	cols := m.RowBytes() / int(dram.LineBytes)
+	for _, group := range coveredRows(m, start, end) {
+		for _, ref := range group.rows {
+			stats.Rows++
+			rowWeak := false
+			for col := 0; col < cols; col++ {
+				stats.LinesTried++
+				pa := m.Unmap(dram.Addr{Chan: group.ch, Bank: group.bank, Row: ref.row, Col: col})
+				ok, err := sys.ProfileLine(pa, rcd)
+				if err != nil {
+					return nil, stats, fmt.Errorf("techniques: profiling row %#x: %w", ref.key, err)
+				}
+				if !ok {
+					rowWeak = true
+					break
+				}
+			}
+			if rowWeak {
+				stats.WeakRows++
+				weak = append(weak, ref.key)
+			}
+		}
+	}
+	sort.Slice(weak, func(i, j int) bool { return weak[i] < weak[j] })
+	return weak, stats, nil
+}
+
+// MinReliableTRCDPerLine is the line-at-a-time variant of MinReliableTRCD,
+// the equivalence-test reference for the whole-row path.
+func MinReliableTRCDPerLine(sys *core.System, rowBase uint64, nominal clock.PS) (clock.PS, error) {
+	m := sys.Mapper()
+	a := m.Map(rowBase)
+	cols := m.RowBytes() / int(dram.LineBytes)
+	for _, lv := range RCDLevels {
+		allOK := true
+		for col := 0; col < cols; col++ {
+			pa := m.Unmap(dram.Addr{Chan: a.Chan, Bank: a.Bank, Row: a.Row, Col: col})
+			ok, err := sys.ProfileLine(pa, lv)
+			if err != nil {
+				return 0, err
+			}
+			if !ok {
+				allOK = false
+				break
+			}
+		}
+		if allOK {
+			return lv, nil
+		}
+	}
+	return nominal, nil
 }

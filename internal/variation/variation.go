@@ -157,6 +157,28 @@ func (m *Model) MinTRCDLine(bank, row, col int) clock.PS {
 	return rowV
 }
 
+// LineThresholds reports a row's per-line minimum reliable tRCDs from one
+// evaluation of the noise field: MinTRCDLine(bank, row, col) is weak when
+// col == weakCol and other for every other column. A strong row has no
+// weakest line (weakCol -1, weak == other). The chip model's reduced-tRCD
+// reads test every line of a row in turn, so they call this once per row
+// instead of MinTRCDLine once per line.
+func (m *Model) LineThresholds(bank, row int) (weakCol int, weak, other clock.PS) {
+	rowV := m.MinTRCDRow(bank, row)
+	if rowV == rcdLevels[0] {
+		return -1, rowV, rowV
+	}
+	weakCol = int(splitmix(m.seed^0x11c0ffee^key(bank, row, 0)) % uint64(m.geom.ColsPerRow))
+	// rowV is above the lowest level here, so the other lines sit exactly
+	// one level below it.
+	for i := 1; i < len(rcdLevels); i++ {
+		if rcdLevels[i] == rowV {
+			return weakCol, rowV, rcdLevels[i-1]
+		}
+	}
+	return weakCol, rowV, rowV
+}
+
 // Strong reports whether the row is reliable at the strong threshold.
 func (m *Model) Strong(bank, row int) bool {
 	return m.MinTRCDRow(bank, row) <= StrongThreshold

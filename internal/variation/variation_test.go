@@ -1,6 +1,7 @@
 package variation
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -227,5 +228,45 @@ func TestSubarrayIndex(t *testing.T) {
 	g := testGeom()
 	if g.Subarray(0) != 0 || g.Subarray(511) != 0 || g.Subarray(512) != 1 {
 		t.Fatalf("subarray math wrong")
+	}
+}
+
+// TestLineThresholdsMatchMinTRCDLine is the oracle for the per-row form the
+// chip model memoizes: on seeded (bank, row) samples, every column's
+// MinTRCDLine must be weak at weakCol and other elsewhere. The samples must
+// cover strong rows and all three weak levels.
+func TestLineThresholdsMatchMinTRCDLine(t *testing.T) {
+	g := testGeom()
+	for _, seed := range []uint64{1, 7, 42} {
+		m := newTestModel(t, seed)
+		rng := rand.New(rand.NewSource(int64(seed)))
+		rowsAt := map[clock.PS]int{}
+		for i := 0; i < 3000; i++ {
+			bank, row := rng.Intn(g.Banks), rng.Intn(g.RowsPerBank)
+			weakCol, weak, other := m.LineThresholds(bank, row)
+			rowV := m.MinTRCDRow(bank, row)
+			rowsAt[rowV]++
+			if weak != rowV {
+				t.Fatalf("seed %d (%d,%d): weak = %v, row value %v", seed, bank, row, weak, rowV)
+			}
+			if m.Strong(bank, row) != (weakCol == -1) {
+				t.Fatalf("seed %d (%d,%d): weakCol %d for a row at %v", seed, bank, row, weakCol, rowV)
+			}
+			for col := 0; col < g.ColsPerRow; col++ {
+				want := m.MinTRCDLine(bank, row, col)
+				got := other
+				if col == weakCol {
+					got = weak
+				}
+				if got != want {
+					t.Fatalf("seed %d (%d,%d,%d): LineThresholds gives %v, MinTRCDLine %v", seed, bank, row, col, got, want)
+				}
+			}
+		}
+		for _, lv := range rcdLevels {
+			if rowsAt[lv] == 0 {
+				t.Fatalf("seed %d: no sampled row at level %v (coverage %v)", seed, lv, rowsAt)
+			}
+		}
 	}
 }
