@@ -15,7 +15,6 @@ import (
 	"easydram/internal/core"
 	"easydram/internal/dram"
 	"easydram/internal/experiments"
-	"easydram/internal/smc"
 	"easydram/internal/stats"
 	"easydram/internal/techniques"
 	"easydram/internal/workload"
@@ -351,84 +350,6 @@ func weakRowsLineByLine(sys *core.System, span, rowBytes uint64) ([]uint64, erro
 	}
 	slices.Sort(weak)
 	return weak, nil
-}
-
-// ---------------------------------------------------------------------------
-// Microbenchmarks of the simulator substrate itself.
-
-func BenchmarkSubstrateCacheAccess(b *testing.B) {
-	sys, err := NewSystem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	// One long streaming kernel; report simulated ops per host second via
-	// the standard ns/op metric. The kernel is shared with cmd/benchall's
-	// snapshot metrics (workload.SubstrateStream) so the CI bench-trend
-	// gate measures exactly this code.
-	if _, err := sys.Run(workload.SubstrateStream(b.N)); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkSubstrateMissPath(b *testing.B) {
-	sys, err := NewSystem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sys.Run(workload.SubstrateMisses(b.N)); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSubstrateFaultFree measures what fault tolerance charges the SMC
-// service path when nothing goes wrong: every fault seam armed (chip
-// disturb counting with an unreachable threshold, the verify-and-retry
-// read path) and no fault ever firing. Shared with cmd/benchall's
-// substrate/fault_free_* snapshot metrics; its ns/op is benchtrend-gated
-// against regression and its allocs/op must stay exactly zero — recovery
-// must not put allocations on the fault-free hot path.
-func BenchmarkSubstrateFaultFree(b *testing.B) {
-	h, err := smc.NewFaultFreeBenchHarness()
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm buffers outside the timer (slab, FIFO, and chip table growth).
-	if err := h.ServeRowGroups(50000, workload.RowBurstDepth); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := h.ServeRowGroups(b.N, workload.RowBurstDepth); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSubstrateMultiChannel measures the per-channel service fan-out
-// through the SMC layer itself: consecutive cache lines spread round-robin
-// over a 4-channel line-interleaved topology, each channel served by its
-// own controller instance. The ns/op is the host cost of the fan-out
-// (gated by benchtrend alongside the other substrate loops, 0 allocs/op);
-// the chan-overlap-x metric is the modeled-time service overlap — the sum
-// of per-channel busy time over its maximum, ~4 for balanced traffic on 4
-// channels, and a pure property of the service model (machine-independent,
-// gated by benchtrend: a drop means channels stopped overlapping).
-func BenchmarkSubstrateMultiChannel(b *testing.B) {
-	const channels = 4
-	h, err := smc.NewMultiBenchHarness(channels)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm buffers outside the timer (slab, FIFO, and chip table growth).
-	if err := h.ServeInterleaved(50000, 2*channels); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := h.ServeInterleaved(b.N, 2*channels); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(h.Overlap(), "chan-overlap-x")
 }
 
 // BenchmarkEnergyExtension measures RowClone's DRAM-energy advantage for

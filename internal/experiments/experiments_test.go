@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"easydram/internal/workload"
 )
@@ -483,6 +485,59 @@ func TestForEachErrorContract(t *testing.T) {
 	})
 	if err == nil || err.Error() != "cell 5 failed" {
 		t.Fatalf("serial pool: want cell 5's error, got %v", err)
+	}
+}
+
+// TestForEachRunsWorkersConcurrently pins that the pool really runs
+// `workers` calls at once, on any host (one CPU included): every call
+// blocks at a barrier until `workers` calls are in flight together, so a
+// pool that serialized would time out instead of passing. It also pins the
+// bound: no more than `workers` calls are ever in flight.
+func TestForEachRunsWorkersConcurrently(t *testing.T) {
+	const rounds = 3
+	for _, workers := range []int{0, 2, 4, 8} {
+		want := workers
+		if want == 0 {
+			want = runtime.GOMAXPROCS(0)
+		}
+		var (
+			mu       sync.Mutex
+			inflight int
+			peak     int
+			arrived  int
+			release  = make(chan struct{})
+		)
+		err := forEach(workers, want*rounds, func(i int) error {
+			mu.Lock()
+			inflight++
+			peak = max(peak, inflight)
+			arrived++
+			ch := release
+			if arrived == want {
+				// The round is full: let its calls go and arm the next one.
+				arrived = 0
+				close(release)
+				release = make(chan struct{})
+			}
+			mu.Unlock()
+			defer func() {
+				mu.Lock()
+				inflight--
+				mu.Unlock()
+			}()
+			select {
+			case <-ch:
+				return nil
+			case <-time.After(10 * time.Second):
+				return fmt.Errorf("cell %d: waited 10s for %d calls in flight at once", i, want)
+			}
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if peak > want {
+			t.Fatalf("workers=%d: %d calls in flight at once, want at most %d", workers, peak, want)
+		}
 	}
 }
 

@@ -4,10 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"easydram/internal/core"
-	"easydram/internal/workload"
 )
 
 // The experiment runners fan independent system runs across a bounded
@@ -17,37 +13,6 @@ import (
 // preserved by having each cell write its results into an index-addressed
 // slot, making the assembled output identical to a serial run regardless of
 // scheduling.
-
-// ParallelScalingProbe measures the worker pool's real wall-clock scaling:
-// it runs a fixed batch of independent, identically-sized system runs (the
-// lmbench-style miss chase, one fresh system per cell — the same shape
-// every sweeping experiment fans out) once per entry of workerCounts and
-// returns the wall seconds each pass took, in order. The cell results are
-// discarded; only the pool's scheduling is under measurement. On a
-// multi-core host secs[0]/secs[i] approaches min(workerCounts[i], cores) —
-// the trajectory CI records per merge via cmd/benchall
-// (experiments/workers_speedup_4x).
-func ParallelScalingProbe(opt Options, workerCounts []int) ([]float64, error) {
-	const cells = 16
-	kernel := workload.LatMemRd(8<<20, 100000)
-	secs := make([]float64, 0, len(workerCounts))
-	for _, wc := range workerCounts {
-		o := opt
-		o.Workers = wc
-		t0 := time.Now()
-		err := forEach(wc, cells, func(i int) error {
-			cfg := core.TimeScalingA57()
-			cfg.DRAM.Seed = opt.Seed + uint64(i)
-			_, err := runKernel(cfg, kernel, o)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		secs = append(secs, time.Since(t0).Seconds())
-	}
-	return secs, nil
-}
 
 // forEach runs f(0), ..., f(n-1) on at most `workers` goroutines (0 or
 // negative selects GOMAXPROCS) and returns the lowest-index error, if any.

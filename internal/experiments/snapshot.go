@@ -73,8 +73,8 @@ type WarmStartResult struct {
 	WarmSecs []float64
 	// IdentityMismatches counts round-trip identity failures: a decoded
 	// profile differing from the one encoded, or a checkpoint-restored run
-	// differing from the uninterrupted one. Must be zero (benchtrend gates
-	// it machine-independently).
+	// differing from the uninterrupted one. Must be zero (cmd/benchall's
+	// golden metrics test pins it).
 	IdentityMismatches int
 	// Fallbacks is the stats.SnapshotFallbacks delta over the sweep — the
 	// corruption drill contributes exactly one.

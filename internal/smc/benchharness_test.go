@@ -10,10 +10,8 @@ import (
 )
 
 // BenchHarness is a standalone controller + environment over a paper-class
-// chip, for benchmarking the SMC service path in isolation (no engine, no
-// processor model). BenchmarkSubstrateFaultFree and cmd/benchall's
-// snapshot metrics share it, so the CI-gated numbers measure exactly the
-// benchmarked code.
+// chip, for testing the SMC service path in isolation (no engine, no
+// processor model).
 type BenchHarness struct {
 	// Ctl is the controller under measurement.
 	Ctl *BaseController
@@ -28,9 +26,8 @@ type BenchHarness struct {
 // but no fault ever firing: chip disturb counting enabled with an
 // unreachable threshold, and the controller's verify-and-retry recovery
 // path on (so reads take the verify branch and find nothing to retry).
-// BenchmarkSubstrateFaultFree gates this configuration's cost: it measures
-// what fault tolerance charges the hot path when nothing goes wrong, and it
-// must stay allocation-free.
+// TestFaultFreeServiceLoopZeroAllocs pins that fault tolerance puts no
+// allocation on the hot path when nothing goes wrong.
 func NewFaultFreeBenchHarness() (*BenchHarness, error) {
 	cfg := dram.DefaultConfig()
 	cfg.TrackData = false

@@ -11,10 +11,8 @@ import (
 
 // MultiBenchHarness is the multi-channel companion of BenchHarness: one
 // controller + environment + module per channel under a shared
-// TopologyMapper, for benchmarking per-channel service overlap in
-// isolation (no engine, no processor model). BenchmarkSubstrateMultiChannel
-// and cmd/benchall's snapshot metrics share it, so the CI-gated overlap
-// numbers measure exactly the benchmarked code.
+// TopologyMapper, for testing per-channel service and its modeled overlap
+// in isolation (no engine, no processor model).
 type MultiBenchHarness struct {
 	mapper *TopologyMapper
 	ctls   []*BaseController
@@ -57,9 +55,6 @@ func NewMultiBenchHarness(channels int) (*MultiBenchHarness, error) {
 	}
 	return h, nil
 }
-
-// Channels reports the harness's channel count.
-func (h *MultiBenchHarness) Channels() int { return len(h.ctls) }
 
 // ServeInterleaved pushes and serves n read requests walking consecutive
 // cache lines — which the line-interleaved mapper spreads round-robin over

@@ -34,11 +34,10 @@ func LatMemRd(sizeBytes int, accesses int) Kernel {
 	}}
 }
 
-// SubstrateStream is the cache-hit-heavy streaming kernel of the substrate
-// microbenchmarks: n line-granularity loads sweeping a 64 MiB footprint, so
-// almost every access is an L1/L2 hit. BenchmarkSubstrateCacheAccess and
-// cmd/benchall's snapshot metrics share this one definition so the CI-gated
-// substrate numbers measure exactly the benchmarked code.
+// SubstrateStream is a cache-hit-heavy streaming kernel: n line-granularity
+// loads sweeping a 64 MiB footprint, so almost every access is an L1/L2
+// hit. core's steady-state allocation test runs it to keep the cache-hit
+// path allocation-free.
 func SubstrateStream(n int) Kernel {
 	return Kernel{Name: "substrate-stream", Body: func(g *Gen) {
 		for i := 0; i < n; i++ {
@@ -47,28 +46,16 @@ func SubstrateStream(n int) Kernel {
 	}}
 }
 
-// SubstrateMisses is the miss-path companion of SubstrateStream: n dependent
-// loads striding 128 KiB through a 2 GiB span, so every access misses the
-// hierarchy and exercises the full engine/controller/DRAM service loop.
-func SubstrateMisses(n int) Kernel {
-	return Kernel{Name: "substrate-misses", Body: func(g *Gen) {
-		const span = uint64(1) << 31 // stay inside the module's address space
-		for i := 0; i < n; i++ {
-			g.LoadDep(uint64(i) * 131072 % span)
-		}
-	}}
-}
-
 // RowBurstDepth is the group size of SubstrateRowBurst: the number of
 // same-row misses outstanding together.
 const RowBurstDepth = 8
 
-// SubstrateRowBurst is the row-locality companion of SubstrateMisses: n
-// line-granularity loads in groups of RowBurstDepth independent loads to
-// consecutive lines of one DRAM row, each group closed by a barrier. With a
-// core whose MLP covers the group, all of a group's misses are outstanding
-// together, so the controller's request table holds a full same-row run of
-// row hits behind one activation. Lines are touched once each, so every
+// SubstrateRowBurst is a row-locality miss kernel: n line-granularity
+// loads in groups of RowBurstDepth independent loads to consecutive lines
+// of one DRAM row, each group closed by a barrier. With a core whose MLP
+// covers the group, all of a group's misses are outstanding together, so
+// the controller's request table holds a full same-row run of row hits
+// behind one activation. Lines are touched once each, so every
 // access misses the caches.
 func SubstrateRowBurst(n int) Kernel {
 	return Kernel{Name: "substrate-rowburst", Body: func(g *Gen) {
