@@ -8,7 +8,7 @@ import (
 	"easydram/internal/workload"
 )
 
-// Whole-system checkpointing (ROADMAP item 3's durability half). A
+// Whole-system checkpointing. A
 // checkpoint is taken only at a quiescent point: the engine's in-flight
 // machinery — release heap, arrival rings, staged lists, controller tables,
 // tile FIFOs and slabs — is empty, the processor holds no outstanding
@@ -37,7 +37,7 @@ func (c Config) CompatKey() string {
 	if c.Scheduler != nil {
 		sched = c.Scheduler.Name()
 	}
-	return fmt.Sprintf("core:v2|scaling=%v|hwmc=%v|fpga=%v|proc=%v|cpu=%+v|hier=%+v|dram=%+v|costs=%+v|sched=%s|policy=%d|trcd=%v|ctrl=%d|path=%d|topo=%+v|refresh=%v|faults=%+v|mit=%+v",
+	return fmt.Sprintf("core:v3|scaling=%v|hwmc=%v|fpga=%v|proc=%v|cpu=%+v|hier=%+v|dram=%+v|costs=%+v|sched=%s|policy=%d|trcd=%v|ctrl=%d|path=%d|topo=%+v|refresh=%v|faults=%+v|mit=%+v",
 		c.Scaling, c.HardwareMC, c.FPGA, c.ProcPhys, c.CPU, c.Hier, c.DRAM,
 		c.Costs, sched, c.Policy, c.TRCD != nil, c.ModeledCtrlLatency,
 		c.MemPathLatency, c.Topology, c.RefreshEnabled,
@@ -108,15 +108,11 @@ func (e *engine) capture() {
 		e.ts.SaveState(&eng)
 	} else {
 		eng.I64(int64(e.wallNow))
-		eng.I64(int64(e.maxWall))
 	}
-	for _, v := range e.chanFree {
+	for _, v := range e.chain {
 		eng.I64(int64(v))
 	}
-	for _, v := range e.chanMC {
-		eng.I64(int64(v))
-	}
-	eng.I64(int64(e.maxRelease))
+	eng.I64(e.fenceAt)
 	eng.Int(len(e.marks))
 	for _, m := range e.marks {
 		eng.I64(int64(m))
@@ -174,15 +170,11 @@ func (e *engine) loadCheckpoint() error {
 		e.ts.LoadState(d)
 	} else {
 		e.wallNow = clock.PS(d.I64())
-		e.maxWall = clock.PS(d.I64())
 	}
-	for i := range e.chanFree {
-		e.chanFree[i] = clock.PS(d.I64())
+	for i := range e.chain {
+		e.chain[i] = clock.PS(d.I64())
 	}
-	for i := range e.chanMC {
-		e.chanMC[i] = clock.PS(d.I64())
-	}
-	e.maxRelease = clock.Cycles(d.I64())
+	e.fenceAt = d.I64()
 	nMarks := d.Int()
 	if d.Err() == nil && (nMarks < 0 || nMarks > d.Remaining()/8) {
 		d.Fail(snapshot.ErrTruncated)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"easydram/internal/fault"
@@ -171,6 +172,20 @@ func TestRestoreRejectsBadBlobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := s.RunRestored(k.Stream(), blob); !errors.Is(err, snapshot.ErrKeyMismatch) {
+			t.Fatalf("err = %v, want ErrKeyMismatch", err)
+		}
+	})
+	t.Run("v2-key", func(t *testing.T) {
+		// Engine state changed layout in core:v3 (one service chain per
+		// channel, no time-scaling residual), so a core:v2 blob must not
+		// restore.
+		key := cfg.CompatKey()
+		if !strings.HasPrefix(key, "core:v3|") {
+			t.Fatalf("CompatKey %q does not start with core:v3|", key)
+		}
+		w := snapshot.NewWriter(snapshot.KindCheckpoint, "core:v2|"+strings.TrimPrefix(key, "core:v3|"))
+		w.Section("engine", nil)
+		if _, err := newSys().RunRestored(k.Stream(), w.Bytes()); !errors.Is(err, snapshot.ErrKeyMismatch) {
 			t.Fatalf("err = %v, want ErrKeyMismatch", err)
 		}
 	})

@@ -28,8 +28,9 @@
 // requests additionally sit in an issue-order FIFO of arrival keys
 // (arrivalRing); arrivals are monotone, so the earliest live arrival — the
 // refresh accounting horizon — is read off the head in amortised O(1). See
-// events.go. Both engines (scaled and unscaled) share the structures; only
-// the key domain differs (processor cycles vs wall picoseconds).
+// events.go. Every engine loop shares the structures; keys are emulated
+// processor cycles with time scaling and wall picoseconds without (see
+// channel.go).
 package core
 
 import (
@@ -260,7 +261,7 @@ type System struct {
 	// Per-system so concurrently running systems stay independent.
 	hostReqID uint64
 
-	// settleBatches/settleDelivered hold the most recent run's batched
+	// settleBatches/settleDelivered hold the most recent run's
 	// response-settlement counters (see SettleStats).
 	settleBatches   int64
 	settleDelivered int64
@@ -270,12 +271,11 @@ type System struct {
 	shardSteps  int64
 }
 
-// SettleStats reports the batched response-settlement counters of the most
-// recent run: how many nonzero drains of matured responses the engine
-// performed (batches) and how many responses those drains delivered in total
-// (delivered). delivered/batches is the mean settle batch length — the
-// engine-overhead amortization ROADMAP item 4 targets. Host-side telemetry
-// only; the counters never feed emulated time.
+// SettleStats reports the response-settlement counters of the most recent
+// run: how many nonzero drains of matured responses the engine performed
+// (batches) and how many responses those drains delivered in total
+// (delivered). delivered/batches is the mean settle batch length. Host-side
+// telemetry only; the counters never feed emulated time.
 func (s *System) SettleStats() (batches, delivered int64) {
 	return s.settleBatches, s.settleDelivered
 }
@@ -424,15 +424,13 @@ func (s *System) chanIndex(pa uint64) int {
 // channel env they stepped.
 type pending struct {
 	posted bool
-	// arrival is the wall time of issue (non-scaled modes).
-	arrival clock.PS
-	// tag is the processor cycle count at issue (scaled mode).
-	tag clock.Cycles
+	// at is the request's arrival key: the processor cycle of issue under
+	// time scaling, the wall picosecond of issue otherwise.
+	at int64
 }
 
-// stagedReq is one issued-but-not-arrived request in the unscaled engine:
-// its slot in the tile's request slab plus its ID (arrival time lives in
-// the in-flight table).
+// stagedReq is one issued-but-not-arrived request: its slot in the tile's
+// request slab plus its ID (its arrival key lives in the in-flight table).
 type stagedReq struct {
 	slot tile.ReqSlot
 	id   uint64
@@ -478,31 +476,54 @@ func (s *System) run(strm workload.Stream, ck *ckptReq, restore *snapshot.Reader
 	if err != nil {
 		return Result{}, fmt.Errorf("core: %w", err)
 	}
-	nch := len(s.chans)
-	e := &engine{
-		cfg:           s.cfg,
-		sys:           s,
-		core:          core,
-		inflight:      make([]slotRing, nch),
-		ready:         newReleaseQueue(),
-		trackArrivals: s.cfg.RefreshEnabled,
-		chanFree:      make([]clock.PS, nch),
-		chanMC:        make([]clock.PS, nch),
-		arrivals:      make([]arrivalRing, nch),
-		staged:        make([][]stagedReq, nch),
-		shardWorkers:  effectiveShardWorkers(s.cfg.ShardWorkers, nch),
-		ckpt:          ck,
-		restore:       restore,
+	e, err := s.newEngine()
+	if err != nil {
+		return Result{}, err
 	}
-	for i := range e.inflight {
-		e.inflight[i] = newSlotRing()
-	}
+	e.core = core
+	e.shardWorkers = effectiveShardWorkers(s.cfg.ShardWorkers, len(s.chans))
+	e.ckpt, e.restore = ck, restore
 	defer e.stopShard()
 	if s.cfg.Scaling {
 		err = e.runScaled()
 	} else {
 		err = e.runUnscaled()
 	}
+	return s.finish(e, err)
+}
+
+// newEngine assembles the engine state every loop shares. Channel steps
+// run serially (shardWorkers 1) unless the caller sets otherwise.
+func (s *System) newEngine() (*engine, error) {
+	nch := len(s.chans)
+	e := &engine{
+		cfg:           s.cfg,
+		sys:           s,
+		coreState:     coreState{ready: newReleaseQueue()},
+		inflight:      make([]slotRing, nch),
+		trackArrivals: s.cfg.RefreshEnabled,
+		chain:         make([]clock.PS, nch),
+		arrivals:      make([]arrivalRing, nch),
+		staged:        make([][]stagedReq, nch),
+		shardWorkers:  1,
+		keyPS:         1,
+	}
+	for i := range e.inflight {
+		e.inflight[i] = newSlotRing()
+	}
+	if s.cfg.Scaling {
+		ts, err := timescale.New(s.cfg.FPGA, s.cfg.ProcPhys, s.cfg.CPU.Clock)
+		if err != nil {
+			return nil, err
+		}
+		e.ts = ts
+		e.keyPS = s.cfg.CPU.Clock.Period()
+	}
+	return e, nil
+}
+
+// finish publishes a finished run's host-side counters and its result.
+func (s *System) finish(e *engine, err error) (Result, error) {
 	s.settleBatches, s.settleDelivered = e.settleBatches, e.settleDelivered
 	s.shardRounds, s.shardSteps = e.shardRounds, e.shardSteps
 	if err != nil {
@@ -511,59 +532,66 @@ func (s *System) run(strm workload.Stream, ck *ckptReq, restore *snapshot.Reader
 	return e.result(), nil
 }
 
-type engine struct {
-	cfg  Config
-	sys  *System
-	core *cpu.Core
+// coreState is one emulated core's delivery state: its produced responses
+// keyed by release point, and what it waits on.
+type coreState struct {
+	core      *cpu.Core
+	ready     releaseQueue
+	blockedOn uint64
+	fencing   bool
+	marks     []clock.Cycles
+}
 
-	// multi, when non-nil, marks a multi-core run: core is nil, the merge
-	// loops in multicore.go drive the channels, and the settle paths route
+type engine struct {
+	cfg Config
+	sys *System
+	// coreState is the single-core run's core; unused (core nil) in a
+	// multi-core run, whose cores each carry their own.
+	coreState
+
+	// multi, when non-nil, marks a multi-core run: the merge loop in
+	// multicore.go drives the channels, and the settle paths route
 	// responses to per-core queues instead of ready. See multicore.go.
 	multi *mcEngine
 
+	// ts holds the time-scaling counters (nil without time scaling).
 	ts *timescale.Counters
+	// keyPS is one event key in picoseconds: an emulated processor cycle
+	// with time scaling, a picosecond without (see channel.go).
+	keyPS clock.PS
 
-	// Non-scaled mode wall clock (picoseconds).
+	// wallNow is the wall clock without time scaling (0 with it).
 	wallNow clock.PS
-	// chanFree is each channel's SMC-free point (non-scaled modes): the
-	// channels are independent serial resources, so their busy chains
-	// advance separately and service overlaps in wall time.
-	chanFree []clock.PS
-	// chanMC is each channel's modeled-MC service chain (scaled mode,
-	// multi-channel only; with one channel the ts counters carry it). The
-	// global MC counter is kept at the maximum over channels.
-	chanMC []clock.PS
+	// chain is each channel's service chain: its modeled-MC service point
+	// with time scaling (the global MC counter is kept at the maximum over
+	// channels), its SMC-free wall point without. The channels are
+	// independent serial resources, so their chains advance separately and
+	// service overlaps.
+	chain []clock.PS
 
 	// inflight tracks outstanding requests in dense slot rings indexed by
 	// request ID (IDs are sequential, so indexing replaces hashing), one
 	// ring per owning channel so shard workers mutate only their own ring.
 	inflight []slotRing
 	// arrivals mirrors inflight in issue order, one ring per channel
-	// (monotone arrival keys: processor-cycle tags when scaling, wall
-	// picoseconds otherwise); the head yields the channel's earliest live
+	// (monotone arrival keys); the head yields the channel's earliest live
 	// arrival in amortised O(1). It feeds the refresh accounting horizon
 	// only, so it is maintained (trackArrivals) only when refresh is
 	// enabled.
 	arrivals      []arrivalRing
 	trackArrivals bool
-	// ready holds produced responses keyed by their release point:
-	// processor cycles when scaling, wall picoseconds otherwise.
-	ready releaseQueue
 	// staged holds issued requests not yet visible to their channel's
-	// controller (non-scaled mode): the SMC only observes requests that
-	// have arrived by its next decision point, mirroring the scaled
-	// engine's gating. Request bytes already live in the tile's slab;
-	// staged carries slots, one list per channel.
+	// controller: the SMC only observes requests that have arrived by its
+	// next decision point. Request bytes already live in the tile's slab;
+	// staged carries slots, one list per channel. Single-core time scaling
+	// issues straight to the tile instead (critical mode gates the
+	// processor).
 	staged [][]stagedReq
 
-	blockedOn  uint64
-	fencing    bool
-	maxRelease clock.Cycles
-	marks      []clock.Cycles
-	// maxWall is the latest completion wall time of any SMC work (non-scaled
-	// mode): what a fence waits out. A field (not a loop local) so
-	// checkpoints can capture it.
-	maxWall clock.PS
+	// fenceAt is what a fence waits out, as an event key: the latest
+	// response release with time scaling, the latest SMC completion
+	// without. A field (not a loop local) so checkpoints can capture it.
+	fenceAt int64
 
 	// ckpt, when non-nil, requests a checkpoint at the first quiescent point
 	// at or after ckpt.at emulated processor cycles; restore, when non-nil,
@@ -577,7 +605,7 @@ type engine struct {
 	shardWorkers int
 	shard        *shardRunner
 
-	// settleBatches/settleDelivered count batched response settlement: each
+	// settleBatches/settleDelivered count response settlement: each
 	// nonzero drain of matured releases is one batch. Exposed through
 	// System.SettleStats (not Result: the counters are host-side engine
 	// telemetry, not emulated-system behaviour).

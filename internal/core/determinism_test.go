@@ -92,12 +92,12 @@ func TestGoldenCycleCounts(t *testing.T) {
 	}
 }
 
-// TestBurstGoldenCycleCounts pins absolute cycle counts of the row-burst
-// kernel (same-row groups of RowBurstDepth reads) on MLP-8 cores, scaled
-// and unscaled, alongside the in-order goldens above: the only
-// configurations that hold a full same-row group in the request table at
-// once.
-func TestBurstGoldenCycleCounts(t *testing.T) {
+// TestRowBurstGoldenCycleCounts pins absolute cycle counts of the MLP-8
+// row-burst kernel (same-row groups of RowBurstDepth reads, each closed by
+// a barrier), scaled and unscaled, alongside the in-order goldens above:
+// the only golden configurations that hold a full same-row group in the
+// request table at once, so the scheduler serves a run of row hits.
+func TestRowBurstGoldenCycleCounts(t *testing.T) {
 	type golden struct {
 		proc, global clock.Cycles
 		served       int64

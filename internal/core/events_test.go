@@ -2,8 +2,6 @@ package core
 
 import (
 	"testing"
-
-	"easydram/internal/clock"
 )
 
 func TestSlotRingBasics(t *testing.T) {
@@ -12,14 +10,14 @@ func TestSlotRingBasics(t *testing.T) {
 		t.Fatalf("new ring not empty")
 	}
 	for id := uint64(1); id <= 100; id++ {
-		r.Put(id, pending{tag: clock.Cycles(id)})
+		r.Put(id, pending{at: int64(id)})
 	}
 	if r.Len() != 100 {
 		t.Fatalf("Len = %d after 100 puts", r.Len())
 	}
 	for id := uint64(1); id <= 100; id++ {
 		p, ok := r.Get(id)
-		if !ok || p.tag != clock.Cycles(id) {
+		if !ok || p.at != int64(id) {
 			t.Fatalf("Get(%d) = %+v, %v", id, p, ok)
 		}
 	}
@@ -27,7 +25,7 @@ func TestSlotRingBasics(t *testing.T) {
 		t.Fatalf("Get of unknown id succeeded")
 	}
 	p, ok := r.Take(50)
-	if !ok || p.tag != 50 {
+	if !ok || p.at != 50 {
 		t.Fatalf("Take(50) = %+v, %v", p, ok)
 	}
 	if r.Contains(50) || r.Len() != 99 {
@@ -52,21 +50,21 @@ func TestSlotRingBasics(t *testing.T) {
 func TestSlotRingLongLivedEntry(t *testing.T) {
 	r := newSlotRing()
 	const ancient = uint64(7)
-	r.Put(ancient, pending{tag: 777})
+	r.Put(ancient, pending{at: 777})
 	for id := uint64(8); id < 8+4096; id++ {
-		r.Put(id, pending{tag: clock.Cycles(id)})
+		r.Put(id, pending{at: int64(id)})
 		if id%3 != 0 {
 			r.Take(id)
 		}
 	}
 	p, ok := r.Get(ancient)
-	if !ok || p.tag != 777 {
+	if !ok || p.at != 777 {
 		t.Fatalf("long-lived entry lost across growth: %+v, %v", p, ok)
 	}
 	// Every still-live successor must be intact too.
 	for id := uint64(8); id < 8+4096; id++ {
 		if id%3 == 0 {
-			if p, ok := r.Get(id); !ok || p.tag != clock.Cycles(id) {
+			if p, ok := r.Get(id); !ok || p.at != int64(id) {
 				t.Fatalf("live id %d lost: %+v, %v", id, p, ok)
 			}
 		} else if r.Contains(id) {
@@ -219,13 +217,13 @@ func TestSlotRingSteadyStateAllocs(t *testing.T) {
 	next := uint64(1)
 	// Warm: establish the steady-state live window.
 	for i := 0; i < 32; i++ {
-		r.Put(next, pending{tag: clock.Cycles(next)})
+		r.Put(next, pending{at: int64(next)})
 		next++
 	}
 	oldest := uint64(1)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 1000; i++ {
-			r.Put(next, pending{tag: clock.Cycles(next)})
+			r.Put(next, pending{at: int64(next)})
 			next++
 			if _, ok := r.Take(oldest); !ok {
 				t.Fatal("steady-state Take failed")

@@ -6,11 +6,10 @@ import (
 
 	"easydram/internal/clock"
 	"easydram/internal/cpu"
-	"easydram/internal/timescale"
 	"easydram/internal/workload"
 )
 
-// Multi-core emulated hosts (ROADMAP item 2): N cpu.Core instances with
+// Multi-core emulated hosts: N cpu.Core instances with
 // private L1s behind a shared L2 (cache.MultiHierarchy) issue misses into
 // the existing per-channel controllers, competing for banks — the habitat
 // interference schedulers like BLISS exist for.
@@ -31,8 +30,9 @@ import (
 // staged lists and arrival rings on the invariants the channel machinery
 // assumes. The clamp's distortion is bounded by the core step quantum
 // (mcQuantum) plus one batch's overshoot. Single-core configs never enter
-// this file: Cores <= 1 routes through the unchanged engines, so they stay
-// bit-identical to the pre-multicore engine (golden-pinned).
+// this loop: Cores <= 1 routes through the single-core drivers (engine.go),
+// so they stay bit-identical to the pre-multicore engine (golden-pinned).
+// Both loops share the channel-service path (channel.go).
 
 // mcQuantum caps how many emulated cycles one core step may advance between
 // merge events, bounding both inter-core skew and the arrival clamp's
@@ -46,23 +46,19 @@ const mcInf = int64(math.MaxInt64)
 // dense: core i uses i+1, i+1+n, i+1+2n, …; see cpu.Core.SetIDSpace).
 func mcOwner(id uint64, n int) int { return int((id - 1) % uint64(n)) }
 
-// mcCore is one emulated core's engine-side state.
+// mcCore is one emulated core's engine-side state: the per-core queue and
+// flags every driver keeps (coreState) plus the core's merge position.
 type mcCore struct {
-	core *cpu.Core
-	// pos is the core's own clock: wall picoseconds (unscaled) or emulated
-	// processor cycles (scaled), stored as the event-key integer domain.
+	coreState
+	// pos is the core's own clock on the event-key grid: emulated
+	// processor cycles (scaled) or wall picoseconds (unscaled).
 	pos int64
-	// ready holds this core's produced responses keyed by release point.
-	ready releaseQueue
 	// inflight counts the core's outstanding requests, posted included.
-	inflight  int
-	blockedOn uint64
-	fencing   bool
-	finished  bool
+	inflight int
+	finished bool
 	// fenceAt is the latest settle point among the core's requests — what
 	// its next fence completion advances pos to.
 	fenceAt    int64
-	marks      []clock.Cycles
 	procCycles clock.Cycles
 }
 
@@ -90,27 +86,8 @@ func (m *mcEngine) noteSettled(id uint64, release int64, posted bool) {
 	}
 }
 
-// drainCore delivers every matured response (release <= the core's
-// position) to the core, in release order.
-func (m *mcEngine) drainCore(c *mcCore) {
-	n := int64(0)
-	for c.ready.Len() > 0 && c.ready.Min().release <= c.pos {
-		it := c.ready.PopMin()
-		c.core.Deliver(it.id)
-		if c.blockedOn == it.id {
-			c.blockedOn = 0
-		}
-		n++
-	}
-	if n > 0 {
-		m.e.settleBatches++
-		m.e.settleDelivered += n
-	}
-}
-
 // coreKey is core c's next event key, or mcInf when only channel progress
-// can unblock it. Shared by both modes: the domains differ but the state
-// machine does not.
+// can unblock it.
 func (m *mcEngine) coreKey(c *mcCore) int64 {
 	if c.finished {
 		return mcInf
@@ -150,13 +127,16 @@ func (m *mcEngine) allFinished() bool {
 	return true
 }
 
-// pickActor scans channels (via chanKey) then cores and returns the
-// earliest actor: (channel index, -1) or (-1, core index). Channels win
+// pickActor scans channels with work (by chanKey) then cores and returns
+// the earliest actor: (channel index, -1) or (-1, core index). Channels win
 // ties so responses settle before a same-key core steps past them.
-func (m *mcEngine) pickActor(chanKey func(ch int) (int64, bool)) (bestChan, bestCore int, key int64) {
+func (m *mcEngine) pickActor() (bestChan, bestCore int, key int64) {
 	bestChan, bestCore, key = -1, -1, mcInf
 	for ch := range m.e.sys.chans {
-		if k, ok := chanKey(ch); ok && k < key {
+		if !m.e.channelHasWork(ch) {
+			continue
+		}
+		if k := m.e.chanKey(ch); k < key {
 			key, bestChan = k, ch
 		}
 	}
@@ -180,86 +160,83 @@ func (m *mcEngine) deadlockErr() error {
 		blocked, m.e.inflightLen())
 }
 
-// runMultiUnscaled drives the wall-clock merge loop (time scaling off).
-func (e *engine) runMultiUnscaled() error {
+// runMerge drives the key-ordered merge loop in either mode. Keys are
+// emulated processor cycles with time scaling and wall picoseconds without;
+// unit is one processor cycle in keys. With time scaling the loop runs
+// without critical mode: the key order itself paces cores against the
+// modeled memory system, so ProcAllowance never gates a step. The ts
+// counters still carry the wall (FPGA) charges of every SMC step, and the
+// processor counter is jumped to the makespan once at the end —
+// GlobalCycles therefore covers the emulation's full wall cost exactly as
+// the single-core engine's incremental advances would.
+func (e *engine) runMerge() error {
 	m := e.multi
-	procPeriod := e.cfg.ProcPhys.Period()
-
-	chanKey := func(ch int) (int64, bool) {
-		if !e.channelHasWorkUnscaled(ch) {
-			return 0, false
-		}
-		return int64(e.chanKeyUnscaled(ch)), true
+	unit := int64(1)
+	if !e.cfg.Scaling {
+		unit = int64(e.cfg.ProcPhys.Period())
 	}
-
 	for {
-		ch, ci, key := m.pickActor(chanKey)
+		ch, ci, key := m.pickActor()
 		if ch < 0 && ci < 0 {
 			if m.allFinished() {
 				break
 			}
 			return m.deadlockErr()
 		}
-		// The merge clock: keys are processed in nondecreasing order, so
-		// wallNow is monotone — the channel service paths read it as "now".
-		if clock.PS(key) > e.wallNow {
+		// The wall-clock merge clock: keys are processed in nondecreasing
+		// order, so wallNow is monotone — the channel service path reads it
+		// as "now".
+		if !e.cfg.Scaling && clock.PS(key) > e.wallNow {
 			e.wallNow = clock.PS(key)
 		}
 		if ch >= 0 {
-			if _, err := e.stepChannelUnscaled(ch, nil); err != nil {
+			if err := e.stepChannel(ch, nil); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := m.stepCoreUnscaled(ci, procPeriod); err != nil {
+		if err := m.stepCore(ci, unit); err != nil {
 			return err
 		}
 	}
 
-	// Finalize: the run's processor time is the makespan; wall time covers
-	// the last core's finish and every channel's service chain.
-	final := e.wallNow
+	// Finalize: the run's processor time is the makespan.
+	makespan := clock.Cycles(0)
 	for _, c := range m.cores {
-		if c.procCycles > e.procCycles {
-			e.procCycles = c.procCycles
-		}
-		if clock.PS(c.pos) > final {
-			final = clock.PS(c.pos)
-		}
+		makespan = max(makespan, c.procCycles)
+		e.wallNow = max(e.wallNow, clock.PS(c.pos))
 	}
-	for _, free := range e.chanFree {
-		if free > final {
-			final = free
-		}
+	if e.cfg.Scaling {
+		e.ts.JumpProcTo(makespan)
+		return nil
 	}
-	e.globalFinal = e.cfg.FPGA.CyclesCeil(final)
+	e.procCycles = makespan
+	e.finishWall()
 	return nil
 }
 
-// stepCoreUnscaled advances core ci one merge event in the wall-clock
-// domain: consume a matured response, complete a fence, or run up to
-// mcQuantum processor cycles and issue the resulting requests.
-func (m *mcEngine) stepCoreUnscaled(ci int, procPeriod clock.PS) error {
+// stepCore advances core ci one merge event: consume a matured response,
+// complete a fence, or run up to mcQuantum processor cycles and issue the
+// resulting requests. A core consumes a response at its next clock edge,
+// so positions round up to whole units.
+func (m *mcEngine) stepCore(ci int, unit int64) error {
 	e := m.e
 	c := m.cores[ci]
-	proc := func() clock.Cycles { return clock.Cycles(clock.PS(c.pos) / procPeriod) }
+	proc := func() clock.Cycles { return clock.Cycles(c.pos / unit) }
 
-	m.drainCore(c)
+	e.deliverMatured(&c.coreState, c.pos)
 
 	if c.blockedOn != 0 {
 		rel, ok := c.ready.Release(c.blockedOn)
 		if !ok {
 			return fmt.Errorf("core: multicore merge stepped blocked core %d without its response", ci)
 		}
-		// The core consumes the response at its next clock edge, mirroring
-		// the single-core engine.
-		if clock.PS(rel) > clock.PS(c.pos) {
-			c.pos = int64(clock.PS(e.cfg.ProcPhys.CyclesCeil(clock.PS(rel))) * procPeriod)
+		if rel > c.pos {
+			c.pos = (rel + unit - 1) / unit * unit
 		}
 		c.ready.Remove(c.blockedOn)
 		c.core.Deliver(c.blockedOn)
 		c.blockedOn = 0
-		m.drainCore(c)
 		return nil
 	}
 
@@ -278,7 +255,7 @@ func (m *mcEngine) stepCoreUnscaled(ci int, procPeriod clock.PS) error {
 			if rel := c.ready.Min().release; rel > c.pos {
 				c.pos = rel
 			}
-			m.drainCore(c)
+			e.deliverMatured(&c.coreState, c.pos)
 			return nil
 		}
 		return fmt.Errorf("core: multicore merge stepped fencing core %d with %d requests in flight", ci, c.inflight)
@@ -288,8 +265,7 @@ func (m *mcEngine) stepCoreUnscaled(ci int, procPeriod clock.PS) error {
 	// delivery edge (the batching contract of cpu.Core.Step).
 	budget := clock.Cycles(mcQuantum)
 	if c.ready.Len() > 0 {
-		rel := clock.PS(c.ready.Min().release)
-		if b := clock.Cycles((rel - clock.PS(c.pos) + procPeriod - 1) / procPeriod); b < budget {
+		if b := clock.Cycles((c.ready.Min().release - c.pos + unit - 1) / unit); b < budget {
 			budget = b
 		}
 	}
@@ -302,24 +278,16 @@ func (m *mcEngine) stepCoreUnscaled(ci int, procPeriod clock.PS) error {
 	if out.Mark {
 		c.marks = append(c.marks, proc())
 	}
-	c.pos += int64(clock.PS(out.Cycles) * procPeriod)
+	c.pos += int64(out.Cycles) * unit
 	if err := e.checkCap(proc()); err != nil {
 		return err
 	}
 	for i := range out.Reqs {
 		req := &out.Reqs[i]
-		req.Tag = proc()
-		chIdx := e.sys.chanIndex(req.Addr)
-		arrival := c.pos
-		if m.lastArrival[chIdx] > arrival {
-			arrival = m.lastArrival[chIdx]
-		}
-		m.lastArrival[chIdx] = arrival
-		e.staged[chIdx] = append(e.staged[chIdx], stagedReq{slot: e.sys.chans[chIdx].tile.Stage(req), id: req.ID})
-		e.inflight[chIdx].Put(req.ID, pending{posted: req.Posted, arrival: clock.PS(arrival)})
-		if e.trackArrivals {
-			e.arrivals[chIdx].Push(req.ID, arrival)
-		}
+		ch := e.sys.chanIndex(req.Addr)
+		at := max(c.pos, m.lastArrival[ch])
+		m.lastArrival[ch] = at
+		e.issue(req, ch, at, true)
 		c.inflight++
 	}
 	if out.Fence {
@@ -331,185 +299,7 @@ func (m *mcEngine) stepCoreUnscaled(ci int, procPeriod clock.PS) error {
 	return nil
 }
 
-// runMultiScaled is the time-scaled merge loop. It runs without critical
-// mode: the key order itself paces cores against the modeled memory system,
-// so ProcAllowance never gates a step. The ts counters still carry the wall
-// (FPGA) charges of every SMC step, and the processor counter is jumped to
-// the makespan once at the end — GlobalCycles therefore covers the
-// emulation's full wall cost exactly as the single-core engine's
-// incremental advances would.
-func (e *engine) runMultiScaled() error {
-	ts, err := timescale.New(e.cfg.FPGA, e.cfg.ProcPhys, e.cfg.CPU.Clock, true)
-	if err != nil {
-		return err
-	}
-	e.ts = ts
-	m := e.multi
-
-	for {
-		ch, ci, _ := m.pickActor(m.chanKeyScaled)
-		if ch < 0 && ci < 0 {
-			if m.allFinished() {
-				break
-			}
-			return m.deadlockErr()
-		}
-		if ch >= 0 {
-			m.ingestScaled(ch)
-			if err := e.stepChannelScaled(ch, nil); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := m.stepCoreScaled(ci); err != nil {
-			return err
-		}
-	}
-
-	makespan := clock.Cycles(0)
-	for _, c := range m.cores {
-		if c.procCycles > makespan {
-			makespan = c.procCycles
-		}
-	}
-	ts.JumpProcTo(makespan)
-	return nil
-}
-
-// chanKeyScaled is channel ch's next decision point in emulated processor
-// cycles: its modeled-MC chain, lifted to the first staged tag when the
-// channel is otherwise idle.
-func (m *mcEngine) chanKeyScaled(ch int) (int64, bool) {
-	e := m.e
-	c := &e.sys.chans[ch]
-	busy := !c.tile.IncomingEmpty() || c.ctl.Pending() > 0
-	if !busy && len(e.staged[ch]) == 0 {
-		return 0, false
-	}
-	key := int64(e.cfg.CPU.Clock.CyclesFloor(e.mcTimeOf(ch)))
-	if !busy {
-		if p, ok := e.inflight[ch].Get(e.staged[ch][0].id); ok && int64(p.tag) > key {
-			key = int64(p.tag)
-		}
-	}
-	return key, true
-}
-
-// ingestScaled makes exactly the staged requests that have arrived by
-// channel ch's next decision point visible to its controller — the scaled
-// counterpart of the unscaled engine's staging gate (multi-core issues are
-// staged in both modes; with several cores a request must not be visible to
-// decisions made before its issue tag).
-func (m *mcEngine) ingestScaled(ch int) {
-	e := m.e
-	c := &e.sys.chans[ch]
-	if len(e.staged[ch]) == 0 {
-		return
-	}
-	decision := e.cfg.CPU.Clock.CyclesFloor(e.mcTimeOf(ch))
-	if c.tile.IncomingEmpty() && c.ctl.Pending() == 0 {
-		if p, ok := e.inflight[ch].Get(e.staged[ch][0].id); ok && p.tag > decision {
-			decision = p.tag
-		}
-	}
-	kept := e.staged[ch][:0]
-	for _, sr := range e.staged[ch] {
-		if p, _ := e.inflight[ch].Get(sr.id); p.tag <= decision {
-			c.tile.Enqueue(sr.slot)
-		} else {
-			kept = append(kept, sr)
-		}
-	}
-	e.staged[ch] = kept
-}
-
-// stepCoreScaled advances core ci one merge event in the emulated-cycle
-// domain.
-func (m *mcEngine) stepCoreScaled(ci int) error {
-	e := m.e
-	c := m.cores[ci]
-
-	m.drainCore(c)
-
-	if c.blockedOn != 0 {
-		rel, ok := c.ready.Release(c.blockedOn)
-		if !ok {
-			return fmt.Errorf("core: multicore merge stepped blocked core %d without its response", ci)
-		}
-		if rel > c.pos {
-			c.pos = rel
-		}
-		c.ready.Remove(c.blockedOn)
-		c.core.Deliver(c.blockedOn)
-		c.blockedOn = 0
-		m.drainCore(c)
-		return nil
-	}
-
-	if c.fencing {
-		if c.inflight == 0 && c.ready.Len() == 0 {
-			if c.fenceAt > c.pos {
-				c.pos = c.fenceAt
-			}
-			c.fencing = false
-			c.core.FenceDone()
-			return nil
-		}
-		if c.inflight == 0 {
-			if rel := c.ready.Min().release; rel > c.pos {
-				c.pos = rel
-			}
-			m.drainCore(c)
-			return nil
-		}
-		return fmt.Errorf("core: multicore merge stepped fencing core %d with %d requests in flight", ci, c.inflight)
-	}
-
-	budget := clock.Cycles(mcQuantum)
-	if c.ready.Len() > 0 {
-		if b := clock.Cycles(c.ready.Min().release - c.pos); b < budget {
-			budget = b
-		}
-	}
-	out := c.core.Step(clock.Cycles(c.pos), budget)
-	if out.Finished {
-		c.finished = true
-		c.procCycles = clock.Cycles(c.pos)
-		return nil
-	}
-	if out.Mark {
-		c.marks = append(c.marks, clock.Cycles(c.pos))
-	}
-	c.pos += int64(out.Cycles)
-	if err := e.checkCap(clock.Cycles(c.pos)); err != nil {
-		return err
-	}
-	for i := range out.Reqs {
-		req := &out.Reqs[i]
-		tag := c.pos
-		chIdx := e.sys.chanIndex(req.Addr)
-		if m.lastArrival[chIdx] > tag {
-			tag = m.lastArrival[chIdx]
-		}
-		m.lastArrival[chIdx] = tag
-		req.Tag = clock.Cycles(tag)
-		e.staged[chIdx] = append(e.staged[chIdx], stagedReq{slot: e.sys.chans[chIdx].tile.Stage(req), id: req.ID})
-		e.inflight[chIdx].Put(req.ID, pending{posted: req.Posted, tag: clock.Cycles(tag)})
-		if e.trackArrivals {
-			e.arrivals[chIdx].Push(req.ID, tag)
-		}
-		c.inflight++
-	}
-	if out.Fence {
-		c.fencing = true
-	}
-	if out.WaitID != 0 {
-		c.blockedOn = out.WaitID
-	}
-	return nil
-}
-
-// runMulti builds the N-core engine and drives the mode's merge loop.
+// runMulti builds the N-core engine and drives the merge loop.
 func (s *System) runMulti(strms []workload.Stream) (Result, error) {
 	for _, st := range strms {
 		defer st.Close()
@@ -522,38 +312,12 @@ func (s *System) runMulti(strms []workload.Stream) (Result, error) {
 			return Result{}, fmt.Errorf("core: %w", err)
 		}
 		core.SetIDSpace(uint64(i)+1, uint64(n))
-		m.cores = append(m.cores, &mcCore{core: core, ready: newReleaseQueue()})
+		m.cores = append(m.cores, &mcCore{coreState: coreState{core: core, ready: newReleaseQueue()}})
 	}
-	nch := len(s.chans)
-	e := &engine{
-		cfg:           s.cfg,
-		sys:           s,
-		multi:         m,
-		inflight:      make([]slotRing, nch),
-		ready:         newReleaseQueue(),
-		trackArrivals: s.cfg.RefreshEnabled,
-		// Shard workers are single-core machinery; the merge loop runs
-		// channel steps serial.
-		chanFree:     make([]clock.PS, nch),
-		chanMC:       make([]clock.PS, nch),
-		arrivals:     make([]arrivalRing, nch),
-		staged:       make([][]stagedReq, nch),
-		shardWorkers: 1,
-	}
-	for i := range e.inflight {
-		e.inflight[i] = newSlotRing()
-	}
-	m.e = e
-	var err error
-	if s.cfg.Scaling {
-		err = e.runMultiScaled()
-	} else {
-		err = e.runMultiUnscaled()
-	}
-	s.settleBatches, s.settleDelivered = e.settleBatches, e.settleDelivered
-	s.shardRounds, s.shardSteps = 0, 0
+	e, err := s.newEngine()
 	if err != nil {
 		return Result{}, err
 	}
-	return e.result(), nil
+	m.e, e.multi = e, m
+	return s.finish(e, e.runMerge())
 }

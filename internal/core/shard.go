@@ -1,11 +1,11 @@
 package core
 
-// Host-parallel channel execution (ROADMAP item 1).
+// Host-parallel channel execution.
 //
 // During the engine's fence and drain phases the processor issues nothing:
 // every channel's remaining work — its pick keys, its controller decisions,
 // its service chain — is a pure function of channel-local state (tile FIFO,
-// controller tables, staged list, chanFree/chanMC chain, per-channel fault
+// controller tables, staged list, service chain, per-channel fault
 // seams) plus frozen engine state (wallNow, blockedOn=0). The
 // shard runner exploits exactly that: it runs each channel with work to
 // exhaustion on a bounded pool of host workers, records every effect that
@@ -32,15 +32,13 @@ package core
 //     exact cadence of the serial loop (see mergeShard's settle modes);
 //   - FPGA wall charges (scaled) only move the global counter — a sum of
 //     per-call cycle ceilings, recorded per worker and credited at merge;
-//   - maxWall / maxRelease are commutative maxima;
+//   - the fence point is a commutative maximum;
 //   - the shared MC counter is a running maximum of monotone per-channel
 //     chains, so lifting it once per channel at merge time reproduces it.
 //
 // Blocked and stall phases stay on the serial path: there the processor
 // re-engages after (almost) every step, which collapses the horizon a
-// channel could safely run ahead to. Those phases are instead served by
-// batched response settlement (ROADMAP item 4; see drainMaturedUnscaled /
-// deliverMaturedScaled).
+// channel could safely run ahead to.
 //
 // A worker that cannot make progress without shared state (the defensive
 // "SMC idle" paths, which consult the shared ready queue) parks its channel
@@ -93,7 +91,7 @@ type shardStepFX struct {
 // chanFX is one channel's effect sink for a shard round. Everything a step
 // would have written to shared engine state lands here instead; the merge
 // applies it in canonical order (steps, resps) or as commutative sums and
-// maxima (global, maxRel, maxWall).
+// maxima (global, fenceAt).
 type chanFX struct {
 	steps []shardStepFX
 	resps []shardRespFX
@@ -108,12 +106,8 @@ type chanFX struct {
 	// global is the channel's summed FPGA wall charge in FPGA cycles
 	// (scaled mode; per-call ceilings already taken).
 	global clock.Cycles
-	// maxRel is the channel's maximum response release (scaled mode,
-	// posted responses included — what a fence jumps to).
-	maxRel clock.Cycles
-	// maxWall is the channel's maximum step completion (unscaled mode —
-	// what a fence waits out).
-	maxWall clock.PS
+	// fenceAt is the channel's contribution to the fence point.
+	fenceAt int64
 }
 
 func (f *chanFX) reset() {
@@ -123,8 +117,7 @@ func (f *chanFX) reset() {
 	f.errKey = 0
 	f.stopped = false
 	f.global = 0
-	f.maxRel = 0
-	f.maxWall = 0
+	f.fenceAt = 0
 }
 
 // shardRunner is the lazily created worker pool plus the per-channel effect
@@ -155,7 +148,6 @@ func (e *engine) ensureShardPool() *shardRunner {
 		cursor: make([]int, nch),
 	}
 	e.shard = r
-	scaled := e.cfg.Scaling
 	workers := e.shardWorkers
 	if workers > nch {
 		workers = nch
@@ -163,11 +155,7 @@ func (e *engine) ensureShardPool() *shardRunner {
 	for i := 0; i < workers; i++ {
 		go func() {
 			for ch := range r.jobs {
-				if scaled {
-					e.shardChannelScaled(ch, &r.fx[ch])
-				} else {
-					e.shardChannelUnscaled(ch, &r.fx[ch])
-				}
+				e.shardChannel(ch, &r.fx[ch])
 				r.wg.Done()
 			}
 		}()
@@ -184,37 +172,15 @@ func (e *engine) stopShard() {
 	}
 }
 
-// shardChannelUnscaled runs channel ch to exhaustion, recording each step's
-// pick key and shared effects into fx. Channel-local state (chanFree,
-// controller, tile, staged list, inflight ring) is mutated
-// directly — no other worker touches it.
-func (e *engine) shardChannelUnscaled(ch int, fx *chanFX) {
-	for e.channelHasWorkUnscaled(ch) {
-		key := int64(e.chanKeyUnscaled(ch))
+// shardChannel runs channel ch to exhaustion, recording each step's pick
+// key and shared effects into fx. Channel-local state (the chain,
+// controller, tile, staged list, inflight ring) is mutated directly — no
+// other worker touches it.
+func (e *engine) shardChannel(ch int, fx *chanFX) {
+	for e.channelHasWork(ch) {
+		key := int64(e.decisionTime(ch))
 		lo := len(fx.resps)
-		w, err := e.stepChannelUnscaled(ch, fx)
-		if err != nil {
-			fx.err, fx.errKey = err, key
-			return
-		}
-		if fx.stopped {
-			return
-		}
-		if w > fx.maxWall {
-			fx.maxWall = w
-		}
-		fx.steps = append(fx.steps, shardStepFX{key: key, respLo: lo, respHi: len(fx.resps)})
-	}
-}
-
-// shardChannelScaled is shardChannelUnscaled's scaled-mode counterpart; the
-// pick key is the channel's modeled-MC chain (sharding requires more than
-// one channel, so mcTimeOf reduces to chanMC).
-func (e *engine) shardChannelScaled(ch int, fx *chanFX) {
-	for e.channelHasWorkScaled(ch) {
-		key := int64(e.chanMC[ch])
-		lo := len(fx.resps)
-		if err := e.stepChannelScaled(ch, fx); err != nil {
+		if err := e.stepChannel(ch, fx); err != nil {
 			fx.err, fx.errKey = err, key
 			return
 		}
@@ -225,18 +191,18 @@ func (e *engine) shardChannelScaled(ch int, fx *chanFX) {
 	}
 }
 
-// shardRoundUnscaled runs one parallel fence/drain round in the unscaled
-// engine. deliver selects the fence cadence (replay the loop-top drain of
-// matured releases after every merged step); drains pass false — the serial
-// drain loop never pops the ready queue. ran=false means the round did not
-// engage (or made no progress) and the caller must take one serial step.
-func (e *engine) shardRoundUnscaled(deliver bool) (bool, error) {
+// shardRound runs one parallel fence/drain round. settle selects the fence
+// cadence (replay the serial fence's settlement between merged steps);
+// drains pass false — the serial drain loop never pops the ready queue.
+// ran=false means the round did not engage (or made no progress) and the
+// caller must take one serial step.
+func (e *engine) shardRound(settle bool) (bool, error) {
 	if e.shardWorkers <= 1 {
 		return false, nil
 	}
 	n := 0
 	for ch := range e.sys.chans {
-		if e.channelHasWorkUnscaled(ch) {
+		if e.channelHasWork(ch) {
 			n++
 		}
 	}
@@ -246,41 +212,13 @@ func (e *engine) shardRoundUnscaled(deliver bool) (bool, error) {
 	r := e.ensureShardPool()
 	active := r.active[:0]
 	for ch := range e.sys.chans {
-		if e.channelHasWorkUnscaled(ch) {
+		if e.channelHasWork(ch) {
 			active = append(active, ch)
 		}
 	}
 	r.active = active
 	e.dispatchShard(active)
-	return e.mergeShard(active, deliver)
-}
-
-// shardRoundScaled is shardRoundUnscaled's scaled-mode counterpart. consume
-// selects the fence cadence (jump the processor to each matured release and
-// consume it, exactly as the serial fence branch does between steps).
-func (e *engine) shardRoundScaled(consume bool) (bool, error) {
-	if e.shardWorkers <= 1 {
-		return false, nil
-	}
-	n := 0
-	for ch := range e.sys.chans {
-		if e.channelHasWorkScaled(ch) {
-			n++
-		}
-	}
-	if n < 2 {
-		return false, nil
-	}
-	r := e.ensureShardPool()
-	active := r.active[:0]
-	for ch := range e.sys.chans {
-		if e.channelHasWorkScaled(ch) {
-			active = append(active, ch)
-		}
-	}
-	r.active = active
-	e.dispatchShard(active)
-	return e.mergeShard(active, consume)
+	return e.mergeShard(active, settle)
 }
 
 // dispatchShard fans the active channels out to the pool and waits for the
@@ -351,38 +289,30 @@ func (e *engine) mergeShard(active []int, settle bool) (bool, error) {
 				// release order (jump, consume, then drain anything the
 				// jump matured) before the next step.
 				for {
-					e.deliverMaturedScaled()
+					e.deliverMatured(&e.coreState, int64(e.ts.Proc()))
 					if e.ready.Len() == 0 {
 						break
 					}
 					it := e.ready.Min()
 					e.ts.JumpProcTo(clock.Cycles(it.release))
-					e.consumeScaled(it.id)
+					e.consume(it.id)
 				}
 			} else {
 				// Serial unscaled fence: the loop top delivers every
 				// release matured by the frozen wall clock after each step.
-				e.drainMaturedUnscaled()
+				e.deliverMatured(&e.coreState, int64(e.wallNow))
 			}
 		}
 	}
 	// Commutative effects: apply once per channel.
-	if e.cfg.Scaling {
-		for _, ch := range active {
-			f := &r.fx[ch]
+	for _, ch := range active {
+		f := &r.fx[ch]
+		e.noteFence(nil, f.fenceAt)
+		if e.cfg.Scaling {
 			e.ts.AddGlobal(f.global)
-			if f.maxRel > e.maxRelease {
-				e.maxRelease = f.maxRel
-			}
-			// chanMC is monotone, so the final chain value is the maximum
-			// the per-step RaiseMCTime calls would have reached.
-			e.ts.RaiseMCTime(e.chanMC[ch])
-		}
-	} else {
-		for _, ch := range active {
-			if f := &r.fx[ch]; f.maxWall > e.maxWall {
-				e.maxWall = f.maxWall
-			}
+			// The chain is monotone, so its final value is the maximum the
+			// per-step RaiseMCTime calls would have reached.
+			e.ts.RaiseMCTime(e.chain[ch])
 		}
 	}
 	if steps > 0 {

@@ -272,9 +272,9 @@ func TestShardWorker1PathZeroAllocs(t *testing.T) {
 		round func(e *engine) (bool, error)
 	}{
 		{"unscaled/workers=1", withTopology(NoTimeScaling(), 4, 1),
-			func(e *engine) (bool, error) { return e.shardRoundUnscaled(true) }},
+			func(e *engine) (bool, error) { return e.shardRound(true) }},
 		{"scaled/workers=1", withTopology(TimeScalingA57(), 4, 1),
-			func(e *engine) (bool, error) { return e.shardRoundScaled(true) }},
+			func(e *engine) (bool, error) { return e.shardRound(true) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := build(tc.cfg, 1)
@@ -293,7 +293,7 @@ func TestShardWorker1PathZeroAllocs(t *testing.T) {
 	t.Run("unscaled/workers=4-idle", func(t *testing.T) {
 		e := build(withTopology(NoTimeScaling(), 4, 1), 4)
 		if allocs := testing.AllocsPerRun(100, func() {
-			if ran, err := e.shardRoundUnscaled(true); ran || err != nil {
+			if ran, err := e.shardRound(true); ran || err != nil {
 				t.Fatalf("round engaged with no work: ran=%v err=%v", ran, err)
 			}
 		}); allocs != 0 {

@@ -59,9 +59,6 @@ type Request struct {
 	Addr uint64
 	// Src is the row-aligned RowClone source address.
 	Src uint64
-	// Tag is the processor cycle counter value when the request was issued
-	// (Figure 5: requests are tagged on entry).
-	Tag clock.Cycles
 	// RCD is the reduced tRCD to test for Profile requests.
 	RCD clock.PS
 	// Rows extends a ProfileRow request to a bank stripe: the number of

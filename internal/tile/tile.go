@@ -185,9 +185,9 @@ func (t *Tile) Builder() *bender.Builder { return t.builder }
 func (t *Tile) Stats() Stats { return t.stats }
 
 // Stage copies a request into the pooled slab without enqueuing it and
-// returns its slot. The unscaled engine stages issued requests whose
-// arrival time has not been reached; everything else should use
-// PushRequest.
+// returns its slot. The engine stages issued requests whose arrival has
+// not been reached by their controller's decision point; everything else
+// should use PushRequest.
 func (t *Tile) Stage(r *mem.Request) ReqSlot { return t.reqs.alloc(r) }
 
 // Enqueue appends a previously staged slot to the incoming FIFO (Tile

@@ -12,7 +12,6 @@ func (c *Counters) SaveState(e *snapshot.Enc) {
 	e.I64(int64(c.global))
 	e.I64(int64(c.mcPS))
 	e.Bool(c.critical)
-	e.I64(int64(c.residual))
 }
 
 // LoadState restores counters written by SaveState into a freshly
@@ -22,5 +21,4 @@ func (c *Counters) LoadState(d *snapshot.Dec) {
 	c.global = clock.Cycles(d.I64())
 	c.mcPS = clock.PS(d.I64())
 	c.critical = d.Bool()
-	c.residual = clock.PS(d.I64())
 }

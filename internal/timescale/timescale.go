@@ -19,10 +19,10 @@
 //  2. A response tagged with release cycle R is never consumed at Proc < R.
 //  3. Counters only move forward.
 //
-// With time scaling disabled the processor simply follows the FPGA wall
-// clock at its own frequency, which exposes the raw software-memory-
-// controller latency to the processor — the PiDRAM-style distortion the
-// paper quantifies.
+// With time scaling disabled the engine keeps no counter file: the processor
+// simply follows the FPGA wall clock at its own frequency, which exposes the
+// raw software-memory-controller latency to the processor — the
+// PiDRAM-style distortion the paper quantifies.
 package timescale
 
 import (
@@ -40,10 +40,7 @@ type Counters struct {
 	// FPGA (e.g. 100 MHz).
 	ProcPhys clock.Clock
 	// ProcEmul is the clock the processor is emulated at (e.g. 1.43 GHz).
-	// With time scaling disabled, ProcEmul must equal ProcPhys.
 	ProcEmul clock.Clock
-	// Scaling reports whether time scaling is enabled.
-	Scaling bool
 
 	proc   clock.Cycles
 	global clock.Cycles
@@ -51,21 +48,14 @@ type Counters struct {
 	// emulated time; MC() exposes it in emulated processor cycles.
 	mcPS     clock.PS
 	critical bool
-
-	// residual supports the non-scaled AdvanceWall conversion.
-	residual clock.PS
 }
 
 // New returns counters for the given clock configuration.
-func New(fpga, procPhys, procEmul clock.Clock, scaling bool) (*Counters, error) {
+func New(fpga, procPhys, procEmul clock.Clock) (*Counters, error) {
 	if !fpga.Valid() || !procPhys.Valid() || !procEmul.Valid() {
 		return nil, fmt.Errorf("timescale: all clocks must be configured")
 	}
-	if !scaling && procPhys.Period() != procEmul.Period() {
-		return nil, fmt.Errorf("timescale: without scaling the emulated clock (%v) must equal the physical clock (%v)",
-			procEmul, procPhys)
-	}
-	return &Counters{FPGA: fpga, ProcPhys: procPhys, ProcEmul: procEmul, Scaling: scaling}, nil
+	return &Counters{FPGA: fpga, ProcPhys: procPhys, ProcEmul: procEmul}, nil
 }
 
 // Proc returns the processor cycle counter (emulated cycles).
@@ -74,10 +64,6 @@ func (c *Counters) Proc() clock.Cycles { return c.proc }
 // MC returns the memory-controller cycle counter (in emulated processor
 // cycles).
 func (c *Counters) MC() clock.Cycles { return c.ProcEmul.CyclesFloor(c.mcPS) }
-
-// MCTime returns the memory-controller service point in exact picoseconds
-// of emulated time (the value MC() floors to cycles).
-func (c *Counters) MCTime() clock.PS { return c.mcPS }
 
 // Global returns the FPGA cycle counter.
 func (c *Counters) Global() clock.Cycles { return c.global }
@@ -115,7 +101,7 @@ func (c *Counters) ProcAllowance() clock.Cycles {
 // controller's service clock — "the emulation point up to which the
 // controller has worked". While the controller idles it stays behind, so
 // background work (refresh) is correctly backdated to the idle period;
-// serving a request lifts it to the request's arrival (RaiseMC).
+// serving a request lifts it to the request's service end (RaiseMCTime).
 //
 // In critical mode the engine budgets advances with ProcAllowance, but an
 // individual operation is atomic and may overshoot MC by its own cost;
@@ -141,64 +127,23 @@ func (c *Counters) JumpProcTo(target clock.Cycles) {
 	c.global += c.FPGA.CyclesCeil(c.ProcPhys.ToTime(n))
 }
 
-// RaiseMC lifts the MC service point to the given emulated processor cycle
-// if it is behind (service of a request cannot start before the request
-// arrived).
-func (c *Counters) RaiseMC(target clock.Cycles) {
-	if t := c.ProcEmul.ToTime(target); c.mcPS < t {
-		c.mcPS = t
-	}
-}
-
 // RaiseMCTime lifts the MC service point to the given exact emulated time
-// if it is behind. Multi-channel engines keep one modeled-MC chain per
-// channel and reflect the maximum into the shared counter through this
-// method, so processor allowance tracks the memory system's overall
-// progress while per-channel chains overlap.
+// if it is behind. The engine keeps one modeled-MC chain per channel and
+// reflects the maximum into the shared counter through this method, so
+// processor allowance tracks the memory system's overall progress while
+// per-channel chains overlap.
 func (c *Counters) RaiseMCTime(t clock.PS) {
 	if c.mcPS < t {
 		c.mcPS = t
 	}
 }
 
-// AdvanceMCModeled credits the MC service point with a modeled duration
-// (controller decision latency plus DRAM time) in picoseconds of emulated
-// time, exactly. Returns the new MC value in cycles.
-func (c *Counters) AdvanceMCModeled(d clock.PS) clock.Cycles {
-	if d < 0 {
-		panic(fmt.Sprintf("timescale: negative MC advance %v", d))
-	}
-	c.mcPS += d
-	return c.MC()
-}
-
-// ServeModeled performs one service on the MC resource: it starts at
-// max(service point, the arrival cycle), occupies the resource for
-// occupancy picoseconds, and returns the release tag — the processor cycle
-// at which the response (start + latency later) may be consumed. This is
-// the exact counterpart of the reference engine's wall-clock service math,
-// which is what makes the §6 validation agree to sub-0.1%.
-func (c *Counters) ServeModeled(arrival clock.Cycles, occupancy, latency clock.PS) clock.Cycles {
-	if occupancy < 0 || latency < 0 {
-		panic(fmt.Sprintf("timescale: negative service (occ=%v lat=%v)", occupancy, latency))
-	}
-	start := c.mcPS
-	if t := c.ProcEmul.ToTime(arrival); t > start {
-		start = t
-	}
-	c.mcPS = start + occupancy
-	if latency < occupancy {
-		latency = occupancy
-	}
-	return c.ProcEmul.CyclesCeil(start + latency)
-}
-
 // AddGlobal credits the FPGA global counter with already-converted FPGA
 // cycles. The engine's shard merge uses it to apply a worker's recorded
 // wall charges: each AdvanceWall-equivalent charge took its per-call cycle
 // ceiling when it was recorded, so applying the summed cycles is exact.
-// Only meaningful with time scaling (the processor is clock-gated through
-// the charged period, so no other counter moves).
+// The processor is clock-gated through the charged period, so no other
+// counter moves.
 func (c *Counters) AddGlobal(n clock.Cycles) {
 	if n < 0 {
 		panic(fmt.Sprintf("timescale: negative global credit %d", n))
@@ -207,21 +152,13 @@ func (c *Counters) AddGlobal(n clock.Cycles) {
 }
 
 // AdvanceWall charges FPGA wall time consumed by the SMC or DRAM Bender.
-// With time scaling the processor is clock-gated during this period (its
-// counter does not move). Without time scaling the processor's clock keeps
-// ticking through the wall time, so the processor counter advances too —
-// the raw latency becomes visible to the emulated system.
+// The processor is clock-gated during this period, so its counter does not
+// move.
 func (c *Counters) AdvanceWall(d clock.PS) {
 	if d < 0 {
 		panic(fmt.Sprintf("timescale: negative wall advance %v", d))
 	}
 	c.global += c.FPGA.CyclesCeil(d)
-	if !c.Scaling {
-		n := c.ProcPhys.CyclesFloor(d + c.residual)
-		c.residual = d + c.residual - c.ProcPhys.ToTime(n)
-		c.proc += n
-		c.mcPS = c.ProcPhys.ToTime(c.proc)
-	}
 }
 
 // WallTime reports the FPGA wall-clock time elapsed since power-on.

@@ -9,7 +9,7 @@ import (
 
 func newScaled(t *testing.T) *Counters {
 	t.Helper()
-	c, err := New(clock.FPGA100MHz, clock.FPGA100MHz, clock.Proc1GHz, true)
+	c, err := New(clock.FPGA100MHz, clock.FPGA100MHz, clock.Proc1GHz)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -17,15 +17,14 @@ func newScaled(t *testing.T) *Counters {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(clock.Clock{}, clock.Proc1GHz, clock.Proc1GHz, true); err == nil {
+	if _, err := New(clock.Clock{}, clock.Proc1GHz, clock.Proc1GHz); err == nil {
 		t.Fatalf("missing FPGA clock must fail")
 	}
-	// Without scaling, physical and emulated clocks must match.
-	if _, err := New(clock.FPGA100MHz, clock.FPGA100MHz, clock.Proc1GHz, false); err == nil {
-		t.Fatalf("unscaled mismatched clocks must fail")
+	if _, err := New(clock.FPGA100MHz, clock.Clock{}, clock.Proc1GHz); err == nil {
+		t.Fatalf("missing physical processor clock must fail")
 	}
-	if _, err := New(clock.FPGA100MHz, clock.Proc1GHz, clock.Proc1GHz, false); err != nil {
-		t.Fatalf("valid unscaled config rejected: %v", err)
+	if _, err := New(clock.FPGA100MHz, clock.FPGA100MHz, clock.Proc1GHz); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
 	}
 }
 
@@ -54,8 +53,9 @@ func TestCriticalModeLocksAllowance(t *testing.T) {
 	if got := c.ProcAllowance(); got != 0 {
 		t.Fatalf("allowance with stale MC = %d, want 0", got)
 	}
-	c.RaiseMC(50)                             // request served at its arrival point
-	c.AdvanceMCModeled(10 * clock.Nanosecond) // 10 emulated cycles at 1 GHz
+	// A request served at its arrival point (cycle 50) for 10 emulated
+	// cycles at 1 GHz.
+	c.RaiseMCTime(60 * clock.Nanosecond)
 	if got := c.ProcAllowance(); got != 10 {
 		t.Fatalf("allowance = %d, want 10", got)
 	}
@@ -72,10 +72,10 @@ func TestCriticalModeLocksAllowance(t *testing.T) {
 func TestMCResidualAccumulates(t *testing.T) {
 	c := newScaled(t)
 	c.EnterCritical()
-	// 10 advances of 0.7 ns at 1 GHz = 7 cycles total, despite each being
-	// sub-cycle.
-	for i := 0; i < 10; i++ {
-		c.AdvanceMCModeled(700)
+	// 10 services of 0.7 ns at 1 GHz = 7 cycles total, despite each being
+	// sub-cycle: the MC point is kept in exact picoseconds.
+	for i := 1; i <= 10; i++ {
+		c.RaiseMCTime(clock.PS(i) * 700)
 	}
 	if c.MC() != 7 {
 		t.Fatalf("mc=%d, want 7 (residual accumulation)", c.MC())
@@ -90,7 +90,7 @@ func TestJumpProcTo(t *testing.T) {
 		t.Fatalf("jump backwards moved proc")
 	}
 	c.EnterCritical()
-	c.AdvanceMCModeled(20 * clock.Nanosecond)
+	c.RaiseMCTime(20 * clock.Nanosecond)
 	// Releases may exceed MC; JumpProcTo must allow it.
 	c.JumpProcTo(c.MC() + 5)
 	if c.Proc() != c.MC()+5 {
@@ -98,31 +98,22 @@ func TestJumpProcTo(t *testing.T) {
 	}
 }
 
+// TestRaiseMC pins RaiseMCTime: the MC point only moves forward, and MC()
+// floors it to emulated cycles.
 func TestRaiseMC(t *testing.T) {
 	c := newScaled(t)
 	c.EnterCritical()
-	c.RaiseMC(42)
+	c.RaiseMCTime(42*clock.Nanosecond + 999)
 	if c.MC() != 42 {
 		t.Fatalf("mc=%d, want 42", c.MC())
 	}
-	c.RaiseMC(10) // backwards: no-op
+	c.RaiseMCTime(10 * clock.Nanosecond) // backwards: no-op
 	if c.MC() != 42 {
-		t.Fatalf("RaiseMC moved backwards")
+		t.Fatalf("RaiseMCTime moved backwards")
 	}
-}
-
-func TestUnscaledWallDrivesProc(t *testing.T) {
-	c, err := New(clock.FPGA100MHz, clock.Proc50MHz, clock.Proc50MHz, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1 us of wall time = 50 cycles at 50 MHz and 100 FPGA cycles.
-	c.AdvanceWall(1 * clock.Microsecond)
-	if c.Proc() != 50 {
-		t.Fatalf("proc=%d, want 50", c.Proc())
-	}
-	if c.Global() != 100 {
-		t.Fatalf("global=%d, want 100", c.Global())
+	c.RaiseMCTime(43 * clock.Nanosecond)
+	if c.MC() != 43 {
+		t.Fatalf("mc=%d, want 43", c.MC())
 	}
 }
 
@@ -163,7 +154,7 @@ func TestMonotonicity(t *testing.T) {
 			case 0:
 				c.AdvanceProc(clock.Cycles(o.N % 1000))
 			case 1:
-				c.AdvanceMCModeled(clock.PS(o.N) * 100)
+				c.RaiseMCTime(clock.PS(o.N) * 100)
 			case 2:
 				c.AdvanceWall(clock.PS(o.N) * 100)
 			case 3:
@@ -183,7 +174,7 @@ func TestMonotonicity(t *testing.T) {
 }
 
 func newScaledQuiet() *Counters {
-	c, err := New(clock.FPGA100MHz, clock.FPGA100MHz, clock.Proc1GHz, true)
+	c, err := New(clock.FPGA100MHz, clock.FPGA100MHz, clock.Proc1GHz)
 	if err != nil {
 		panic(err)
 	}
