@@ -11,8 +11,9 @@ import (
 
 // TestExportedSymbolsDocumented enforces the repository's documentation
 // contract on the public facade (the root package), on the experiments
-// package that backs every table and figure, and on the emulated-host
-// packages the multi-core work touches (workload, core, cpu, cache): each
+// package that backs every table and figure, on the emulated-host packages
+// the multi-core work touches (workload, core, cpu, cache), and on the
+// memory-controller stack (smc, tile, bender, mem): each
 // exported symbol — type, function, method on an exported type, const, and
 // var — must carry a doc comment. It is the "revive exported"-class check,
 // implemented on the standard library's parser so CI needs no extra
@@ -25,6 +26,10 @@ func TestExportedSymbolsDocumented(t *testing.T) {
 		"internal/core",
 		"internal/cpu",
 		"internal/cache",
+		"internal/smc",
+		"internal/tile",
+		"internal/bender",
+		"internal/mem",
 	} {
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {

@@ -362,7 +362,11 @@ func (s *System) ProfileLine(pa uint64, rcd PS) (bool, error) {
 // It returns the number of leading lines that read reliably and whether
 // the entire row passed. Requires WithDataTracking.
 func (s *System) ProfileRow(pa uint64, rcd PS) (okLines int, ok bool, err error) {
-	return s.sys.ProfileRow(pa, rcd)
+	rowLines, ok, err := s.sys.ProfileRowStripe(pa, 1, rcd)
+	if err != nil {
+		return 0, false, err
+	}
+	return rowLines[0], ok, nil
 }
 
 // TestRowClone tests whether the row at src can be RowClone-copied onto the

@@ -41,6 +41,7 @@ var opNames = [...]string{
 	OpBNZ: "BNZ", OpJMP: "JMP", OpEND: "END",
 }
 
+// String returns the opcode's mnemonic.
 func (o Op) String() string {
 	if int(o) < len(opNames) {
 		return opNames[o]
@@ -54,6 +55,7 @@ type Instr struct {
 	A, B, C int
 }
 
+// String renders the instruction as "MNEMONIC A,B,C".
 func (i Instr) String() string {
 	return fmt.Sprintf("%s %d,%d,%d", i.Op, i.A, i.B, i.C)
 }

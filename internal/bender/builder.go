@@ -139,28 +139,6 @@ func (b *Builder) ReadSequenceRCD(a dram.Addr, rcd clock.PS) *Builder {
 	return b
 }
 
-// ReadHit appends a RD to an already-open row.
-func (b *Builder) ReadHit(a dram.Addr) *Builder {
-	return b.RD(a.Bank, a.Col)
-}
-
-// WriteSequence appends a standard-compliant closed-row write.
-func (b *Builder) WriteSequence(a dram.Addr, data []byte) *Builder {
-	b.ACT(a.Bank, a.Row)
-	b.waitCycles(b.waitAfterCmd(b.p.TRCD))
-	b.WR(a.Bank, a.Col, data)
-	return b
-}
-
-// PrechargeAfterRead appends the tail of a closed-row access: wait for the
-// column operation to finish, then PRE and wait tRP.
-func (b *Builder) PrechargeAfterRead(bank int) *Builder {
-	b.waitCycles(b.waitAfterCmd(b.p.TRTP))
-	b.PRE(bank)
-	b.waitCycles(b.waitAfterCmd(b.p.TRP))
-	return b
-}
-
 // rowCloneSettle is the post-clone restoration margin: real RowClone
 // deployments (PiDRAM) pad the sequence so the destination row's cells
 // restore fully before any subsequent access, which dominates the per-clone

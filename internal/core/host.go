@@ -47,22 +47,11 @@ func (s *System) HostRequests() uint64 { return s.hostReqID - hostReqIDBase }
 
 // ProfileLine tests whether the cache line at physical address pa reads
 // reliably with the given tRCD (a §8.1 profiling request). It is the
-// per-line compatibility path; bulk characterization should use ProfileRow,
-// which covers a whole row per round-trip.
+// per-line compatibility path; bulk characterization should use
+// ProfileRowStripe, which covers up to 64 rows per round-trip.
 func (s *System) ProfileLine(pa uint64, rcd clock.PS) (bool, error) {
 	r, err := s.hostServe(mem.Request{Kind: mem.Profile, Addr: pa, RCD: rcd})
 	return r.OK, err
-}
-
-// ProfileRow tests every cache line of the DRAM row containing pa (the
-// address is row-aligned internally) at the given tRCD using a single
-// whole-row profiling request — one host round-trip and one Bender program
-// for the full row instead of one per line. It returns the number of
-// leading lines that read reliably and whether the entire row passed.
-// Per-line outcomes are identical to repeated ProfileLine calls.
-func (s *System) ProfileRow(pa uint64, rcd clock.PS) (okLines int, ok bool, err error) {
-	r, err := s.hostServe(mem.Request{Kind: mem.ProfileRow, Addr: s.rowBase(pa), RCD: rcd})
-	return r.Lines, r.OK, err
 }
 
 // rowBase returns the address of the first line of pa's DRAM row. A plain
@@ -83,7 +72,8 @@ func (s *System) rowBase(pa uint64) uint64 {
 // bender.StripeRowsMax). rowLines[r] is the r-th covered row's leading
 // reliable line count (the column count when the row passed); ok reports
 // whether every line of every row passed. Per-line outcomes are identical
-// to ProfileRow and ProfileLine.
+// to repeated ProfileLine calls. A stripe that runs past the bank's last
+// row, or a negative row count, is an error.
 func (s *System) ProfileRowStripe(pa uint64, rows int, rcd clock.PS) (rowLines []int, ok bool, err error) {
 	r, err := s.hostServe(mem.Request{Kind: mem.ProfileRow, Addr: s.rowBase(pa), RCD: rcd, Rows: rows})
 	return r.RowLines, r.OK, err

@@ -195,7 +195,7 @@ func TestProfileRowRoutesToOwningChannel(t *testing.T) {
 	if got := sys.mapper.Map(pa).Chan; got != 1 {
 		t.Fatalf("test premise: line 1 on channel %d, want 1", got)
 	}
-	if _, _, err := sys.ProfileRow(pa, sys.Chip().Timing().TRCD); err != nil {
+	if _, _, err := sys.ProfileRowStripe(pa, 1, sys.Chip().Timing().TRCD); err != nil {
 		t.Fatal(err)
 	}
 	if got := sys.chans[1].ctl.Stats().ProfileRows; got != 1 {

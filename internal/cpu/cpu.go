@@ -254,9 +254,6 @@ func (c *Core) Config() Config { return c.cfg }
 // Stats returns a snapshot of event counters.
 func (c *Core) Stats() Stats { return c.stats }
 
-// Outstanding reports the number of in-flight misses.
-func (c *Core) Outstanding() int { return len(c.outstanding) }
-
 // Deliver informs the core that the response for request id arrived.
 func (c *Core) Deliver(id uint64) {
 	for i := range c.outstanding {
@@ -272,9 +269,6 @@ func (c *Core) Deliver(id uint64) {
 
 // FenceDone informs the core a requested fence has completed.
 func (c *Core) FenceDone() { c.fencePending = false }
-
-// AddStall accounts cycles the engine spent unblocking the core.
-func (c *Core) AddStall(n clock.Cycles) { c.stats.StallCycles += n }
 
 func (c *Core) newID() uint64 {
 	id := c.nextID

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -23,42 +21,21 @@ import (
 // metric only — the rendered table stays machine-independent, so benchall
 // reports remain byte-identical across hosts and worker counts.
 
-// profilePath names one workload's profile file inside a store directory.
+// profilePath names one workload's profile file inside a store directory
+// ("" when no store is configured).
 func profilePath(dir, name string) string {
+	if dir == "" {
+		return ""
+	}
 	return filepath.Join(dir, name+".ezdrprof")
 }
 
-// characterizeWarm is the warm-start characterization entry shared by
-// Figure13 and the WarmStart sweep: load the stored profile when one
-// exists under the caller's compatibility key, otherwise characterize from
-// scratch and (optionally) persist the result. A present-but-unusable
-// profile — corrupt, stale, or keyed to different silicon — counts one
-// stats.SnapshotFallbacks and degrades to re-characterization; a simply
-// missing file is an ordinary cold start and counts nothing.
+// characterizeWarm warm-starts one workload's characterization through the
+// store directories opt configures (see techniques.CharacterizeWarm); it is
+// the entry Figure13 and the WarmStart sweep share.
 func characterizeWarm(sys *core.System, name string, extent uint64, opt Options) (*snapshot.Profile, bool, error) {
-	key := techniques.ProfileCompatKey(sys, 0, extent, techniques.ReducedTRCD, opt.FPRate)
-	if opt.ProfileLoad != "" {
-		data, err := snapshot.ReadFile(profilePath(opt.ProfileLoad, name))
-		if err == nil {
-			p, derr := snapshot.DecodeProfile(data, key)
-			if derr == nil {
-				return p, true, nil
-			}
-			snapshot.RecordFallback(derr)
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			snapshot.RecordFallback(err)
-		}
-	}
-	p, err := techniques.Characterize(sys, 0, extent, techniques.ReducedTRCD, opt.FPRate)
-	if err != nil {
-		return nil, false, err
-	}
-	if opt.ProfileSave != "" {
-		if err := snapshot.WriteFile(profilePath(opt.ProfileSave, name), p.Encode()); err != nil {
-			return nil, false, err
-		}
-	}
-	return p, false, nil
+	return techniques.CharacterizeWarm(sys, profilePath(opt.ProfileLoad, name), profilePath(opt.ProfileSave, name),
+		0, extent, techniques.ReducedTRCD, opt.FPRate)
 }
 
 // WarmStartResult holds the durable-characterization sweep's outcomes.

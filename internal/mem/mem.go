@@ -32,7 +32,7 @@ const (
 	// ProfileRow asks the controller to test every cache line of the row at
 	// Addr (row-aligned) at a reduced tRCD with a single Bender program —
 	// the row-granularity fast path of the §8.1 characterization. The
-	// response reports per-line detail in Response.Lines.
+	// response reports per-row detail in Response.RowLines.
 	ProfileRow
 )
 
@@ -42,6 +42,7 @@ var kindNames = map[Kind]string{
 	ProfileRow: "profilerow",
 }
 
+// String returns the kind's lower-case name.
 func (k Kind) String() string {
 	if s, ok := kindNames[k]; ok {
 		return s
@@ -79,17 +80,10 @@ type Response struct {
 	// OK reports technique-specific success: profile passed, RowClone
 	// succeeded. Always true for plain reads/writes.
 	OK bool
-	// Lines carries ProfileRow detail: the number of leading cache lines
-	// that read reliably before the first failure, counted in (row, column)
-	// order across the request's rows (one row unless Request.Rows extends
-	// it to a bank stripe). When every covered line passed, OK is true and
-	// Lines equals rows*cols; otherwise Lines/cols full rows passed and row
-	// Lines/cols failed at column Lines%cols. Zero for every other request
-	// kind.
-	Lines int
-	// RowLines carries bank-stripe profiling detail: element r is the
-	// number of leading reliable lines of the stripe's r-th row (equal to
-	// the column count when the row passed). Nil for every non-profiling
-	// request — the hot access path never allocates it.
+	// RowLines carries profiling detail: element r is the number of
+	// leading reliable lines of the r-th covered row (equal to the column
+	// count when the row passed; a Profile request covers one line, so its
+	// one element is 0 or 1). Nil for every non-profiling request — the hot
+	// access path never allocates it.
 	RowLines []int
 }

@@ -2,7 +2,6 @@ package smc
 
 import (
 	"testing"
-	"testing/quick"
 
 	"easydram/internal/dram"
 	"easydram/internal/mem"
@@ -39,38 +38,5 @@ func TestBLISSCapsRowHitStreak(t *testing.T) {
 func TestBLISSName(t *testing.T) {
 	if NewBLISS().Name() != "bliss" {
 		t.Fatalf("name wrong")
-	}
-}
-
-func TestXORBankRoundTrip(t *testing.T) {
-	m, err := NewXORBank(16, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(raw uint64) bool {
-		pa := (raw % (1 << 38)) &^ 63
-		return m.Unmap(m.Map(pa)) == pa
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestXORBankSpreadsConflictingStride(t *testing.T) {
-	plain, _ := NewRowBankCol(16, 128)
-	xor, _ := NewXORBank(16, 128)
-	// A 128 KiB stride hits the same bank under plain mapping.
-	stride := uint64(16 * 8192)
-	plainBanks := map[int]bool{}
-	xorBanks := map[int]bool{}
-	for i := uint64(0); i < 16; i++ {
-		plainBanks[plain.Map(i*stride).Bank] = true
-		xorBanks[xor.Map(i*stride).Bank] = true
-	}
-	if len(plainBanks) != 1 {
-		t.Fatalf("plain mapping should conflict: %v", plainBanks)
-	}
-	if len(xorBanks) < 8 {
-		t.Fatalf("xor mapping should spread the stride: %v", xorBanks)
 	}
 }

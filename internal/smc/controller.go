@@ -71,8 +71,9 @@ type Config struct {
 	// the controller refreshes (ACT + tRAS + PRE + tRP, charged as
 	// occupancy) before opening the target row.
 	Mitigation fault.Mitigator
-	// RowsPerBank tells the quarantine remapper where the spare-row region
-	// sits (required when Recovery.Enabled).
+	// RowsPerBank is the bank's row count: the quarantine remapper places
+	// the spare-row region by it (required when Recovery.Enabled), and
+	// bank-stripe profiling requests must end within it.
 	RowsPerBank int
 	// QuarantineSeed seeds the quarantine Bloom filter's hash functions.
 	QuarantineSeed uint64
@@ -259,7 +260,7 @@ func (c *BaseController) ServeRefresh(env *Env) error {
 	}
 	b.Wait(c.p.TRP)
 	b.REF()
-	if _, err := c.exec(env); err != nil {
+	if _, _, err := c.launch(env, true); err != nil {
 		return err
 	}
 	env.AddService(c.p.TRP+c.p.TRFC, c.p.TRP+c.p.TRFC)
@@ -334,10 +335,8 @@ func (c *BaseController) serveIndex(env *Env, idx int) (bool, error) {
 		err = c.serveAccess(env, ent, true)
 	case mem.RowClone:
 		err = c.serveRowClone(env, ent)
-	case mem.Profile:
+	case mem.Profile, mem.ProfileRow:
 		err = c.serveProfile(env, ent)
-	case mem.ProfileRow:
-		err = c.serveProfileRow(env, ent)
 	case mem.Bitwise:
 		err = c.serveBitwise(env, ent)
 	default:
@@ -484,47 +483,34 @@ func (c *BaseController) emitMitigation(env *Env, b *bender.Builder, bank, row i
 	return lat
 }
 
-// execAccess runs the built access program, re-flushing it on injected
-// transient launch failures (the builder still holds the program — see
-// Tile.Exec). The fault-free path is a single nil-latency branch.
-func (c *BaseController) execAccess(env *Env) (*bender.Result, error) {
-	res, err := env.ExecAccess()
+// launch flushes the built program to DRAM Bender through the Env and, on
+// injected transient launch failures, re-flushes it with exponential
+// emulated-time backoff (the builder still holds the program — see
+// tile.Tile.Exec); every re-flush is charged like the first. discard drops
+// the read data: only profiling consumes a readback. Exhausting the budget is a hard
+// error: a host link that fails MaxRetries+1 consecutive launches is dead,
+// and the emulation cannot meaningfully continue past it (at the default
+// 1e-4 fail rate the chance is ~1e-16 per program).
+func (c *BaseController) launch(env *Env, discard bool) (*bender.Result, []bender.ReadLine, error) {
+	res, rb, err := env.Exec(discard)
 	if err != nil || !res.LaunchFailed {
-		return res, err
+		return res, rb, err
 	}
-	return c.retryLaunch(env, env.ExecAccess)
-}
-
-// exec is execAccess for programs whose readback is consumed (profiling).
-func (c *BaseController) exec(env *Env) (*bender.Result, error) {
-	res, err := env.Exec()
-	if err != nil || !res.LaunchFailed {
-		return res, err
-	}
-	return c.retryLaunch(env, env.Exec)
-}
-
-// retryLaunch re-flushes a program whose launch transiently failed, with
-// exponential emulated-time backoff. Exhausting the budget is a hard error:
-// a host link that fails MaxRetries+1 consecutive launches is dead, and the
-// emulation cannot meaningfully continue past it (at the default 1e-4 fail
-// rate the chance is ~1e-16 per program).
-func (c *BaseController) retryLaunch(env *Env, exec func() (*bender.Result, error)) (*bender.Result, error) {
 	if !c.recov.Enabled {
-		return nil, fmt.Errorf("smc: Bender launch failed with recovery disabled")
+		return nil, nil, fmt.Errorf("smc: Bender launch failed with recovery disabled")
 	}
 	backoff := c.recov.Backoff
 	for attempt := 0; attempt < c.recov.MaxRetries; attempt++ {
 		c.stats.Retries++
 		env.AddService(backoff, backoff)
-		res, err := exec()
+		res, rb, err = env.Exec(discard)
 		if err != nil || !res.LaunchFailed {
-			return res, err
+			return res, rb, err
 		}
 		backoff *= 2
 	}
 	c.stats.RetryGiveUps++
-	return nil, fmt.Errorf("smc: Bender launch failed %d times; giving up", c.recov.MaxRetries+1)
+	return nil, nil, fmt.Errorf("smc: Bender launch failed %d times; giving up", c.recov.MaxRetries+1)
 }
 
 // retryRead is the verify-and-retry read path: the chip flagged this access's
@@ -541,7 +527,7 @@ func (c *BaseController) retryRead(env *Env, a dram.Addr, occ, lat *clock.PS) (b
 		c.stats.Retries++
 		b.Wait(backoff)
 		b.RD(a.Bank, a.Col)
-		res, err := c.execAccess(env)
+		res, _, err := c.launch(env, true)
 		if err != nil {
 			return false, err
 		}
@@ -565,7 +551,7 @@ func (c *BaseController) serveAccess(env *Env, ent *Entry, isWrite bool) error {
 	b := env.Tile().Builder()
 
 	actLatency := c.emitAccess(env, b, a, isWrite)
-	res, err := c.execAccess(env)
+	res, _, err := c.launch(env, true)
 	if err != nil {
 		return err
 	}
@@ -605,7 +591,7 @@ func (c *BaseController) serveAccess(env *Env, ent *Entry, isWrite bool) error {
 		pb := env.Tile().Builder()
 		pb.Wait(c.p.TRTP)
 		pb.PRE(a.Bank)
-		if _, err := c.execAccess(env); err != nil {
+		if _, _, err := c.launch(env, true); err != nil {
 			return err
 		}
 		c.openRows[a.Bank] = -1
@@ -635,7 +621,7 @@ func (c *BaseController) serveRowClone(env *Env, ent *Entry) error {
 		b.WaitCycles(c.preWait)
 	}
 	b.RowClone(src.Bank, src.Row, dst.Row)
-	res, err := c.exec(env)
+	res, _, err := c.launch(env, true)
 	if err != nil {
 		return err
 	}
@@ -665,7 +651,7 @@ func (c *BaseController) serveBitwise(env *Env, ent *Entry) error {
 		b.WaitCycles(c.preWait)
 	}
 	b.BitwiseMAJ(r1.Bank, r1.Row, r2.Row)
-	res, err := c.exec(env)
+	res, _, err := c.launch(env, true)
 	if err != nil {
 		return err
 	}
@@ -676,97 +662,46 @@ func (c *BaseController) serveBitwise(env *Env, ent *Entry) error {
 	return nil
 }
 
-// serveProfile serves a §8.1 profiling request: initialize the target line
-// with a known pattern, read it back with the requested tRCD, and report
-// whether the data survived.
+// serveProfile serves a §8.1 profiling request. A Profile request tests the
+// one cache line at Addr; a ProfileRow request tests every line of Rows
+// consecutive rows from Addr's row (a bank stripe; 0 means one row). Either
+// way one Bender program initializes each covered line with the known
+// pattern and reads it back under the requested tRCD, and the two kinds
+// differ only in the builder call: a stripe replaces one request round-trip
+// per line with one for up to 64 rows, with per-line outcomes identical
+// because each test read lands exactly RCD after its own activation (see
+// Builder.ProfileCheck). The readback is scanned in place in the tile's
+// buffer (a 64-row stripe reads back half a megabyte). A probe whose
+// readback the host link mangled — short, or carrying a corrupt line — is
+// re-run whole after a backoff: verdicts from a damaged transfer are
+// meaningless.
 func (c *BaseController) serveProfile(env *Env, ent *Entry) error {
-	costs := env.Tile().Costs()
-	env.Charge(costs.MapAddr)
-	a := ent.Addr
-	rcd := env.Tile().Req(ent.Slot).RCD
-	c.stats.Profiles++
-	b := env.Tile().Builder()
-	backoff := c.recov.Backoff
-	ok := false
-	for attempt := 0; ; attempt++ {
-		if c.openRows[a.Bank] >= 0 {
-			b.PRE(a.Bank)
-			b.WaitCycles(c.preWait)
-		}
-		// Initialize the target cache line with the known pattern, then
-		// access it with the requested (reduced) tRCD.
-		b.ProfileLine(a, c.profilePattern[:], rcd)
-
-		prev := len(env.Readback())
-		res, err := c.exec(env)
-		if err != nil {
-			return err
-		}
-		c.openRows[a.Bank] = -1
-		env.Charge(costs.ReadbackPerLine + costs.ProfileCompare)
-		env.AddService(res.Elapsed, res.Elapsed)
-
-		// Compare the readback against the pattern.
-		rb := env.Readback()
-		if len(rb) > prev {
-			last := rb[len(rb)-1]
-			if !last.LinkCorrupt {
-				ok = last.Reliable && bytes.Equal(last.Data[:], c.profilePattern[:])
-				break
-			}
-		}
-		// The host link dropped or corrupted the probe's readback: the
-		// profiling verdict would be meaningless, so re-probe after a backoff.
-		if !c.recov.Enabled {
-			break
-		}
-		if attempt >= c.recov.MaxRetries {
-			c.stats.RetryGiveUps++
-			break
-		}
-		c.stats.Retries++
-		env.AddService(backoff, backoff)
-		backoff *= 2
-	}
-	env.Respond(ent.ID, ok)
-	env.Tile().Release(ent.Slot)
-	return nil
-}
-
-// serveProfileRow serves a row-granularity §8.1 profiling request — or, when
-// the request's Rows field extends it, a whole bank stripe of consecutive
-// rows: one Bender program initializes every cache line of each covered row
-// with the known pattern and reads each back under the requested tRCD,
-// replacing one request round-trip per line with a single round-trip for up
-// to 64 rows. Per-line outcomes are identical to the per-line path because
-// each line's test read happens exactly RCD after its own activation (see
-// Builder.ProfileCheck).
-func (c *BaseController) serveProfileRow(env *Env, ent *Entry) error {
 	costs := env.Tile().Costs()
 	env.Charge(costs.MapAddr)
 	a := ent.Addr
 	req := env.Tile().Req(ent.Slot)
 	rcd := req.RCD
-	rows := req.Rows
-	if rows < 1 {
-		rows = 1
+	rows, cols := 1, 1
+	if ent.Kind == mem.ProfileRow {
+		if req.Rows < 0 {
+			return fmt.Errorf("smc: profile stripe of %d rows (want 0 or more)", req.Rows)
+		}
+		rows, cols = max(req.Rows, 1), c.cfg.Mapper.RowBytes()/dram.LineBytes
+		if a.Row+rows > c.cfg.RowsPerBank {
+			return fmt.Errorf("smc: profile stripe of %d rows from row %d runs past the bank's %d rows",
+				rows, a.Row, c.cfg.RowsPerBank)
+		}
+		if rows*cols > bender.ReadbackLines {
+			return fmt.Errorf("smc: profile stripe of %d rows x %d cols exceeds the %d-line readback buffer",
+				rows, cols, bender.ReadbackLines)
+		}
+		c.stats.ProfileRows += int64(rows)
+		c.stats.ProfiledLines += int64(rows * cols)
+	} else {
+		c.stats.Profiles++
 	}
-	cols := c.cfg.Mapper.RowBytes() / dram.LineBytes
-	if rows*cols > bender.ReadbackLines {
-		return fmt.Errorf("smc: profile stripe of %d rows x %d cols exceeds the %d-line readback buffer",
-			rows, cols, bender.ReadbackLines)
-	}
-	c.stats.ProfileRows += int64(rows)
-	c.stats.ProfiledLines += int64(rows * cols)
 	total := rows * cols
 
-	// Execute via the tile directly and scan its readback in place: a
-	// 64-row stripe reads back half a megabyte, and the Env's usual
-	// buffer-the-readback copy would double the cache traffic for lines
-	// this routine consumes immediately. Exec costs are charged as Env.Exec
-	// charges them. A stripe whose readback the host link mangled (short or
-	// carrying a corrupt line) is re-profiled whole after a backoff: per-line
-	// verdicts from a damaged transfer are meaningless.
 	var rb []bender.ReadLine
 	backoff := c.recov.Backoff
 	for attempt := 0; ; attempt++ {
@@ -775,19 +710,19 @@ func (c *BaseController) serveProfileRow(env *Env, ent *Entry) error {
 			b.PRE(a.Bank)
 			b.WaitCycles(c.preWait)
 		}
-		b.ProfileRowStripe(a.Bank, a.Row, rows, cols, c.profilePattern[:], rcd)
-
-		n := b.Len()
-		env.Charge(costs.BuildPerInstr*n + costs.FlushLaunch + costs.FlushPerInstr*n)
-		var res bender.Result
+		if ent.Kind == mem.ProfileRow {
+			b.ProfileRowStripe(a.Bank, a.Row, rows, cols, c.profilePattern[:], rcd)
+		} else {
+			b.ProfileLine(a, c.profilePattern[:], rcd)
+		}
+		var res *bender.Result
 		var err error
-		res, rb, err = c.tileExec(env)
+		res, rb, err = c.launch(env, false)
 		if err != nil {
 			return err
 		}
-		env.AddBenderWall(res.Elapsed)
 		c.openRows[a.Bank] = -1
-		env.Charge((costs.ReadbackPerLine + costs.ProfileCompare) * rows * cols)
+		env.Charge((costs.ReadbackPerLine + costs.ProfileCompare) * total)
 		env.AddService(res.Elapsed, res.Elapsed)
 
 		if !c.recov.Enabled || !stripeCorrupt(rb, total) {
@@ -802,17 +737,17 @@ func (c *BaseController) serveProfileRow(env *Env, ent *Entry) error {
 		backoff *= 2
 	}
 
-	// The program's only reads are the per-column test reads, in (row,
-	// column) order. Per covered row, count its leading reliable lines (the
-	// per-line path's stop-at-first-failure accounting); the request passes
-	// when every line of every row is reliable. Lines reports the leading
-	// reliable lines of the whole stripe for single-row compatibility.
-	okLines := 0
+	// The program's only reads are the test reads, in (row, column) order.
+	// Per covered row, count its leading reliable lines (the per-line
+	// path's stop-at-first-failure accounting); the request passes when
+	// every line of every row is reliable. A damaged readback never passes:
+	// a short one leaves every count at zero, and a corrupt line no longer
+	// matches the pattern.
 	rowLines := make([]int, rows)
+	passed := 0
 	if len(rb) >= total {
 		stripe := rb[len(rb)-total:]
-		leading := true
-		for r := 0; r < rows; r++ {
+		for r := range rowLines {
 			cnt := 0
 			for _, line := range stripe[r*cols : (r+1)*cols] {
 				if !line.Reliable || !bytes.Equal(line.Data[:], c.profilePattern[:]) {
@@ -821,56 +756,16 @@ func (c *BaseController) serveProfileRow(env *Env, ent *Entry) error {
 				cnt++
 			}
 			rowLines[r] = cnt
-			if leading {
-				okLines += cnt
-				if cnt != cols {
-					leading = false
-				}
-			}
+			passed += cnt
 		}
 	}
-	env.RespondLines(ent.ID, okLines == total, okLines, rowLines)
+	env.RespondLines(ent.ID, passed == total, rowLines)
 	env.Tile().Release(ent.Slot)
 	return nil
 }
 
-// tileExec runs the built program via the tile directly (bulk profiling
-// consumes the tile's readback in place instead of buffering it through the
-// Env), re-flushing on injected transient launch failures like retryLaunch.
-func (c *BaseController) tileExec(env *Env) (bender.Result, []bender.ReadLine, error) {
-	res, rb, err := env.Tile().Exec()
-	if err != nil {
-		return res, rb, fmt.Errorf("smc: %w", err)
-	}
-	if !res.LaunchFailed {
-		return res, rb, nil
-	}
-	if !c.recov.Enabled {
-		return res, rb, fmt.Errorf("smc: Bender launch failed with recovery disabled")
-	}
-	costs := env.Tile().Costs()
-	backoff := c.recov.Backoff
-	for attempt := 0; attempt < c.recov.MaxRetries; attempt++ {
-		c.stats.Retries++
-		env.AddService(backoff, backoff)
-		// The program is still in the builder; charge the re-flush alone.
-		n := env.Tile().Builder().Len()
-		env.Charge(costs.FlushLaunch + costs.FlushPerInstr*n)
-		res, rb, err = env.Tile().Exec()
-		if err != nil {
-			return res, rb, fmt.Errorf("smc: %w", err)
-		}
-		if !res.LaunchFailed {
-			return res, rb, nil
-		}
-		backoff *= 2
-	}
-	c.stats.RetryGiveUps++
-	return res, rb, fmt.Errorf("smc: Bender launch failed %d times; giving up", c.recov.MaxRetries+1)
-}
-
-// stripeCorrupt reports whether the host link mangled a bulk-profiling
-// readback: the stripe came back short, or a surviving line carries the
+// stripeCorrupt reports whether the host link mangled a profiling readback
+// of total lines: it came back short, or a surviving line carries the
 // link-corruption mark.
 func stripeCorrupt(rb []bender.ReadLine, total int) bool {
 	if len(rb) < total {

@@ -32,11 +32,7 @@ type Env struct {
 	occupancy   clock.PS
 	latency     clock.PS
 	responses   []mem.Response
-	readback    []bender.ReadLine
 	critical    bool
-	// execRes holds the result of the last Exec, which Exec returns by
-	// reference like ExecAccess.
-	execRes bender.Result
 }
 
 // NewEnv returns an Env over t.
@@ -53,7 +49,6 @@ func (e *Env) Reset(emulatedNow clock.PS) {
 	e.occupancy = 0
 	e.latency = 0
 	e.responses = e.responses[:0]
-	e.readback = e.readback[:0]
 }
 
 // Charge accounts n programmable-core cycles.
@@ -96,49 +91,22 @@ func (e *Env) SetCritical(on bool) {
 // Critical reports the controller's critical-mode intent.
 func (e *Env) Critical() bool { return e.critical }
 
-// Exec flushes the built command batch to DRAM Bender and executes it,
-// charging transfer and launch costs (EasyAPI flush_commands). The result
-// stays valid until the next Exec.
-func (e *Env) Exec() (*bender.Result, error) {
+// Exec flushes the built command batch to DRAM Bender and executes it
+// (EasyAPI flush_commands), charging build, transfer and launch costs and
+// accounting the DRAM-bus time it occupied. The result and readback are the
+// tile's (see tile.Tile.Exec): valid until the next Exec. With discard the
+// read data is dropped and no readback is returned.
+func (e *Env) Exec(discard bool) (*bender.Result, []bender.ReadLine, error) {
 	costs := e.tile.Costs()
 	n := e.tile.Builder().Len()
 	e.Charge(costs.BuildPerInstr*n + costs.FlushLaunch + costs.FlushPerInstr*n)
-	res := &e.execRes
-	var rb []bender.ReadLine
-	var err error
-	*res, rb, err = e.tile.Exec()
+	res, rb, err := e.tile.Exec(discard)
 	if err != nil {
-		return res, fmt.Errorf("smc: %w", err)
+		return res, nil, fmt.Errorf("smc: %w", err)
 	}
 	e.benderWall += res.Elapsed
-	e.readback = append(e.readback, rb...)
-	return res, nil
+	return res, rb, nil
 }
-
-// ExecAccess executes the built command batch for a plain cache-line access
-// step: charged like Exec, but read data is dropped instead of buffered —
-// access responses carry no data, so nobody ever consumes it. The result is
-// the tile's (see tile.Tile.ExecDiscardReads): valid until the tile's next
-// exec.
-func (e *Env) ExecAccess() (*bender.Result, error) {
-	costs := e.tile.Costs()
-	n := e.tile.Builder().Len()
-	e.Charge(costs.BuildPerInstr*n + costs.FlushLaunch + costs.FlushPerInstr*n)
-	res, err := e.tile.ExecDiscardReads()
-	if err != nil {
-		return res, fmt.Errorf("smc: %w", err)
-	}
-	e.benderWall += res.Elapsed
-	return res, nil
-}
-
-// Readback returns lines read by Bender executions this step.
-func (e *Env) Readback() []bender.ReadLine { return e.readback }
-
-// AddBenderWall accounts DRAM-bus wall time for an execution the
-// controller ran against the tile directly (bulk profiling consumes the
-// tile's readback in place instead of buffering it through the Env).
-func (e *Env) AddBenderWall(d clock.PS) { e.benderWall += d }
 
 // Respond enqueues the response for the request with the given ID (EasyAPI
 // enqueue_response). The engine computes the response's release point when
@@ -148,12 +116,11 @@ func (e *Env) Respond(id uint64, ok bool) {
 	e.responses = append(e.responses, mem.Response{ReqID: id, OK: ok})
 }
 
-// RespondLines enqueues a response carrying per-line detail: ProfileRow
-// requests report the leading reliable line count and, for bank stripes,
-// the per-row leading-line counts (rowLines may be nil for single rows).
-func (e *Env) RespondLines(id uint64, ok bool, lines int, rowLines []int) {
+// RespondLines enqueues a profiling response carrying per-row detail: the
+// leading reliable line count of each covered row.
+func (e *Env) RespondLines(id uint64, ok bool, rowLines []int) {
 	e.Charge(e.tile.Costs().Respond)
-	e.responses = append(e.responses, mem.Response{ReqID: id, OK: ok, Lines: lines, RowLines: rowLines})
+	e.responses = append(e.responses, mem.Response{ReqID: id, OK: ok, RowLines: rowLines})
 }
 
 // Responses returns the responses produced this step. Release points are

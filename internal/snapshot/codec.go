@@ -209,15 +209,6 @@ func (d *Dec) BytesView() []byte {
 	return d.Raw(n)
 }
 
-// BytesCopy reads a length-prefixed byte slice into fresh storage.
-func (d *Dec) BytesCopy() []byte {
-	v := d.BytesView()
-	if v == nil {
-		return nil
-	}
-	return append([]byte(nil), v...)
-}
-
 // String reads a length-prefixed string.
 func (d *Dec) String() string {
 	v := d.BytesView()

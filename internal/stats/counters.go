@@ -7,12 +7,5 @@ import "sync/atomic"
 // fresh characterization. It is process-global because fallbacks are an
 // operational health signal, not a per-run metric: benchall reports it as
 // snapshot/fallbacks and tests assert it moves when corruption is
-// injected. Use Load/Add directly; SnapshotFallbackDelta helps callers
-// measure a window.
+// injected. Use Load/Add directly.
 var SnapshotFallbacks atomic.Int64
-
-// SnapshotFallbackDelta returns the fallbacks recorded since a previous
-// Load() observation.
-func SnapshotFallbackDelta(since int64) int64 {
-	return SnapshotFallbacks.Load() - since
-}

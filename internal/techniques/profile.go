@@ -1,8 +1,9 @@
 package techniques
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"io/fs"
 
 	"easydram/internal/clock"
 	"easydram/internal/core"
@@ -79,29 +80,37 @@ func Characterize(sys *core.System, start, end uint64, rcd clock.PS, fpRate floa
 	return p, nil
 }
 
-// AttachMinRCD runs the MinReliableTRCD grid over the given row-key
-// addresses and records the results in the profile, so a stored artifact
-// also answers "what is this row's minimum reliable tRCD" without
-// re-profiling (the Figure 12 quantity).
-func AttachMinRCD(sys *core.System, p *snapshot.Profile, rowKeys []uint64, nominal clock.PS) error {
-	m := sys.Mapper()
-	keys := append([]uint64(nil), rowKeys...)
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, key := range keys {
-		min, err := MinReliableTRCD(sys, key, nominal)
-		if err != nil {
-			return err
-		}
-		ch := m.Map(key).Chan
-		for i := range p.Channels {
-			if p.Channels[i].Chan == ch {
-				p.Channels[i].MinRCDRows = append(p.Channels[i].MinRCDRows, key)
-				p.Channels[i].MinRCDPS = append(p.Channels[i].MinRCDPS, int64(min))
-				break
+// CharacterizeWarm is the warm-start characterization routine: it loads the
+// profile stored at load when one exists under this pass's compatibility
+// key, and otherwise characterizes [start, end) at rcd from scratch and,
+// when save is set, stores the result there. warm reports whether the
+// stored profile was used. A present-but-unusable file (corrupt, stale,
+// keyed to different silicon) records one snapshot fallback and degrades to
+// re-characterization; a missing file is an ordinary cold start and records
+// nothing. An empty path skips the load or the save.
+func CharacterizeWarm(sys *core.System, load, save string, start, end uint64, rcd clock.PS, fpRate float64) (p *snapshot.Profile, warm bool, err error) {
+	if load != "" {
+		data, err := snapshot.ReadFile(load)
+		if err == nil {
+			p, err = snapshot.DecodeProfile(data, ProfileCompatKey(sys, start, end, rcd, fpRate))
+			if err == nil {
+				return p, true, nil
 			}
 		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			snapshot.RecordFallback(err)
+		}
 	}
-	return nil
+	p, err = Characterize(sys, start, end, rcd, fpRate)
+	if err != nil {
+		return nil, false, err
+	}
+	if save != "" {
+		if err := snapshot.WriteFile(save, p.Encode()); err != nil {
+			return nil, false, err
+		}
+	}
+	return p, false, nil
 }
 
 // ProviderFromProfile rebuilds the reduced-tRCD scheduler hook from a

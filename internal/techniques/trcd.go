@@ -196,7 +196,7 @@ func coveredRows(m smc.Mapper, start, end uint64) []rowGroup {
 // level fails. Each level costs one whole-row request round-trip.
 func MinReliableTRCD(sys *core.System, rowBase uint64, nominal clock.PS) (clock.PS, error) {
 	for _, lv := range RCDLevels {
-		_, ok, err := sys.ProfileRow(rowBase, lv)
+		_, ok, err := sys.ProfileRowStripe(rowBase, 1, lv)
 		if err != nil {
 			return 0, err
 		}

@@ -133,10 +133,11 @@ func TestProfileRowStripeMatchesWholeRowPath(t *testing.T) {
 
 			wantOK := true
 			for r := 0; r < rows; r++ {
-				okLines, ok, err := rowSys.ProfileRow(uint64(r)*bankStride, ReducedTRCD)
+				one, ok, err := rowSys.ProfileRowStripe(uint64(r)*bankStride, 1, ReducedTRCD)
 				if err != nil {
 					t.Fatal(err)
 				}
+				okLines := one[0]
 				if !ok {
 					wantOK = false
 				} else {

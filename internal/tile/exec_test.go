@@ -10,7 +10,7 @@ import (
 )
 
 // TestExecDiscardReadsMatchesEngineExec checks the by-reference result seam:
-// the Result a tile's ExecDiscardReads returns must equal what a plain
+// the Result a tile's Exec(true) returns must equal what a plain
 // bender.Engine.Exec reports for the same program on a twin device, one
 // program at a time, so no counter carries over from the previous program.
 // An injected launch failure reports LaunchFailed alone and leaves the
@@ -80,9 +80,9 @@ func TestExecDiscardReadsMatchesEngineExec(t *testing.T) {
 
 		if pr.name == "launch-fail" {
 			tl.SetFaultLink(fault.NewLinkModel(fault.LinkConfig{ExecFailRate: 1}, 1))
-			res, err := tl.ExecDiscardReads()
-			if err != nil {
-				t.Fatalf("%s: %v", pr.name, err)
+			res, rb, err := tl.Exec(true)
+			if err != nil || rb != nil {
+				t.Fatalf("%s: err %v, %d readback lines", pr.name, err, len(rb))
 			}
 			if *res != (bender.Result{LaunchFailed: true}) {
 				t.Fatalf("%s: failed launch reported %+v, want LaunchFailed alone", pr.name, *res)
@@ -94,16 +94,16 @@ func TestExecDiscardReadsMatchesEngineExec(t *testing.T) {
 			tl.SetFaultLink(nil)
 		}
 
-		got, err := tl.ExecDiscardReads()
-		if err != nil {
-			t.Fatalf("%s: tile: %v", pr.name, err)
+		got, rb, err := tl.Exec(true)
+		if err != nil || rb != nil {
+			t.Fatalf("%s: tile: err %v, %d readback lines", pr.name, err, len(rb))
 		}
 		ref, err := eng.Exec(prog, cursor, wrbuf)
 		if err != nil {
 			t.Fatalf("%s: engine: %v", pr.name, err)
 		}
 		if *got != ref {
-			t.Fatalf("%s: ExecDiscardReads = %+v, Engine.Exec = %+v", pr.name, *got, ref)
+			t.Fatalf("%s: Exec(true) = %+v, Engine.Exec = %+v", pr.name, *got, ref)
 		}
 		if ref.Commands == 0 && pr.name != "wait-only" {
 			t.Fatalf("%s: program issued no commands", pr.name)

@@ -145,8 +145,8 @@ type Tile struct {
 	// path then pays a single nil check).
 	link *fault.LinkModel
 
-	// last is the result of the most recent exec. ExecDiscardReads hands
-	// out a pointer to it, so the access path moves no Result copies.
+	// last is the result of the most recent Exec, which hands out a
+	// pointer to it, so the service paths move no Result copies.
 	last bender.Result
 }
 
@@ -239,13 +239,37 @@ func (t *Tile) PopRequest() (ReqSlot, bool) {
 func (t *Tile) SetFaultLink(m *fault.LinkModel) { t.link = m }
 
 // Exec runs the builder's current program on DRAM Bender, advancing the
-// DRAM-bus cursor, and returns the result plus drained readback lines.
-// With a link model installed, the drained readback may come back short by
+// DRAM-bus cursor, and returns the result plus the drained readback lines.
+// The Result is the tile's own: it describes this program only and stays
+// valid until the next Exec; the readback is the engine's buffer, valid
+// until the same point. With discard the read data is dropped instead of
+// buffered (plain access service, whose readback nobody consumes) and no
+// readback is returned.
+//
+// With a link model installed, the launch may fail transiently (LaunchFailed;
+// the builder keeps the program and the cursor does not advance, so the
+// controller can re-flush it), and a returned readback may come back short by
 // its final line or with one line corrupted (marked LinkCorrupt).
-func (t *Tile) Exec() (bender.Result, []bender.ReadLine, error) {
-	res, err := t.exec(false)
-	if err != nil || res.LaunchFailed {
-		return *res, nil, err
+func (t *Tile) Exec(discard bool) (*bender.Result, []bender.ReadLine, error) {
+	res := &t.last
+	if t.link != nil && t.link.FailLaunch() {
+		// The modeled retry backoff is the controller's to charge.
+		t.stats.LaunchFails++
+		*res = bender.Result{LaunchFailed: true}
+		return res, nil, nil
+	}
+	prog := t.builder.Program()
+	if err := t.engine.ExecInto(res, prog, t.dramCursor, t.builder.WriteBuf(), discard); err != nil {
+		return res, nil, fmt.Errorf("tile: %w", err)
+	}
+	t.dramCursor += res.Elapsed
+	// A small inter-program gap models the Bender launch turnaround.
+	t.dramCursor += t.busPeriod
+	t.stats.ProgramsRun++
+	t.stats.InstrsRun += int64(len(prog))
+	t.builder.Reset()
+	if discard {
+		return res, nil, nil
 	}
 	rb := t.engine.DrainReadback()
 	if t.link != nil && len(rb) > 0 {
@@ -263,37 +287,5 @@ func (t *Tile) Exec() (bender.Result, []bender.ReadLine, error) {
 			t.stats.CorruptLines++
 		}
 	}
-	return *res, rb, nil
-}
-
-// ExecDiscardReads runs the builder's current program like Exec but drops
-// read data instead of buffering it (plain access service, whose readback
-// nobody consumes). The returned Result is the tile's own: it describes
-// this program only and stays valid until the tile's next exec.
-func (t *Tile) ExecDiscardReads() (*bender.Result, error) {
-	return t.exec(true)
-}
-
-func (t *Tile) exec(discard bool) (*bender.Result, error) {
-	res := &t.last
-	if t.link != nil && t.link.FailLaunch() {
-		// Transient launch failure: the program never reaches Bender. The
-		// builder is NOT reset and the cursor does not advance, so the
-		// controller can re-flush the identical program; the modeled retry
-		// backoff is the controller's to charge.
-		t.stats.LaunchFails++
-		*res = bender.Result{LaunchFailed: true}
-		return res, nil
-	}
-	prog := t.builder.Program()
-	if err := t.engine.ExecInto(res, prog, t.dramCursor, t.builder.WriteBuf(), discard); err != nil {
-		return res, fmt.Errorf("tile: %w", err)
-	}
-	t.dramCursor += res.Elapsed
-	// A small inter-program gap models the Bender launch turnaround.
-	t.dramCursor += t.busPeriod
-	t.stats.ProgramsRun++
-	t.stats.InstrsRun += int64(len(prog))
-	t.builder.Reset()
-	return res, nil
+	return res, rb, nil
 }

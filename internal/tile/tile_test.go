@@ -45,7 +45,7 @@ func TestExecAdvancesCursorAndResetsBuilder(t *testing.T) {
 	tl := newTestTile(t)
 	p := tl.Chip().Timing()
 	tl.Builder().ReadSequence(dram.Addr{Bank: 0, Row: 1, Col: 0})
-	res, rb, err := tl.Exec()
+	res, rb, err := tl.Exec(false)
 	if err != nil {
 		t.Fatalf("Exec: %v", err)
 	}

@@ -29,9 +29,6 @@ func NewRankBus(p Params) *RankBus {
 	}
 }
 
-// MinGap reports the minimum different-rank CAS spacing enforced.
-func (b *RankBus) MinGap() clock.PS { return b.minGap }
-
 // NoteCAS records a CAS (RD or WR) to rank at absolute time t and returns 1
 // when it violates the rank-to-rank turnaround against the previous CAS
 // (different rank, spaced closer than tBL + tRTRS), 0 otherwise.

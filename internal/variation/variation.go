@@ -53,9 +53,6 @@ type Model struct {
 	geom Geometry
 	seed uint64
 
-	// nominal and the reduced-tRCD quantization grid, in picoseconds.
-	nominalRCD clock.PS
-
 	// clonableP is the per-pair probability (in 1/256ths) that an
 	// intra-subarray row pair supports reliable RowClone.
 	clonableP uint64
@@ -85,10 +82,9 @@ func NewModel(geom Geometry, seed uint64, opts ...Option) (*Model, error) {
 		return nil, err
 	}
 	m := &Model{
-		geom:       geom,
-		seed:       seed,
-		nominalRCD: 13500, // 13.5 ns, Micron EDY4016A datasheet value
-		clonableP:  218,   // ~0.85 * 256
+		geom:      geom,
+		seed:      seed,
+		clonableP: 218, // ~0.85 * 256
 	}
 	for _, o := range opts {
 		o(m)
@@ -98,9 +94,6 @@ func NewModel(geom Geometry, seed uint64, opts ...Option) (*Model, error) {
 
 // Geometry returns the geometry the model covers.
 func (m *Model) Geometry() Geometry { return m.geom }
-
-// NominalTRCD reports the datasheet tRCD.
-func (m *Model) NominalTRCD() clock.PS { return m.nominalRCD }
 
 // rcdLevels is the quantized minimum-reliable-tRCD grid observed in
 // Figure 12: 9.0, 9.5, 10.0, 10.5 ns.

@@ -69,17 +69,6 @@ func SubstrateRowBurst(n int) Kernel {
 	}}
 }
 
-// CPUCopy copies n bytes from src to dst with 8-byte loads and stores — the
-// baseline the RowClone case study normalises against.
-func CPUCopy(src, dst uint64, n int) Kernel {
-	return Kernel{Name: fmt.Sprintf("cpu-copy-%d", n), Body: func(g *Gen) {
-		for off := uint64(0); off < uint64(n); off += wordBytes {
-			g.Load(src + off)
-			g.Store(dst + off)
-		}
-	}}
-}
-
 // CPUInit initialises n bytes at dst with 8-byte stores.
 func CPUInit(dst uint64, n int) Kernel {
 	return Kernel{Name: fmt.Sprintf("cpu-init-%d", n), Body: func(g *Gen) {

@@ -1,9 +1,7 @@
 package easydram
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 
 	"easydram/internal/clock"
 	"easydram/internal/core"
@@ -80,29 +78,14 @@ func (s *System) LoadProfile(path string, start, end uint64, rcd PS, fpRate floa
 // compatibility key, and otherwise characterizes from scratch and saves
 // the result to path for the next run. warm reports whether the stored
 // profile was used; a failed load (missing, corrupt, stale, wrong silicon)
-// increments stats.SnapshotFallbacks and is never fatal.
+// increments stats.SnapshotFallbacks (a missing file excepted) and is
+// never fatal.
 func (s *System) ProfileWeakRowsWarm(path string, start, end uint64, rcd PS, fpRate float64) (p *WeakRowProfile, warm bool, err error) {
-	if path != "" {
-		p, err := s.LoadProfile(path, start, end, rcd, fpRate)
-		if err == nil {
-			return p, true, nil
-		}
-		// An absent store is an ordinary cold start; only a present-but-
-		// unusable snapshot counts as a degradation.
-		if !errors.Is(err, fs.ErrNotExist) {
-			snapshot.RecordFallback(err)
-		}
-	}
-	p, err = s.Characterize(start, end, rcd, fpRate)
+	sp, warm, err := techniques.CharacterizeWarm(s.sys, path, path, start, end, rcd, fpRate)
 	if err != nil {
-		return nil, false, err
+		return nil, false, fmt.Errorf("easydram: %w", err)
 	}
-	if path != "" {
-		if err := s.SaveProfile(path, p); err != nil {
-			return nil, false, err
-		}
-	}
-	return p, false, nil
+	return &WeakRowProfile{p: sp}, warm, nil
 }
 
 // ChannelTRCDProvider is the channel-aware variant of TRCDProvider: it
