@@ -67,6 +67,16 @@ func main() {
 	}
 }
 
+// printFigure13 prints Figure 13's speedup table, or for fig14 the
+// simulation-speed table from the same runs.
+func printFigure13(name string, r *experiments.TRCDResult) {
+	if name == "fig13" {
+		fmt.Println(r.Table())
+	} else {
+		fmt.Println(r.SpeedTable())
+	}
+}
+
 func run(name string, opt experiments.Options) error {
 	switch name {
 	case "table1":
@@ -151,15 +161,24 @@ func run(name string, opt experiments.Options) error {
 		if err != nil {
 			return err
 		}
-		if name == "fig13" {
-			fmt.Println(r.Table())
-		} else {
-			fmt.Println(r.SpeedTable())
-		}
+		printFigure13(name, r)
 	case "all":
+		// Figure 14 comes from Figure 13's runs: compute them once.
+		var fig13 *experiments.TRCDResult
 		for _, n := range []string{"table1", "fig2", "validation", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "energy", "ablations", "disturb", "snapshot", "fairness"} {
 			fmt.Printf("==== %s ====\n", n)
-			if err := run(n, opt); err != nil {
+			var err error
+			if n == "fig13" || n == "fig14" {
+				if fig13 == nil {
+					fig13, err = experiments.Figure13(opt)
+				}
+				if err == nil {
+					printFigure13(n, fig13)
+				}
+			} else {
+				err = run(n, opt)
+			}
+			if err != nil {
 				return fmt.Errorf("%s: %w", n, err)
 			}
 		}

@@ -297,3 +297,17 @@ func TestWithCoresFacade(t *testing.T) {
 		t.Fatal("Run on a multi-core system accepted")
 	}
 }
+
+// TestRunNilBodyKernel checks that a kernel built without a body runs as an
+// empty program: Run returns a zero-cycle result, and no producer goroutine
+// is left to call the nil body after Run has returned.
+func TestRunNilBodyKernel(t *testing.T) {
+	sys, err := NewSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(NewKernel("empty", nil))
+	if err != nil || res.ProcCycles != 0 || res.CPU.Instructions != 0 {
+		t.Fatalf("Run = %+v, %v; want an empty run", res, err)
+	}
+}

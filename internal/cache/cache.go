@@ -112,16 +112,21 @@ type Victim struct {
 	Valid bool
 }
 
-// Lookup reports whether addr hits without changing replacement state.
-func (c *Cache) Lookup(addr uint64) bool {
+// index returns the position of addr's line in c.sets, or -1 when addr
+// misses. It changes no replacement state.
+func (c *Cache) index(addr uint64) int {
 	tag := c.tagOf(addr)
-	for _, l := range c.setSlice(c.setOf(addr)) {
+	base := c.setOf(addr) * c.assoc
+	for i, l := range c.sets[base : base+c.assoc] {
 		if l.valid && l.tag == tag {
-			return true
+			return base + i
 		}
 	}
-	return false
+	return -1
 }
+
+// Lookup reports whether addr hits without changing replacement state.
+func (c *Cache) Lookup(addr uint64) bool { return c.index(addr) >= 0 }
 
 // Access performs a demand access. On hit it updates LRU (and the dirty bit
 // for writes) and returns hit=true. On miss it returns hit=false and does
@@ -179,8 +184,9 @@ func (c *Cache) Install(addr uint64, dirty bool) Victim {
 // fused into one scan of the set: a hit updates LRU and reports hit=true;
 // a miss installs the clean line over the victim Install would choose (the
 // first invalid way, otherwise the first least-recently-used way) and
-// returns that victim. Statistics match the two-call sequence exactly.
-func (c *Cache) accessFill(addr uint64) (hit bool, v Victim) {
+// returns that victim. Either way idx is the line's position in c.sets
+// afterwards. Statistics match the two-call sequence exactly.
+func (c *Cache) accessFill(addr uint64) (idx int, hit bool, v Victim) {
 	set, tag := c.setOf(addr), c.tagOf(addr)
 	ss := c.setSlice(set)
 	invalid, lruIdx := -1, 0
@@ -197,7 +203,7 @@ func (c *Cache) accessFill(addr uint64) (hit bool, v Victim) {
 			c.lruClock++
 			l.lru = c.lruClock
 			c.stats.Hits++
-			return true, Victim{}
+			return set*c.assoc + i, true, Victim{}
 		}
 		if l.lru < oldest {
 			oldest = l.lru
@@ -217,23 +223,26 @@ func (c *Cache) accessFill(addr uint64) (hit bool, v Victim) {
 	}
 	c.lruClock++
 	ss[victimIdx] = line{tag: tag, valid: true, lru: c.lruClock}
-	return false, v
+	return set*c.assoc + victimIdx, false, v
 }
 
 // Flush removes addr from the cache if present, reporting whether it was
 // present and dirty.
 func (c *Cache) Flush(addr uint64) (present, dirty bool) {
-	tag := c.tagOf(addr)
-	ss := c.setSlice(c.setOf(addr))
-	for i := range ss {
-		if ss[i].valid && ss[i].tag == tag {
-			present, dirty = true, ss[i].dirty
-			ss[i] = line{}
-			c.stats.Flushes++
-			return present, dirty
-		}
+	i := c.index(addr)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	return true, c.flushAt(i)
+}
+
+// flushAt invalidates the valid line at position i of c.sets, reporting
+// whether it was dirty.
+func (c *Cache) flushAt(i int) (dirty bool) {
+	dirty = c.sets[i].dirty
+	c.sets[i] = line{}
+	c.stats.Flushes++
+	return dirty
 }
 
 // DirtyLines returns the addresses of all dirty lines (drain support).

@@ -10,7 +10,8 @@ import (
 // Install(addr, false) on a twin cache. Writes (dirty lines, so evictions
 // carry dirty victims) and Flushes (invalid ways in the middle of full
 // sets) are applied to both caches between fills. Hit, victim, statistics
-// and every line of the touched set must match after each step.
+// and every line of the touched set must match after each step, and the
+// returned index must name the line.
 func TestAccessFillMatchesAccessThenInstall(t *testing.T) {
 	for _, geom := range []struct{ sets, assoc int }{{1, 1}, {4, 2}, {8, 4}, {2, 8}} {
 		size := geom.sets * geom.assoc * LineBytes
@@ -40,7 +41,7 @@ func TestAccessFillMatchesAccessThenInstall(t *testing.T) {
 				for _, l := range twin.setSlice(set) {
 					hadInvalid = hadInvalid || !l.valid
 				}
-				hit, v := fused.accessFill(addr)
+				idx, hit, v := fused.accessFill(addr)
 				wantHit := twin.Access(addr, false)
 				var want Victim
 				if !wantHit {
@@ -55,6 +56,9 @@ func TestAccessFillMatchesAccessThenInstall(t *testing.T) {
 				}
 				if hit != wantHit || v != want {
 					t.Fatalf("%v step %d addr %#x: fused (%v, %+v), two-call (%v, %+v)", geom, step, addr, hit, v, wantHit, want)
+				}
+				if l := fused.sets[idx]; idx/geom.assoc != set || !l.valid || l.tag != fused.tagOf(addr) {
+					t.Fatalf("%v step %d addr %#x: index %d holds %+v, not the line", geom, step, addr, idx, l)
 				}
 				fs, ts := fused.setSlice(set), twin.setSlice(set)
 				for i := range fs {

@@ -65,7 +65,7 @@ func (h *Hierarchy) Access(addr uint64, write bool) (level int, writebacks []uin
 	h.wbScratch = h.wbScratch[:0]
 	level = 2
 	// One L2 scan finds the line or fills it from memory.
-	if hit, v := h.L2.accessFill(addr); !hit {
+	if _, hit, v := h.L2.accessFill(addr); !hit {
 		level = 3
 		if v.Valid {
 			// Keep the hierarchy inclusive: an L2 eviction removes the

@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // MultiHierarchy is the N-core cache fabric of the multi-core emulated
 // host: one private L1D per core in front of one shared, inclusive L2.
@@ -11,13 +14,26 @@ import "fmt"
 // there is no cross-L1 MESI protocol. The multiprogram mixes this fabric
 // exists for give every core a disjoint address window, so no line is ever
 // live in two L1s at once. The inclusive invariant is still enforced
-// globally — an L2 eviction back-invalidates the line in EVERY L1, merging
-// dirtiness into the writeback — so a workload that does share lines stays
-// functionally safe (tags-only model) even though it would not see
-// coherence misses.
+// globally — an L2 eviction back-invalidates the line in every L1 that may
+// hold it, merging dirtiness into the writeback — so a workload that does
+// share lines stays functionally safe (tags-only model) even though it
+// would not see coherence misses.
+//
+// "May hold" is a superset tracked per L2 line: holders has one bit per
+// (core, L2 line), set when the core fills its L1 through the line and
+// cleared for every core when the L2 line is refilled. Flushing an L1 that
+// lacks a line changes nothing, not even a counter, so flushing only the
+// L1s whose bits are set is exactly the every-L1 flush.
 type MultiHierarchy struct {
 	l1s []*Cache
 	l2  *Cache
+	// holders packs the per-core bits of each L2 line position into one
+	// field of 1<<fieldLog bits (the core count rounded up to a power of
+	// two), so a line's holders sit in one word: position i's field
+	// starts at bit i<<fieldLog of the array, and core c is its bit c.
+	holders  []uint64
+	fieldLog uint
+	coreMask uint64
 	// wbScratch reuses the writeback slice across accesses (one shared
 	// scratch: the engine steps cores one at a time).
 	wbScratch []uint64
@@ -43,6 +59,9 @@ func NewMultiHierarchy(cfg HierConfig, cores int) (*MultiHierarchy, error) {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
 	m.l2 = l2
+	m.fieldLog = uint(bits.Len(uint(cores - 1)))
+	m.coreMask = ^uint64(0) >> (64 - cores)
+	m.holders = make([]uint64, (len(l2.sets)<<m.fieldLog+63)/64)
 	return m, nil
 }
 
@@ -64,6 +83,29 @@ func (m *MultiHierarchy) Reset() {
 		l1.Reset()
 	}
 	m.l2.Reset()
+	clear(m.holders)
+}
+
+// holder returns the word holding L2 position i's field and the field's
+// shift within it.
+func (m *MultiHierarchy) holder(i int) (*uint64, uint) {
+	at := uint(i) << m.fieldLog
+	return &m.holders[at>>6], at & 63
+}
+
+// dropHolders clears every core's bit for L2 position i and, with flush,
+// flushes addr from the L1s whose bit was set, reporting whether any
+// flushed copy was dirty. By the holders superset, addr is then in no L1.
+func (m *MultiHierarchy) dropHolders(i int, addr uint64, flush bool) (dirty bool) {
+	w, sh := m.holder(i)
+	f := *w >> sh & m.coreMask
+	*w &^= f << sh
+	for ; flush && f != 0; f &= f - 1 {
+		if _, d := m.l1s[bits.TrailingZeros64(f)].Flush(addr); d {
+			dirty = true
+		}
+	}
+	return dirty
 }
 
 // CoreView is one core's access port: the private L1 plus the shared L2,
@@ -89,23 +131,18 @@ func (v *CoreView) Access(addr uint64, write bool) (level int, writebacks []uint
 	}
 	m.wbScratch = m.wbScratch[:0]
 	level = 2
-	if hit, vic := m.l2.accessFill(addr); !hit {
+	i, hit, vic := m.l2.accessFill(addr)
+	if !hit {
 		level = 3
 		// Fill the shared L2 from memory. Inclusion is global: the L2
-		// victim is back-invalidated in every core's L1, merging each
-		// private copy's dirtiness into one writeback decision.
-		if vic.Valid {
-			dirty := vic.Dirty
-			for _, other := range m.l1s {
-				if p, d := other.Flush(vic.Addr); p && d {
-					dirty = true
-				}
-			}
-			if dirty {
-				m.wbScratch = append(m.wbScratch, vic.Addr)
-			}
+		// victim is back-invalidated in every L1 that may hold it, merging
+		// each private copy's dirtiness into one writeback decision.
+		if m.dropHolders(i, vic.Addr, vic.Valid) || vic.Dirty {
+			m.wbScratch = append(m.wbScratch, vic.Addr)
 		}
 	}
+	w, sh := m.holder(i)
+	*w |= 1 << (sh + uint(v.core))
 	// Fill the private L1.
 	if vic := l1.Install(addr, write); vic.Valid && vic.Dirty {
 		// Dirty L1 victim folds back into the shared L2.
@@ -126,15 +163,15 @@ func (v *CoreView) WouldMiss(addr uint64) bool {
 
 // Flush removes the line containing addr from every L1 and the shared L2
 // (EasyDRAM's flush register is a fabric-wide operation), reporting whether
-// a writeback to memory is required.
+// a writeback to memory is required. By inclusion, a line the L2 lacks is
+// in no L1.
 func (v *CoreView) Flush(addr uint64) (writeback bool) {
 	addr &^= uint64(LineBytes - 1)
-	dirty := false
-	for _, l1 := range v.m.l1s {
-		if _, d := l1.Flush(addr); d {
-			dirty = true
-		}
+	m := v.m
+	i := m.l2.index(addr)
+	if i < 0 {
+		return false
 	}
-	_, d2 := v.m.l2.Flush(addr)
-	return dirty || d2
+	dirty := m.dropHolders(i, addr, true)
+	return m.l2.flushAt(i) || dirty
 }

@@ -50,6 +50,9 @@ func (c Config) CompatKey() string {
 // finished before reaching such a point (e.g. `at` past the workload's
 // end); the Result always covers the complete run.
 func (s *System) RunCheckpoint(strm workload.Stream, at clock.Cycles) (Result, []byte, error) {
+	if err := rejectNilStreams(strm); err != nil {
+		return Result{}, nil, err
+	}
 	if s.cfg.Cores > 1 {
 		strm.Close()
 		return Result{}, nil, fmt.Errorf("core: checkpoints are not supported for multi-core systems (%d cores)", s.cfg.Cores)
@@ -69,6 +72,9 @@ func (s *System) RunCheckpoint(strm workload.Stream, at clock.Cycles) (Result, [
 // the recorded position. All errors are named snapshot errors; callers fall
 // back to an uninterrupted run.
 func (s *System) RunRestored(strm workload.Stream, data []byte) (Result, error) {
+	if err := rejectNilStreams(strm); err != nil {
+		return Result{}, err
+	}
 	if s.cfg.Cores > 1 {
 		strm.Close()
 		return Result{}, fmt.Errorf("core: checkpoints are not supported for multi-core systems (%d cores)", s.cfg.Cores)

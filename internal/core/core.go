@@ -440,6 +440,9 @@ type stagedReq struct {
 // The stream is closed before Run returns. Multi-core systems need one
 // stream per core; use RunStreams.
 func (s *System) Run(strm workload.Stream) (Result, error) {
+	if err := rejectNilStreams(strm); err != nil {
+		return Result{}, err
+	}
 	if s.cfg.Cores > 1 {
 		strm.Close()
 		return Result{}, fmt.Errorf("core: system is configured with %d cores; use RunStreams with one stream per core", s.cfg.Cores)
@@ -453,6 +456,9 @@ func (s *System) Run(strm workload.Stream) (Result, error) {
 // with one core it is equivalent to Run. All streams are closed before
 // RunStreams returns.
 func (s *System) RunStreams(strms []workload.Stream) (Result, error) {
+	if err := rejectNilStreams(strms...); err != nil {
+		return Result{}, err
+	}
 	want := s.cfg.Cores
 	if want < 1 {
 		want = 1
@@ -467,6 +473,28 @@ func (s *System) RunStreams(strms []workload.Stream) (Result, error) {
 		return s.run(strms[0], nil, nil)
 	}
 	return s.runMulti(strms)
+}
+
+// rejectNilStreams returns an error naming the first nil stream, after
+// closing every other one, or nil when no stream is nil. Every Run entry
+// checks its streams before it builds anything.
+func rejectNilStreams(strms ...workload.Stream) error {
+	i := -1
+	for j, st := range strms {
+		if st == nil {
+			i = j
+			break
+		}
+	}
+	if i < 0 {
+		return nil
+	}
+	for _, st := range strms {
+		if st != nil {
+			st.Close()
+		}
+	}
+	return fmt.Errorf("core: stream %d of %d is nil", i, len(strms))
 }
 
 // run is the common body behind Run, RunCheckpoint, and RunRestored.

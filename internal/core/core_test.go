@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"easydram/internal/clock"
@@ -154,5 +155,69 @@ func TestHostRowClone(t *testing.T) {
 	}
 	if crossOK {
 		t.Fatalf("cross-bank RowClone must fail")
+	}
+}
+
+// closeCount is a one-op stream that counts its Close calls.
+type closeCount struct {
+	workload.SliceStream
+	closed int
+}
+
+func (c *closeCount) Close() { c.closed++ }
+
+// TestRunRejectsNilStreams checks that every Run entry returns an error for
+// a nil stream, on single-core and multi-core systems alike, before it
+// builds anything, and closes each non-nil stream it was given exactly
+// once.
+func TestRunRejectsNilStreams(t *testing.T) {
+	live := func() *closeCount {
+		return &closeCount{SliceStream: *workload.NewSliceStream(pointerChase(1, 64))}
+	}
+	for _, cores := range []int{1, 2} {
+		cfg := TimeScalingA57()
+		cfg.Cores = cores
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runStreams := func(s []workload.Stream) error { _, err := sys.RunStreams(s); return err }
+		cases := []struct {
+			name  string
+			strms []*closeCount // nil entries are nil streams
+			run   func(strms []workload.Stream) error
+		}{
+			{"Run", []*closeCount{nil}, func(s []workload.Stream) error { _, err := sys.Run(s[0]); return err }},
+			{"RunStreams/all-nil", make([]*closeCount, cores), runStreams},
+			// Two streams: the right count on two cores, the wrong one on one.
+			{"RunStreams/one-nil", []*closeCount{live(), nil}, runStreams},
+			{"RunStreams/wrong-count", []*closeCount{live(), nil, live()}, runStreams},
+			{"RunCheckpoint", []*closeCount{nil}, func(s []workload.Stream) error { _, _, err := sys.RunCheckpoint(s[0], 1); return err }},
+			{"RunRestored", []*closeCount{nil}, func(s []workload.Stream) error { _, err := sys.RunRestored(s[0], nil); return err }},
+		}
+		for _, c := range cases {
+			strms := make([]workload.Stream, len(c.strms))
+			for i, st := range c.strms {
+				if st != nil {
+					strms[i] = st
+				}
+			}
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%d cores, %s: panicked: %v", cores, c.name, r)
+					}
+				}()
+				return c.run(strms)
+			}()
+			if err == nil || !strings.Contains(err.Error(), "is nil") {
+				t.Fatalf("%d cores, %s: err = %v, want a nil-stream error", cores, c.name, err)
+			}
+			for i, st := range c.strms {
+				if st != nil && st.closed != 1 {
+					t.Fatalf("%d cores, %s: stream %d closed %d times, want 1", cores, c.name, i, st.closed)
+				}
+			}
+		}
 	}
 }

@@ -154,6 +154,36 @@ func digestCases() []digestCase {
 				}
 			}
 		}
+		mixed, err := workload.MixByName("mixed")
+		if err != nil {
+			panic(err)
+		}
+		multi := func(n, nch int, sched smc.Scheduler) Config {
+			cfg := p.cfg
+			cfg.Cores = n
+			cfg.Topology = dram.Topology{Channels: nch, Ranks: 1}
+			cfg.Scheduler = sched
+			return cfg
+		}
+		cases = append(cases,
+			digestCase{"multi/" + p.name + "/mixed/4core/2ch/fr-fcfs", multi(4, 2, smc.FRFCFS{}),
+				func() []workload.Stream { return mixed.Streams(4) }},
+			digestCase{"multi/" + p.name + "/mixed/3core/2ch", multi(3, 2, smc.NewBLISS()),
+				func() []workload.Stream { return mixed.Streams(3) }})
+		// Shared cases: every core runs the same kernel with no window
+		// offset, so lines live in several L1s at once, and the kernel's
+		// fabric-wide flushes must clear them from more than one.
+		for _, n := range []int{2, 4} {
+			n := n
+			cases = append(cases, digestCase{fmt.Sprintf("multi/%s/shared/%dcore/2ch", p.name, n), multi(n, 2, smc.NewBLISS()),
+				func() []workload.Stream {
+					strms := make([]workload.Stream, n)
+					for i := range strms {
+						strms[i] = streamCopyKernel(8, 8<<10).Stream()
+					}
+					return strms
+				}})
+		}
 	}
 	return cases
 }

@@ -66,9 +66,32 @@ type mcCore struct {
 type mcEngine struct {
 	e     *engine
 	cores []*mcCore
+	// unit is one processor cycle on the event-key grid: 1 under time
+	// scaling, the processor period in picoseconds without it.
+	unit int64
 	// lastArrival is the per-channel monotone arrival clamp (event-key
 	// domain of the mode in use).
 	lastArrival []int64
+	// keys caches each actor's event key, channels first (actor ch) and
+	// then cores (actor nch+i); a channel without work keys mcInf. The
+	// next pick recomputes the keys of the actors listed in stale (an
+	// actor may be listed twice). A key depends only on state two steps
+	// change: stepCore changes its core and, through issue, each channel
+	// it issues to; stepChannel changes its channel and, through
+	// noteSettled, the owning core of each response it settles. The cache
+	// is derived state and never serializes: whatever rebuilds engine
+	// state calls staleAll.
+	keys  []int64
+	stale []int
+	nch   int
+}
+
+// staleAll marks every actor's cached key stale.
+func (m *mcEngine) staleAll() {
+	m.stale = m.stale[:0]
+	for a := range m.keys {
+		m.stale = append(m.stale, a)
+	}
 }
 
 // noteSettled records one settled response for its owning core: the fence
@@ -76,7 +99,9 @@ type mcEngine struct {
 // delivery queue. Called from the channel settle paths in place of the
 // single-core shared-queue push.
 func (m *mcEngine) noteSettled(id uint64, release int64, posted bool) {
-	c := m.cores[mcOwner(id, len(m.cores))]
+	owner := mcOwner(id, len(m.cores))
+	m.stale = append(m.stale, m.nch+owner)
+	c := m.cores[owner]
 	c.inflight--
 	if release > c.fenceAt {
 		c.fenceAt = release
@@ -127,25 +152,34 @@ func (m *mcEngine) allFinished() bool {
 	return true
 }
 
-// pickActor scans channels with work (by chanKey) then cores and returns
-// the earliest actor: (channel index, -1) or (-1, core index). Channels win
-// ties so responses settle before a same-key core steps past them.
-func (m *mcEngine) pickActor() (bestChan, bestCore int, key int64) {
-	bestChan, bestCore, key = -1, -1, mcInf
-	for ch := range m.e.sys.chans {
-		if !m.e.channelHasWork(ch) {
-			continue
-		}
-		if k := m.e.chanKey(ch); k < key {
-			key, bestChan = k, ch
+// actorKey computes actor a's event key: a channel's chanKey when it has
+// work, a core's coreKey.
+func (m *mcEngine) actorKey(a int) int64 {
+	if a >= m.nch {
+		return m.coreKey(m.cores[a-m.nch])
+	}
+	if !m.e.channelHasWork(a) {
+		return mcInf
+	}
+	return m.e.chanKey(a)
+}
+
+// pickActor returns the earliest actor and its key, or -1 when no actor
+// has an event. Channels scan before cores and the strict comparison
+// keeps the first, so channels win ties and responses settle before a
+// same-key core steps past them. Only stale keys are recomputed.
+func (m *mcEngine) pickActor() (best int, key int64) {
+	for _, a := range m.stale {
+		m.keys[a] = m.actorKey(a)
+	}
+	m.stale = m.stale[:0]
+	best, key = -1, mcInf
+	for a, k := range m.keys {
+		if k < key {
+			best, key = a, k
 		}
 	}
-	for i, c := range m.cores {
-		if k := m.coreKey(c); k < key {
-			key, bestCore, bestChan = k, i, -1
-		}
-	}
-	return bestChan, bestCore, key
+	return best, key
 }
 
 // deadlockErr reports the stuck state when no actor has an event.
@@ -171,13 +205,9 @@ func (m *mcEngine) deadlockErr() error {
 // the single-core engine's incremental advances would.
 func (e *engine) runMerge() error {
 	m := e.multi
-	unit := int64(1)
-	if !e.cfg.Scaling {
-		unit = int64(e.cfg.ProcPhys.Period())
-	}
 	for {
-		ch, ci, key := m.pickActor()
-		if ch < 0 && ci < 0 {
+		a, key := m.pickActor()
+		if a < 0 {
 			if m.allFinished() {
 				break
 			}
@@ -189,13 +219,14 @@ func (e *engine) runMerge() error {
 		if !e.cfg.Scaling && clock.PS(key) > e.wallNow {
 			e.wallNow = clock.PS(key)
 		}
-		if ch >= 0 {
-			if err := e.stepChannel(ch, nil); err != nil {
+		m.stale = append(m.stale, a)
+		if a < m.nch {
+			if err := e.stepChannel(a, nil); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := m.stepCore(ci, unit); err != nil {
+		if err := m.stepCore(a - m.nch); err != nil {
 			return err
 		}
 	}
@@ -215,14 +246,22 @@ func (e *engine) runMerge() error {
 	return nil
 }
 
+// cycles converts the key span k >= 0 to whole processor cycles, rounding
+// up. Under time scaling keys are cycles and the conversion is free.
+func (m *mcEngine) cycles(k int64) int64 {
+	if m.unit == 1 {
+		return k
+	}
+	return (k + m.unit - 1) / m.unit
+}
+
 // stepCore advances core ci one merge event: consume a matured response,
 // complete a fence, or run up to mcQuantum processor cycles and issue the
 // resulting requests. A core consumes a response at its next clock edge,
 // so positions round up to whole units.
-func (m *mcEngine) stepCore(ci int, unit int64) error {
+func (m *mcEngine) stepCore(ci int) error {
 	e := m.e
 	c := m.cores[ci]
-	proc := func() clock.Cycles { return clock.Cycles(c.pos / unit) }
 
 	e.deliverMatured(&c.coreState, c.pos)
 
@@ -232,7 +271,7 @@ func (m *mcEngine) stepCore(ci int, unit int64) error {
 			return fmt.Errorf("core: multicore merge stepped blocked core %d without its response", ci)
 		}
 		if rel > c.pos {
-			c.pos = (rel + unit - 1) / unit * unit
+			c.pos = m.cycles(rel) * m.unit
 		}
 		c.ready.Remove(c.blockedOn)
 		c.core.Deliver(c.blockedOn)
@@ -265,21 +304,27 @@ func (m *mcEngine) stepCore(ci int, unit int64) error {
 	// delivery edge (the batching contract of cpu.Core.Step).
 	budget := clock.Cycles(mcQuantum)
 	if c.ready.Len() > 0 {
-		if b := clock.Cycles((c.ready.Min().release - c.pos + unit - 1) / unit); b < budget {
+		if b := clock.Cycles(m.cycles(c.ready.Min().release - c.pos)); b < budget {
 			budget = b
 		}
 	}
-	out := c.core.Step(proc(), budget)
+	// The core's processor cycle, floored; a step adds whole cycles.
+	proc := clock.Cycles(c.pos)
+	if m.unit != 1 {
+		proc = clock.Cycles(c.pos / m.unit)
+	}
+	out := c.core.Step(proc, budget)
 	if out.Finished {
 		c.finished = true
-		c.procCycles = proc()
+		c.procCycles = proc
 		return nil
 	}
 	if out.Mark {
-		c.marks = append(c.marks, proc())
+		c.marks = append(c.marks, proc)
 	}
-	c.pos += int64(out.Cycles) * unit
-	if err := e.checkCap(proc()); err != nil {
+	c.pos += int64(out.Cycles) * m.unit
+	proc += out.Cycles
+	if err := e.checkCap(proc); err != nil {
 		return err
 	}
 	for i := range out.Reqs {
@@ -287,6 +332,7 @@ func (m *mcEngine) stepCore(ci int, unit int64) error {
 		ch := e.sys.chanIndex(req.Addr)
 		at := max(c.pos, m.lastArrival[ch])
 		m.lastArrival[ch] = at
+		m.stale = append(m.stale, ch)
 		e.issue(req, ch, at, true)
 		c.inflight++
 	}
@@ -304,8 +350,16 @@ func (s *System) runMulti(strms []workload.Stream) (Result, error) {
 	for _, st := range strms {
 		defer st.Close()
 	}
-	n := len(strms)
-	m := &mcEngine{lastArrival: make([]int64, len(s.chans))}
+	n, nch := len(strms), len(s.chans)
+	m := &mcEngine{
+		unit:        1,
+		lastArrival: make([]int64, nch),
+		keys:        make([]int64, nch+n),
+		nch:         nch,
+	}
+	if !s.cfg.Scaling {
+		m.unit = int64(s.cfg.ProcPhys.Period())
+	}
 	for i, st := range strms {
 		core, err := cpu.New(s.cfg.CPU, s.mhier.View(i), st)
 		if err != nil {
@@ -319,5 +373,6 @@ func (s *System) runMulti(strms []workload.Stream) (Result, error) {
 		return Result{}, err
 	}
 	m.e, e.multi = e, m
+	m.staleAll()
 	return s.finish(e, e.runMerge())
 }

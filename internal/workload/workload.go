@@ -94,8 +94,14 @@ type Kernel struct {
 	Body func(g *Gen)
 }
 
-// Stream starts the kernel body and returns its op stream.
-func (k Kernel) Stream() Stream { return newGoStream(k.Body) }
+// Stream starts the kernel body and returns its op stream. A kernel
+// without a body yields an empty stream and starts no goroutine.
+func (k Kernel) Stream() Stream {
+	if k.Body == nil {
+		return NewSliceStream(nil)
+	}
+	return newGoStream(k.Body)
+}
 
 // Gen is the emission context handed to kernel bodies. It fills the
 // stream's current slab in place: every emitter writes its op literal

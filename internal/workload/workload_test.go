@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -295,5 +296,24 @@ func TestRandomAccessSpreads(t *testing.T) {
 	}
 	if len(distinct) < 500 {
 		t.Fatalf("only %d distinct addresses across 1000 random accesses", len(distinct))
+	}
+}
+
+// TestKernelStreamNilBody checks that a kernel without a body yields an
+// empty stream and starts no producer goroutine, so a consumer that never
+// reads it cannot leave a goroutine to crash on the nil body.
+func TestKernelStreamNilBody(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := Kernel{Name: "empty"}.Stream()
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("Stream started %d goroutines", n-before)
+	}
+	var op Op
+	if s.Next(&op) || s.Next(&op) {
+		t.Fatalf("a nil body produced op %+v", op)
+	}
+	s.Close()
+	if Extent(Kernel{Name: "empty"}) != 0 {
+		t.Fatalf("a nil body has a nonzero extent")
 	}
 }
