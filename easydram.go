@@ -94,19 +94,24 @@ func WithDataTracking() Option {
 }
 
 // WithScheduler selects the memory scheduling policy: "fr-fcfs" (default),
-// "fcfs", or "bliss".
+// "fcfs", or "bliss". An unknown name makes NewSystem fail.
 func WithScheduler(name string) Option {
 	return func(cfg *core.Config) {
-		switch name {
-		case "fcfs":
-			cfg.Scheduler = smc.FCFS{}
-		case "bliss":
-			cfg.Scheduler = smc.NewBLISS()
-		default:
-			cfg.Scheduler = smc.FRFCFS{}
+		s, err := smc.NewScheduler(name)
+		if err != nil {
+			s = rejectedScheduler{err}
 		}
+		cfg.Scheduler = s
 	}
 }
+
+// rejectedScheduler carries the error for a name smc.NewScheduler rejected
+// from WithScheduler to NewSystem, which reports it: options cannot return
+// errors. NewSystem never builds a system with it, so Pick is unreachable.
+type rejectedScheduler struct{ err error }
+
+func (r rejectedScheduler) Name() string                { return "rejected" }
+func (r rejectedScheduler) Pick([]smc.Entry, []int) int { panic(r.err) }
 
 // Scheduler is the pluggable memory-scheduling interface: Pick selects the
 // next buffered request to serve. Implement it to run a custom policy on
@@ -200,13 +205,18 @@ func WithReducedTRCD(provider TRCDProvider) Option {
 type TRCDProvider func(bank, row int) PS
 
 // WithPagePolicy selects row-buffer management: "open" (default) or
-// "closed".
+// "closed". An unknown name makes NewSystem fail (options cannot return
+// errors, so the invalid value is carried into the configuration and
+// rejected by its validation).
 func WithPagePolicy(name string) Option {
 	return func(cfg *core.Config) {
-		if name == "closed" {
-			cfg.Policy = smc.ClosedPage
-		} else {
+		switch name {
+		case "", "open":
 			cfg.Policy = smc.OpenPage
+		case "closed":
+			cfg.Policy = smc.ClosedPage
+		default:
+			cfg.Policy = smc.PagePolicy(0xFF)
 		}
 	}
 }
@@ -296,6 +306,9 @@ func NewSystem(opts ...Option) (*System, error) {
 	cfg := core.TimeScalingA57()
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if r, ok := cfg.Scheduler.(rejectedScheduler); ok {
+		return nil, fmt.Errorf("easydram: %w", r.err)
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {

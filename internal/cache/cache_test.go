@@ -211,22 +211,6 @@ func TestHierarchyFlush(t *testing.T) {
 	}
 }
 
-func TestHierarchyDrainDirty(t *testing.T) {
-	h, err := NewHierarchy(JetsonNanoHier())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Access(0x40, true)
-	h.Access(0x3000, true)
-	dirty := h.DrainDirty()
-	if len(dirty) != 2 {
-		t.Fatalf("DrainDirty = %v", dirty)
-	}
-	if len(h.DrainDirty()) != 0 {
-		t.Fatalf("second drain must be empty")
-	}
-}
-
 func TestWouldMissDoesNotPerturb(t *testing.T) {
 	h, err := NewHierarchy(JetsonNanoHier())
 	if err != nil {

@@ -17,13 +17,6 @@ func JetsonNanoHier() HierConfig {
 	return HierConfig{L1Size: 32 << 10, L1Assoc: 4, L2Size: 512 << 10, L2Assoc: 8}
 }
 
-// PiDRAMHier mirrors the PiDRAM-like configuration: small L1 only system is
-// approximated with a tiny L2 disabled by convention; the paper's
-// EasyDRAM-NoTS keeps the 512 KiB L2, so we default to the same hierarchy.
-func PiDRAMHier() HierConfig {
-	return HierConfig{L1Size: 16 << 10, L1Assoc: 4, L2Size: 512 << 10, L2Assoc: 8}
-}
-
 // Hierarchy is a two-level data-cache hierarchy. It models tags and state
 // only (no data); the DRAM chip model owns data.
 type Hierarchy struct {
@@ -100,34 +93,4 @@ func (h *Hierarchy) Flush(addr uint64) (writeback bool) {
 	_, d1 := h.L1.Flush(addr)
 	_, d2 := h.L2.Flush(addr)
 	return d1 || d2
-}
-
-// DrainDirty returns all dirty lines in the hierarchy and marks them clean
-// (used at workload barriers to flush residual state).
-func (h *Hierarchy) DrainDirty() []uint64 {
-	seen := make(map[uint64]bool)
-	var out []uint64
-	for _, a := range h.L1.DirtyLines() {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	for _, a := range h.L2.DirtyLines() {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	for _, a := range out {
-		h.L1.Flush(a)
-		h.L2.Flush(a)
-	}
-	return out
-}
-
-// Reset clears both levels.
-func (h *Hierarchy) Reset() {
-	h.L1.Reset()
-	h.L2.Reset()
 }

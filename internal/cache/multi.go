@@ -65,9 +65,6 @@ func NewMultiHierarchy(cfg HierConfig, cores int) (*MultiHierarchy, error) {
 	return m, nil
 }
 
-// Cores reports the number of per-core views.
-func (m *MultiHierarchy) Cores() int { return len(m.l1s) }
-
 // View returns core i's private window onto the fabric.
 func (m *MultiHierarchy) View(i int) *CoreView { return &CoreView{m: m, core: i} }
 
@@ -76,15 +73,6 @@ func (m *MultiHierarchy) L1Stats(i int) Stats { return m.l1s[i].Stats() }
 
 // L2Stats returns the shared L2's counters.
 func (m *MultiHierarchy) L2Stats() Stats { return m.l2.Stats() }
-
-// Reset clears every level and all statistics.
-func (m *MultiHierarchy) Reset() {
-	for _, l1 := range m.l1s {
-		l1.Reset()
-	}
-	m.l2.Reset()
-	clear(m.holders)
-}
 
 // holder returns the word holding L2 position i's field and the field's
 // shift within it.

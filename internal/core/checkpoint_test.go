@@ -175,15 +175,14 @@ func TestRestoreRejectsBadBlobs(t *testing.T) {
 			t.Fatalf("err = %v, want ErrKeyMismatch", err)
 		}
 	})
-	t.Run("v2-key", func(t *testing.T) {
-		// Engine state changed layout in core:v3 (one service chain per
-		// channel, no time-scaling residual), so a core:v2 blob must not
-		// restore.
+	t.Run("v3-key", func(t *testing.T) {
+		// The key lost Config.MemPathLatency in core:v4, so a core:v3
+		// blob must not restore.
 		key := cfg.CompatKey()
-		if !strings.HasPrefix(key, "core:v3|") {
-			t.Fatalf("CompatKey %q does not start with core:v3|", key)
+		if !strings.HasPrefix(key, "core:v4|") {
+			t.Fatalf("CompatKey %q does not start with core:v4|", key)
 		}
-		w := snapshot.NewWriter(snapshot.KindCheckpoint, "core:v2|"+strings.TrimPrefix(key, "core:v3|"))
+		w := snapshot.NewWriter(snapshot.KindCheckpoint, "core:v3|"+strings.TrimPrefix(key, "core:v4|"))
 		w.Section("engine", nil)
 		if _, err := newSys().RunRestored(k.Stream(), w.Bytes()); !errors.Is(err, snapshot.ErrKeyMismatch) {
 			t.Fatalf("err = %v, want ErrKeyMismatch", err)

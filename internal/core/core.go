@@ -78,9 +78,6 @@ type Config struct {
 	// ModeledCtrlLatency is the modeled hardware memory controller's
 	// per-request decision latency in the target system.
 	ModeledCtrlLatency clock.PS
-	// MemPathLatency is the round-trip interconnect latency between the
-	// last-level cache and the memory controller in the target system.
-	MemPathLatency clock.PS
 
 	// ShardWorkers bounds the host worker pool the engine shards per-channel
 	// service onto during fence and drain phases (see shard.go). This is
@@ -140,8 +137,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: without time scaling the emulated clock (%v) must equal the physical clock (%v)",
 			c.CPU.Clock, c.ProcPhys)
 	}
-	if c.ModeledCtrlLatency < 0 || c.MemPathLatency < 0 {
-		return fmt.Errorf("core: modeled latencies must be non-negative")
+	if c.ModeledCtrlLatency < 0 {
+		return fmt.Errorf("core: modeled controller latency must be non-negative")
+	}
+	if c.Policy != smc.OpenPage && c.Policy != smc.ClosedPage {
+		return fmt.Errorf("core: unknown page policy %d (want open or closed)", c.Policy)
 	}
 	if c.ShardWorkers < 0 {
 		return fmt.Errorf("core: shard workers must be non-negative, got %d", c.ShardWorkers)
@@ -650,14 +650,14 @@ type engine struct {
 }
 
 // extraModeled is the per-response modeled latency added by the engine on
-// top of what the controller accounted (decision latency of the modeled
-// hardware controller plus the interconnect path).
+// top of what the controller accounted: the modeled hardware controller's
+// decision latency, charged only when a modeled controller stands in for
+// the software one.
 func (e *engine) extraModeled(nResponses int) clock.PS {
-	extra := e.cfg.MemPathLatency
-	if e.cfg.Scaling || e.cfg.HardwareMC {
-		extra += e.cfg.ModeledCtrlLatency
+	if !e.cfg.Scaling && !e.cfg.HardwareMC {
+		return 0
 	}
-	return extra * clock.PS(nResponses)
+	return e.cfg.ModeledCtrlLatency * clock.PS(nResponses)
 }
 
 func (e *engine) result() Result {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -20,25 +18,24 @@ var updateDigests = flag.Bool("update", false, "rewrite testdata/engine_digests.
 
 const digestsFile = "testdata/engine_digests.txt"
 
-// resultDigest hashes an explicit list of Result's emulated fields into a
-// 16-hex SHA-256 prefix. The list is explicit (not json.Marshal(Result)) so
-// removing an always-zero counter does not change any digest.
-func resultDigest(r Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "proc=%d emu=%d wall=%d global=%d marks=%v\n",
-		r.ProcCycles, r.EmulatedTime, r.WallTime, r.GlobalCycles, r.Marks)
-	fmt.Fprintf(&b, "cpu=%+v\nl1=%+v\nl2=%+v\nchip=%+v\ntile=%+v\n", r.CPU, r.L1, r.L2, r.Chip, r.Tile)
-	c := r.Ctrl
-	fmt.Fprintf(&b, "ctrl=%d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n",
-		c.Served, c.Reads, c.Writes, c.RowClones, c.BitwiseOps, c.Profiles,
-		c.ProfileRows, c.ProfiledLines, c.Refreshes, c.RowHits, c.RowMisses,
-		c.RankSwitches, c.Retries, c.RetryGiveUps, c.QuarantinedRows,
-		c.RemappedAccesses, c.MitigationRefreshes)
-	for i, pc := range r.PerCore {
-		fmt.Fprintf(&b, "core%d=%d %v %+v %+v\n", i, pc.ProcCycles, pc.Marks, pc.CPU, pc.L1)
+// forEachParallel calls fn(i) for every i in [0, n) on GOMAXPROCS workers.
+func forEachParallel(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				fn(i)
+			}
+		}()
 	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:8])
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 }
 
 // digestCase is one engine configuration and its workload streams.
@@ -196,33 +193,20 @@ func TestEngineDigestMatrix(t *testing.T) {
 	cases := digestCases()
 	got := make([]string, len(cases))
 	errs := make([]error, len(cases))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				c := cases[i]
-				sys, err := NewSystem(c.cfg)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				res, err := sys.RunStreams(c.streams())
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				got[i] = resultDigest(res)
-			}
-		}()
-	}
-	for i := range cases {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	forEachParallel(len(cases), func(i int) {
+		c := cases[i]
+		sys, err := NewSystem(c.cfg)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		res, err := sys.RunStreams(c.streams())
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		got[i] = res.Digest()
+	})
 
 	var out strings.Builder
 	for i, c := range cases {
@@ -261,5 +245,118 @@ func TestEngineDigestMatrix(t *testing.T) {
 	}
 	if bad > 0 {
 		t.Errorf("%d of %d engine digests changed", bad, len(cases))
+	}
+}
+
+// TestOutputDiff pins how Result.OutputDiff reports each kind of
+// difference: none, a timeline line, or the wall part alone.
+func TestOutputDiff(t *testing.T) {
+	a := Result{ProcCycles: 10, WallTime: 100, GlobalCycles: 1}
+	wall := a
+	wall.WallTime = 200
+	proc := a
+	proc.ProcCycles = 11
+	for _, tc := range []struct {
+		b    Result
+		want string
+	}{
+		{a, ""},
+		{wall, "wall only: wall=100 global=1 vs wall=200 global=1"},
+		{proc, `timeline line 1: "proc=10 emu=0 marks=[]" vs "proc=11 emu=0 marks=[]"`},
+	} {
+		if got := a.OutputDiff(tc.b); got != tc.want {
+			t.Errorf("OutputDiff = %q, want %q", got, tc.want)
+		}
+	}
+	if a.Timeline() != wall.Timeline() || a.Digest() == wall.Digest() {
+		t.Error("the wall part must be in Digest and not in Timeline")
+	}
+}
+
+// TestTimeScalingHidesControllerCost is the paper's §6 claim as an oracle:
+// under time scaling, the software controller's cost and the FPGA-side
+// clocks move only the wall part of a run's output. Every time-scaled case
+// of the digest matrix runs as configured and under one HiddenCostMutations
+// entry, rotated by case index: the timelines must be equal and the wall
+// time must move. A fixed subset of the unscaled cases shows the check can
+// fail: costs ×10 must move the raw software controller's ProcCycles, and
+// must leave the hardware-controller reference's timeline alone.
+func TestTimeScalingHidesControllerCost(t *testing.T) {
+	const unscaledStride = 4
+	muts := HiddenCostMutations()
+	var costsX10 Mutation
+	for _, m := range muts {
+		if m.Name == "costs x10" {
+			costsX10 = m
+		}
+	}
+	if costsX10.Apply == nil {
+		t.Fatal(`HiddenCostMutations has no "costs x10"`)
+	}
+	// run builds a fresh system with a fresh scheduler: BLISS is stateful.
+	run := func(c digestCase, mutate func(*Config)) (Result, error) {
+		cfg := c.cfg
+		sched, err := smc.NewScheduler(cfg.Scheduler.Name())
+		if err != nil {
+			return Result{}, err
+		}
+		cfg.Scheduler = sched
+		if mutate != nil {
+			mutate(&cfg)
+		}
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			return Result{}, err
+		}
+		return sys.RunStreams(c.streams())
+	}
+	cases := digestCases()
+	errs := make([]error, len(cases))
+	checked := make([]bool, len(cases))
+	forEachParallel(len(cases), func(i int) {
+		c := cases[i]
+		m := muts[i%len(muts)]
+		if !c.cfg.Scaling {
+			if i%unscaledStride != 0 {
+				return
+			}
+			m = costsX10
+		}
+		checked[i] = true
+		base, err := run(c, nil)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		got, err := run(c, m.Apply)
+		if err != nil {
+			errs[i] = fmt.Errorf("%s: %w", m.Name, err)
+			return
+		}
+		switch {
+		case c.cfg.Scaling || c.cfg.HardwareMC:
+			if base.Timeline() != got.Timeline() {
+				errs[i] = fmt.Errorf("%s changed the timeline: %s", m.Name, base.OutputDiff(got))
+			} else if c.cfg.Scaling && base.WallTime == got.WallTime {
+				errs[i] = fmt.Errorf("%s left wall time at %d ps", m.Name, base.WallTime)
+			}
+		case base.ProcCycles == got.ProcCycles:
+			errs[i] = fmt.Errorf("%s left the unscaled software controller's ProcCycles at %d", m.Name, base.ProcCycles)
+		}
+	})
+	n, bad := 0, 0
+	for i, c := range cases {
+		if checked[i] {
+			n++
+		}
+		if errs[i] != nil {
+			bad++
+			if bad <= 20 {
+				t.Errorf("%s: %v", c.name, errs[i])
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d checked cases failed", bad, n)
 	}
 }

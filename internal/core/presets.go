@@ -39,7 +39,6 @@ func TimeScalingA57() Config {
 		Costs:              tile.DefaultCostModel(),
 		Scheduler:          smc.FRFCFS{},
 		ModeledCtrlLatency: modeledCtrlLatency,
-		MemPathLatency:     0,
 		RefreshEnabled:     true,
 	}
 }
@@ -57,7 +56,6 @@ func NoTimeScaling() Config {
 		DRAM:           workloadDRAM(),
 		Costs:          tile.DefaultCostModel(),
 		Scheduler:      smc.FRFCFS{},
-		MemPathLatency: 0,
 		RefreshEnabled: true,
 	}
 }
@@ -85,7 +83,6 @@ func Reference1GHz() Config {
 		Costs:              tile.DefaultCostModel(),
 		Scheduler:          smc.FRFCFS{},
 		ModeledCtrlLatency: modeledCtrlLatency,
-		MemPathLatency:     0,
 		RefreshEnabled:     true,
 	}
 }

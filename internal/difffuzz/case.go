@@ -12,8 +12,10 @@
 // <1% max / 0.1% avg cycle-error envelope; on ALL configs it checks
 // oracle-free invariants: request conservation, run-to-run determinism,
 // sharded ≡ serial and checkpoint-restored ≡ straight-through bit-identity,
-// zero-fault ≡ fault-armed-but-idle identity, and TRR's zero-escaped-flips
-// guarantee.
+// zero-fault ≡ fault-armed-but-idle identity, the §6 time-scaling
+// invariance of the emulated timeline, and TRR's zero-escaped-flips
+// guarantee. Every identity check compares core.Result's one output
+// projection (Digest, Timeline).
 //
 // Three entry points share this one engine: the tier-1 deterministic sweep
 // (difffuzz_test.go, runs in go test ./...), the native fuzz target
@@ -307,15 +309,8 @@ func (c Case) SystemConfig() (core.Config, error) {
 	}
 	cfg.Topology = dram.Topology{Channels: c.Channels, Ranks: c.Ranks, Interleave: il}
 
-	switch c.Scheduler {
-	case "", "fr-fcfs":
-		cfg.Scheduler = smc.FRFCFS{}
-	case "fcfs":
-		cfg.Scheduler = smc.FCFS{}
-	case "bliss":
-		cfg.Scheduler = smc.NewBLISS()
-	default:
-		return core.Config{}, fmt.Errorf("difffuzz: unknown scheduler %q", c.Scheduler)
+	if cfg.Scheduler, err = smc.NewScheduler(c.Scheduler); err != nil {
+		return core.Config{}, fmt.Errorf("difffuzz: %w", err)
 	}
 
 	cfg.RefreshEnabled = c.Refresh

@@ -1,7 +1,6 @@
 package difffuzz
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -37,7 +36,8 @@ const maxProcCycles = clock.Cycles(2_000_000_000)
 type Failure struct {
 	// Check identifies the oracle: "decode", "run", "conservation",
 	// "rank-bus", "fault-counters", "trr-escape", "determinism",
-	// "shard-identity", "armed-idle", "checkpoint-identity", "envelope".
+	// "shard-identity", "armed-idle", "checkpoint-identity", "time-scaling",
+	// "envelope".
 	Check string `json:"check"`
 	// Detail is the human-readable mismatch.
 	Detail string `json:"detail"`
@@ -76,9 +76,9 @@ func (c Case) Comparable() bool {
 // runOnce assembles a fresh system for the case and runs its kernel.
 // mutate is the test-only breakage hook (applied to the EasyDRAM side
 // only, never the baseline); transform derives the run variant (serial
-// shard twin, armed-idle, baseline). A fresh core.Config per run is
-// load-bearing: stateful schedulers (BLISS) must never be shared between
-// runs.
+// shard twin, armed-idle, hidden-cost mutation, baseline). A fresh
+// core.Config per run is load-bearing: stateful schedulers (BLISS) must
+// never be shared between runs.
 func runOnce(c Case, mutate, transform func(*core.Config)) (core.Result, error) {
 	k, err := c.Workload()
 	if err != nil {
@@ -157,17 +157,6 @@ func runRestored(c Case, mutate func(*core.Config), blob []byte) (core.Result, e
 		return core.Result{}, err
 	}
 	return sys.RunRestored(k.Stream(), blob)
-}
-
-// resultDigest canonicalizes a result for bit-identity comparison. JSON is
-// fine here: every field is integer or a float computed identically on
-// both sides, so equal runs produce equal bytes.
-func resultDigest(r core.Result) string {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return "unencodable: " + err.Error()
-	}
-	return string(b)
 }
 
 // checkInvariants runs the oracle-free checks every config must satisfy.
@@ -259,8 +248,8 @@ func RunCase(c Case, mutate func(*core.Config)) Report {
 			rep.Failure = failf("determinism", "rerun failed: %v", err)
 			return rep
 		}
-		if a, b := resultDigest(main), resultDigest(again); a != b {
-			rep.Failure = failf("determinism", "identical config produced different results:\n  %s\nvs\n  %s", a, b)
+		if d := main.OutputDiff(again); d != "" {
+			rep.Failure = failf("determinism", "identical config produced different results: %s", d)
 			return rep
 		}
 	}
@@ -277,15 +266,15 @@ func RunCase(c Case, mutate func(*core.Config)) Report {
 			rep.Failure = failf("shard-identity", "single-worker counterpart failed: %v", err)
 			return rep
 		}
-		if a, b := resultDigest(main), resultDigest(serial); a != b {
-			rep.Failure = failf("shard-identity", "%d shard workers changed the result:\n  sharded: %s\n  serial:  %s",
-				c.ShardWorkers, a, b)
+		if d := main.OutputDiff(serial); d != "" {
+			rep.Failure = failf("shard-identity", "%d shard workers changed the result (sharded vs serial): %s",
+				c.ShardWorkers, d)
 			return rep
 		}
 	}
 
 	// Zero faults ≡ armed-but-idle: arming the full recovery + disturb
-	// machinery with unreachable thresholds must not change emulated time.
+	// machinery with unreachable thresholds must not change any output.
 	if !c.Faults.Enabled() {
 		armed, err := runOnce(c, mutate, armIdleFaults)
 		rep.Runs++
@@ -293,13 +282,8 @@ func RunCase(c Case, mutate func(*core.Config)) Report {
 			rep.Failure = failf("armed-idle", "armed counterpart failed: %v", err)
 			return rep
 		}
-		if main.ProcCycles != armed.ProcCycles || main.GlobalCycles != armed.GlobalCycles ||
-			main.Ctrl.Served != armed.Ctrl.Served ||
-			main.Ctrl.RowHits != armed.Ctrl.RowHits || main.Ctrl.RowMisses != armed.Ctrl.RowMisses {
-			rep.Failure = failf("armed-idle",
-				"armed-but-idle faults changed the run: cycles %d vs %d, served %d vs %d, hits %d/%d vs %d/%d",
-				main.ProcCycles, armed.ProcCycles, main.Ctrl.Served, armed.Ctrl.Served,
-				main.Ctrl.RowHits, main.Ctrl.RowMisses, armed.Ctrl.RowHits, armed.Ctrl.RowMisses)
+		if d := main.OutputDiff(armed); d != "" {
+			rep.Failure = failf("armed-idle", "armed-but-idle faults changed the run (plain vs armed): %s", d)
 			return rep
 		}
 	}
@@ -319,9 +303,9 @@ func RunCase(c Case, mutate func(*core.Config)) Report {
 			rep.Failure = failf("checkpoint-identity", "checkpointed run failed: %v", err)
 			return rep
 		}
-		if a, b := resultDigest(main), resultDigest(ckRun); a != b {
+		if d := main.OutputDiff(ckRun); d != "" {
 			rep.Failure = failf("checkpoint-identity",
-				"requesting a checkpoint at cycle %d changed the run:\n  plain: %s\n  ckpt:  %s", at, a, b)
+				"requesting a checkpoint at cycle %d changed the run (plain vs ckpt): %s", at, d)
 			return rep
 		}
 		if blob != nil {
@@ -331,12 +315,31 @@ func RunCase(c Case, mutate func(*core.Config)) Report {
 				rep.Failure = failf("checkpoint-identity", "restore from cycle-%d checkpoint failed: %v", at, err)
 				return rep
 			}
-			if a, b := resultDigest(main), resultDigest(restored); a != b {
+			if d := main.OutputDiff(restored); d != "" {
 				rep.Failure = failf("checkpoint-identity",
-					"restored run diverged from straight-through (checkpoint at cycle %d, %d-byte blob):\n  full:     %s\n  restored: %s",
-					at, len(blob), a, b)
+					"restored run diverged from straight-through (checkpoint at cycle %d, %d-byte blob; full vs restored): %s",
+					at, len(blob), d)
 				return rep
 			}
+		}
+	}
+
+	// Time scaling hides the controller's cost (§6): under one of the
+	// changes core.HiddenCostMutations lists, chosen from the case seed (not
+	// a Case axis, so decoding and the corpus are unaffected), the emulated
+	// timeline must not move.
+	if c.TimeScaling {
+		muts := core.HiddenCostMutations()
+		m := muts[splitmix(c.Seed)%uint64(len(muts))]
+		mutated, err := runOnce(c, mutate, m.Apply)
+		rep.Runs++
+		if err != nil {
+			rep.Failure = failf("time-scaling", "run under %s failed: %v", m.Name, err)
+			return rep
+		}
+		if main.Timeline() != mutated.Timeline() {
+			rep.Failure = failf("time-scaling", "%s changed the emulated timeline: %s", m.Name, main.OutputDiff(mutated))
+			return rep
 		}
 	}
 

@@ -69,19 +69,6 @@ func (r *FairnessResult) Table() string {
 	return t.Render()
 }
 
-// fairnessScheduler resolves a sweep scheduler name to an instance (one per
-// system: BLISS is stateful).
-func fairnessScheduler(name string) (smc.Scheduler, error) {
-	switch name {
-	case "fr-fcfs":
-		return smc.FRFCFS{}, nil
-	case "bliss":
-		return smc.NewBLISS(), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown fairness scheduler %q", name)
-	}
-}
-
 // fairnessConfig assembles one cell's system: the paper's time-scaled
 // preset on a single channel (one memory controller, so the cores actually
 // contend) with the given scheduler and core count.
@@ -92,9 +79,10 @@ func fairnessConfig(opt Options, scheduler string, cores int) (core.Config, erro
 	if opt.MaxProcCycles > 0 {
 		cfg.MaxProcCycles = opt.MaxProcCycles
 	}
-	sched, err := fairnessScheduler(scheduler)
+	// A fresh scheduler per system: BLISS is stateful.
+	sched, err := smc.NewScheduler(scheduler)
 	if err != nil {
-		return core.Config{}, err
+		return core.Config{}, fmt.Errorf("experiments: %w", err)
 	}
 	cfg.Scheduler = sched
 	return cfg, nil

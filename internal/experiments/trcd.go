@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"easydram/internal/clock"
 	"easydram/internal/core"
 	"easydram/internal/dram"
 	"easydram/internal/ramulator"
@@ -288,5 +287,3 @@ func (r *TRCDResult) MaxSpeedupPct(name string) float64 {
 	}
 	return best
 }
-
-var _ = clock.PS(0)

@@ -75,62 +75,4 @@ func (m *RowBankCol) RowBytes() int { return m.cols * cache.LineBytes }
 // Banks implements Mapper.
 func (m *RowBankCol) Banks() int { return m.banks }
 
-// BankRowCol maps physical addresses as {bank | row | col | line offset}:
-// each bank owns a contiguous region of the physical space. Used by
-// configuration sweeps.
-type BankRowCol struct {
-	colBits uint
-	rowBits uint
-	banks   int
-	cols    int
-	rows    int
-}
-
-// NewBankRowCol builds the mapper for the chip geometry.
-func NewBankRowCol(banks, rowsPerBank, colsPerRow int) (*BankRowCol, error) {
-	if banks <= 0 || banks&(banks-1) != 0 {
-		return nil, fmt.Errorf("smc: bank count %d must be a power of two", banks)
-	}
-	if rowsPerBank <= 0 || rowsPerBank&(rowsPerBank-1) != 0 {
-		return nil, fmt.Errorf("smc: rows per bank %d must be a power of two", rowsPerBank)
-	}
-	if colsPerRow <= 0 || colsPerRow&(colsPerRow-1) != 0 {
-		return nil, fmt.Errorf("smc: columns per row %d must be a power of two", colsPerRow)
-	}
-	return &BankRowCol{
-		colBits: uint(bits.TrailingZeros(uint(colsPerRow))),
-		rowBits: uint(bits.TrailingZeros(uint(rowsPerBank))),
-		banks:   banks,
-		cols:    colsPerRow,
-		rows:    rowsPerBank,
-	}, nil
-}
-
-// Map implements Mapper.
-func (m *BankRowCol) Map(pa uint64) dram.Addr {
-	l := pa >> lineShift
-	col := int(l & uint64(m.cols-1))
-	l >>= m.colBits
-	row := int(l & uint64(m.rows-1))
-	l >>= m.rowBits
-	return dram.Addr{Bank: int(l) % m.banks, Row: row, Col: col}
-}
-
-// Unmap implements Mapper.
-func (m *BankRowCol) Unmap(a dram.Addr) uint64 {
-	l := uint64(a.Bank)
-	l = l<<m.rowBits | uint64(a.Row)
-	l = l<<m.colBits | uint64(a.Col)
-	return l << lineShift
-}
-
-// RowBytes implements Mapper.
-func (m *BankRowCol) RowBytes() int { return m.cols * cache.LineBytes }
-
-// Banks implements Mapper.
-func (m *BankRowCol) Banks() int { return m.banks }
-
-var (
-	_ Mapper = (*RowBankCol)(nil)
-	_ Mapper = (*BankRowCol)(nil)
-)
+var _ Mapper = (*RowBankCol)(nil)

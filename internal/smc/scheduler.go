@@ -1,6 +1,8 @@
 package smc
 
 import (
+	"fmt"
+
 	"easydram/internal/dram"
 	"easydram/internal/mem"
 	"easydram/internal/tile"
@@ -85,6 +87,22 @@ type ChannelScheduler interface {
 	// CloneForChannel returns a fresh scheduler with the same policy
 	// parameters and pristine state.
 	CloneForChannel() Scheduler
+}
+
+// NewScheduler returns a fresh instance of the named built-in policy:
+// "fr-fcfs" (also the empty name), "fcfs" or "bliss". Every call builds a
+// new instance, so a stateful policy (BLISS) is never shared between
+// systems.
+func NewScheduler(name string) (Scheduler, error) {
+	switch name {
+	case "", "fr-fcfs":
+		return FRFCFS{}, nil
+	case "fcfs":
+		return FCFS{}, nil
+	case "bliss":
+		return NewBLISS(), nil
+	}
+	return nil, fmt.Errorf("smc: unknown scheduler %q (want fr-fcfs, fcfs or bliss)", name)
 }
 
 // FCFS serves requests strictly in arrival order.

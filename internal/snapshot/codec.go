@@ -61,22 +61,6 @@ func (e *Enc) U64s(v []uint64) {
 	}
 }
 
-// I64s appends a length-prefixed []int64.
-func (e *Enc) I64s(v []int64) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.I64(x)
-	}
-}
-
-// Ints appends a length-prefixed []int (as 64-bit fields).
-func (e *Enc) Ints(v []int) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.I64(int64(x))
-	}
-}
-
 // Payload returns the accumulated bytes.
 func (e *Enc) Payload() []byte { return e.buf }
 
@@ -227,38 +211,6 @@ func (d *Dec) U64s() []uint64 {
 	v := make([]uint64, n)
 	for i := range v {
 		v[i] = d.U64()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return v
-}
-
-// I64s reads a length-prefixed []int64.
-func (d *Dec) I64s() []int64 {
-	n := d.lenPrefix(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]int64, n)
-	for i := range v {
-		v[i] = d.I64()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return v
-}
-
-// Ints reads a length-prefixed []int.
-func (d *Dec) Ints() []int {
-	n := d.lenPrefix(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = d.Int()
 	}
 	if d.err != nil {
 		return nil

@@ -7,9 +7,8 @@ import (
 )
 
 // The durable characterization profile (ROADMAP item 3). A Profile carries
-// one characterization pass's results — per-channel weak-row sets, the
-// Bloom filters built over them, and optional MinReliableTRCD grid results —
-// keyed by everything that determines the outcome: variation seed,
+// one characterization pass's results — per-channel weak-row sets and the
+// Bloom filters built over them — keyed by everything that determines the outcome: variation seed,
 // topology, profiled tRCD, and profiling granularity (the compatibility
 // key; see techniques.ProfileCompatKey). Profiles are stored per-channel so
 // multi-channel modules characterize channel by channel and merge here.
@@ -27,11 +26,6 @@ type ChannelProfile struct {
 	LinesTried int
 	// Filter is the weak-row Bloom filter (§8.2); nil when not built.
 	Filter *bloom.Filter
-	// MinRCDRows/MinRCDPS are optional MinReliableTRCD grid results:
-	// MinRCDPS[i] is the smallest reliable tRCD (picoseconds) of the row
-	// keyed by MinRCDRows[i]. Both slices are parallel and may be empty.
-	MinRCDRows []uint64
-	MinRCDPS   []int64
 }
 
 // Profile is a complete characterization artifact.
@@ -90,8 +84,6 @@ func (p *Profile) Encode() []byte {
 		e.Int(c.LinesTried)
 		e.U64s(c.WeakRows)
 		EncodeBloom(&e, c.Filter)
-		e.U64s(c.MinRCDRows)
-		e.I64s(c.MinRCDPS)
 		w.Section(fmt.Sprintf("profile/chan/%d", i), e.Payload())
 	}
 	return w.Bytes()
@@ -139,16 +131,11 @@ func decodeProfileSections(r *Reader) (*Profile, error) {
 		c.LinesTried = d.Int()
 		c.WeakRows = d.U64s()
 		c.Filter = DecodeBloom(d)
-		c.MinRCDRows = d.U64s()
-		c.MinRCDPS = d.I64s()
 		if d.Err() == nil {
 			if c.Rows < 0 || c.LinesTried < 0 || c.Chan < 0 {
 				d.Failf("negative counts")
 			} else if len(c.WeakRows) > c.Rows {
 				d.Failf("%d weak rows out of %d profiled", len(c.WeakRows), c.Rows)
-			} else if len(c.MinRCDRows) != len(c.MinRCDPS) {
-				d.Failf("MinRCD rows/values length mismatch (%d vs %d)",
-					len(c.MinRCDRows), len(c.MinRCDPS))
 			}
 		}
 		for j := 1; j < len(c.WeakRows) && d.Err() == nil; j++ {

@@ -17,8 +17,8 @@ import (
 const testKey = "profile:v1|test"
 
 // testProfile builds a small two-channel profile exercising every optional
-// field shape: a populated Bloom filter and MinRCD grid on channel 0, all
-// of them absent on channel 1.
+// field shape: weak rows and a populated Bloom filter on channel 0, both
+// absent on channel 1.
 func testProfile(t testing.TB) *Profile {
 	t.Helper()
 	f, err := bloom.NewForCapacity(16, 0.01, 42)
@@ -35,7 +35,7 @@ func testProfile(t testing.TB) *Profile {
 		Channels: []ChannelProfile{
 			{
 				Chan: 0, WeakRows: []uint64{0x1000, 0x3000}, Rows: 8, LinesTried: 64,
-				Filter: f, MinRCDRows: []uint64{0x1000, 0x2000}, MinRCDPS: []int64{10500, 9000},
+				Filter: f,
 			},
 			{Chan: 1, Rows: 8, LinesTried: 64},
 		},
@@ -182,7 +182,6 @@ func TestSemanticValidation(t *testing.T) {
 	}{
 		{"weak-exceeds-rows", func(p *Profile) { p.Channels[0].Rows = 1 }},
 		{"negative-rows", func(p *Profile) { p.Channels[0].Rows = -1 }},
-		{"minrcd-length-mismatch", func(p *Profile) { p.Channels[0].MinRCDPS = p.Channels[0].MinRCDPS[:1] }},
 		{"weak-rows-unsorted", func(p *Profile) {
 			p.Channels[0].WeakRows = []uint64{0x3000, 0x1000}
 		}},

@@ -26,7 +26,7 @@ import (
 func ProfileCompatKey(sys *core.System, start, end uint64, rcd clock.PS, fpRate float64) string {
 	cfg := sys.Config()
 	m := sys.Mapper()
-	return fmt.Sprintf("profile:v1|seed=%d|topo=%s|rcd=%d|rowbytes=%d|banks=%d|range=%#x-%#x|fp=%g",
+	return fmt.Sprintf("profile:v2|seed=%d|topo=%s|rcd=%d|rowbytes=%d|banks=%d|range=%#x-%#x|fp=%g",
 		cfg.DRAM.Seed, sys.Topology(), int64(rcd), m.RowBytes(), m.Banks(), start, end, fpRate)
 }
 
