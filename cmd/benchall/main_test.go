@@ -17,10 +17,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/metrics_golden.json from this run")
 
-// wallClockMetric is the one snapshot metric measured in host time: it
-// differs from run to run, so it stays out of the golden file.
-const wallClockMetric = "snapshot/warm_start_speedup_x"
-
 // TestMetricsGolden pins every emulated metric of a -quick benchall run to
 // testdata/metrics_golden.json: the paper's tables and figures, the fault,
 // fairness, snapshot, characterization and difffuzz extensions. Values are
@@ -37,7 +33,7 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	got := map[string]string{}
 	for k, v := range snap.Metrics {
-		if k != wallClockMetric {
+		if k != experiments.WallClockMetric {
 			got[k] = strconv.FormatFloat(v, 'g', 12, 64)
 		}
 	}

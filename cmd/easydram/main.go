@@ -7,15 +7,18 @@
 //	         [-cores N] [-faults] [-mitigation P] [-save-profile DIR]
 //	         [-load-profile DIR] [-checkpoint FILE] [-v] <experiment>
 //
-// where experiment is one of: table1, fig2, validation, fig8, fig10,
-// fig11, fig12, fig13, fig14, energy, ablations, disturb, snapshot,
-// fairness, all.
+// where experiment is a name from experiments.Catalog (table1, fig2,
+// validation, fig8, ..., difffuzz) or all. The report text goes to stdout
+// and each headline metric to stderr as "easydram: <metric> = <value>".
 package main
 
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
+	"strings"
 
 	"easydram/internal/experiments"
 	"easydram/internal/workload"
@@ -35,7 +38,7 @@ func main() {
 	loadProfile := flag.String("load-profile", "", "characterization store directory to warm-start from; missing/corrupt/stale profiles degrade to fresh characterization")
 	checkpoint := flag.String("checkpoint", "", "file the snapshot experiment writes its mid-run system checkpoint to")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: easydram [-quick] [-seed N] [-channels N] [-ranks N] [-shard-workers N] [-cores N] [-faults] [-mitigation P] [-save-profile DIR] [-load-profile DIR] [-checkpoint FILE] [-v] <table1|fig2|validation|fig8|fig10|fig11|fig12|fig13|fig14|energy|ablations|disturb|snapshot|fairness|all>\n")
+		fmt.Fprintf(os.Stderr, "usage: easydram [-quick] [-seed N] [-channels N] [-ranks N] [-shard-workers N] [-cores N] [-faults] [-mitigation P] [-save-profile DIR] [-load-profile DIR] [-checkpoint FILE] [-v] <%s>\n", experimentNames())
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -67,123 +70,44 @@ func main() {
 	}
 }
 
-// printFigure13 prints Figure 13's speedup table, or for fig14 the
-// simulation-speed table from the same runs.
-func printFigure13(name string, r *experiments.TRCDResult) {
-	if name == "fig13" {
-		fmt.Println(r.Table())
-	} else {
-		fmt.Println(r.SpeedTable())
+func run(name string, opt experiments.Options) error {
+	catalog := experiments.Catalog()
+	if name == "all" {
+		for _, e := range catalog {
+			fmt.Printf("==== %s ====\n", e.Name)
+			if err := runOne(e, opt); err != nil {
+				return fmt.Errorf("%s: %w", e.Name, err)
+			}
+		}
+		return nil
 	}
+	for _, e := range catalog {
+		if e.Name == name {
+			return runOne(e, opt)
+		}
+	}
+	return fmt.Errorf("unknown experiment %q (want one of: %s)", name, experimentNames())
 }
 
-func run(name string, opt experiments.Options) error {
-	switch name {
-	case "table1":
-		r, err := experiments.Table1(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Render())
-	case "fig2":
-		r, err := experiments.Figure2(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Table())
-	case "validation":
-		r, err := experiments.Validation(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Table())
-	case "fig8":
-		r, err := experiments.Figure8(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Table())
-	case "fig10":
-		r, err := experiments.RowClone(opt, false)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Table())
-	case "fig11":
-		r, err := experiments.RowClone(opt, true)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Table())
-	case "fig12":
-		r, err := experiments.Figure12(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Heatmap())
-	case "energy":
-		r, err := experiments.Energy(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Table())
-	case "ablations":
-		rs, err := experiments.Ablations(opt)
-		if err != nil {
-			return err
-		}
-		for _, r := range rs {
-			fmt.Println(r.Table())
-		}
-	case "disturb":
-		r, err := experiments.DisturbSweep(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Table())
-	case "snapshot":
-		r, err := experiments.WarmStart(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Table())
-		if s := r.SpeedupX(); s > 0 {
-			fmt.Fprintf(os.Stderr, "easydram: warm-start characterization speedup %.1fx (host wall clock)\n", s)
-		}
-	case "fairness":
-		r, err := experiments.FairnessSweep(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Table())
-	case "fig13", "fig14":
-		r, err := experiments.Figure13(opt)
-		if err != nil {
-			return err
-		}
-		printFigure13(name, r)
-	case "all":
-		// Figure 14 comes from Figure 13's runs: compute them once.
-		var fig13 *experiments.TRCDResult
-		for _, n := range []string{"table1", "fig2", "validation", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "energy", "ablations", "disturb", "snapshot", "fairness"} {
-			fmt.Printf("==== %s ====\n", n)
-			var err error
-			if n == "fig13" || n == "fig14" {
-				if fig13 == nil {
-					fig13, err = experiments.Figure13(opt)
-				}
-				if err == nil {
-					printFigure13(n, fig13)
-				}
-			} else {
-				err = run(n, opt)
-			}
-			if err != nil {
-				return fmt.Errorf("%s: %w", n, err)
-			}
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
+// runOne runs e, prints its report text to stdout and its metrics, one
+// per line in key order, to stderr.
+func runOne(e experiments.Experiment, opt experiments.Options) error {
+	out, err := e.Run(opt)
+	if err != nil {
+		return err
+	}
+	fmt.Println(out.Text)
+	for _, k := range slices.Sorted(maps.Keys(out.Metrics)) {
+		fmt.Fprintf(os.Stderr, "easydram: %s = %g\n", k, out.Metrics[k])
 	}
 	return nil
+}
+
+// experimentNames lists the valid experiment arguments, "|"-separated.
+func experimentNames() string {
+	var names []string
+	for _, e := range experiments.Catalog() {
+		names = append(names, e.Name)
+	}
+	return strings.Join(append(names, "all"), "|")
 }

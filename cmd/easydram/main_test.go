@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"easydram/internal/experiments"
@@ -14,20 +15,40 @@ func quickOpt() experiments.Options {
 	return opt
 }
 
+// TestRunDispatch runs every catalog entry through the command's dispatch.
 func TestRunDispatch(t *testing.T) {
-	for _, name := range []string{"table1", "fig2", "fig8", "fig10", "fig12", "disturb", "fairness"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			if err := run(name, quickOpt()); err != nil {
-				t.Fatalf("run(%q): %v", name, err)
+	for _, e := range experiments.Catalog() {
+		t.Run(e.Name, func(t *testing.T) {
+			if err := run(e.Name, quickOpt()); err != nil {
+				t.Fatalf("run(%q): %v", e.Name, err)
 			}
 		})
 	}
 }
 
+func TestCatalogNamesUnique(t *testing.T) {
+	seen := map[string]bool{"all": true}
+	for _, e := range experiments.Catalog() {
+		if seen[e.Name] {
+			t.Errorf("experiment name %q is not unique (or shadows all)", e.Name)
+		}
+		seen[e.Name] = true
+	}
+}
+
+// TestRunUnknownExperiment checks that an unknown name — including fig14,
+// whose table now prints with fig13 — fails with the list of valid names.
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("nope", quickOpt()); err == nil {
-		t.Fatalf("unknown experiment must error")
+	for _, name := range []string{"nope", "fig14"} {
+		err := run(name, quickOpt())
+		if err == nil {
+			t.Fatalf("run(%q) must error", name)
+		}
+		for _, e := range experiments.Catalog() {
+			if !strings.Contains(err.Error(), e.Name) {
+				t.Errorf("run(%q) error %q does not list %q", name, err, e.Name)
+			}
+		}
 	}
 }
 

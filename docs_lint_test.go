@@ -5,6 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -116,4 +119,51 @@ func declKind(f *ast.FuncDecl) string {
 		return "method"
 	}
 	return "func"
+}
+
+// mdRef matches a Markdown file name cited in a comment.
+var mdRef = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// TestDocReferencesExist checks that every Markdown file a non-test Go
+// comment names (outside the separate bench/ module) exists, either at the
+// repository root or next to the citing file, so comments never send a
+// reader to a document that is gone.
+func TestDocReferencesExist(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, ref := range mdRef.FindAllString(c.Text, -1) {
+					if !fileExists(ref) && !fileExists(filepath.Join(filepath.Dir(path), ref)) {
+						t.Errorf("%s: comment cites %s, which does not exist", fset.Position(c.Pos()), ref)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

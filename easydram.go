@@ -192,17 +192,17 @@ func WithInterleave(name string) Option {
 }
 
 // WithReducedTRCD installs a per-row tRCD provider built from the weak-row
-// set (see System.ProfileWeakRows); rows outside the set activate with the
-// reduced tRCD.
+// set (see System.ProfileWeakRows and WeakRowProfile.Provider); rows
+// outside the set activate with the reduced tRCD.
 func WithReducedTRCD(provider TRCDProvider) Option {
 	return func(cfg *core.Config) {
-		cfg.TRCD = func(a dram.Addr) clock.PS { return provider(a.Bank, a.Row) }
+		cfg.TRCD = func(a dram.Addr) clock.PS { return provider(a.Chan, a.Bank, a.Row) }
 	}
 }
 
-// TRCDProvider returns the tRCD (in picoseconds) to activate (bank, row)
-// with; 0 selects the nominal value.
-type TRCDProvider func(bank, row int) PS
+// TRCDProvider returns the tRCD (in picoseconds) to activate (channel,
+// bank, row) with; 0 selects the nominal value.
+type TRCDProvider func(ch, bank, row int) PS
 
 // WithPagePolicy selects row-buffer management: "open" (default) or
 // "closed". An unknown name makes NewSystem fail (options cannot return

@@ -222,6 +222,41 @@ func TestProfileWeakRowsFacade(t *testing.T) {
 	}
 }
 
+// TestProfileWeakRowsMultiChannel pins the channel-aware provider: on a
+// 2-channel module every channel's rows are profiled and the provider
+// answers each channel from that channel's filter, so a linear sweep over
+// the profiled span under the reduced tRCD reads no corrupted line. A
+// provider keyed by (bank, row) alone consults channel 0 for every
+// activation and corrupts reads on channel 1's weak rows.
+func TestProfileWeakRowsMultiChannel(t *testing.T) {
+	for _, channels := range []int{1, 2} {
+		prof, err := NewSystem(TimeScaled(), WithDataTracking(), WithSeed(5), WithTopology(channels, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const extent = 256 * 8192
+		provider, _, err := prof.ProfileWeakRows(0, extent, ReducedTRCD, 0.01)
+		if err != nil {
+			t.Fatalf("%dch: ProfileWeakRows: %v", channels, err)
+		}
+		fast, err := NewSystem(TimeScaled(), WithSeed(5), WithTopology(channels, 1), WithReducedTRCD(provider))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fast.Run(NewKernel("sweep", func(g *Gen) {
+			for pa := uint64(0); pa < extent; pa += 64 {
+				g.Load(pa)
+			}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Chip.CorruptedReads != 0 {
+			t.Errorf("%dch: reduced-tRCD sweep corrupted %d reads", channels, res.Chip.CorruptedReads)
+		}
+	}
+}
+
 func TestRamulatorBaselineOption(t *testing.T) {
 	sys, err := NewSystem(RamulatorBaseline())
 	if err != nil {

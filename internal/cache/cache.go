@@ -257,12 +257,3 @@ func (c *Cache) DirtyLines() []uint64 {
 	}
 	return out
 }
-
-// Reset invalidates every line and clears statistics.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i] = line{}
-	}
-	c.stats = Stats{}
-	c.lruClock = 0
-}

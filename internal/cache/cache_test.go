@@ -103,15 +103,6 @@ func TestDirtyLines(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := newTestCache(t, 4096, 4)
-	c.Install(0x40, true)
-	c.Reset()
-	if c.Lookup(0x40) || c.Stats().Hits != 0 {
-		t.Fatalf("reset incomplete")
-	}
-}
-
 // Property: set/tag decomposition round-trips through lineAddr.
 func TestAddrRoundTrip(t *testing.T) {
 	c := newTestCache(t, 512<<10, 8)

@@ -11,7 +11,8 @@ import (
 
 // The preset configurations below correspond to the systems the paper
 // evaluates. Latency constants are calibrated so the Figure 8 profile
-// plateaus land where the paper's do (see EXPERIMENTS.md).
+// plateaus land where the paper's do (`go run ./cmd/easydram fig8`
+// regenerates that profile).
 
 // boomPhysClock is the physical clock the BOOM application core closes
 // timing at on the VCU108 fabric. It only affects FPGA wall-clock (and so

@@ -3,18 +3,20 @@ package experiments
 import (
 	"fmt"
 
+	"easydram/internal/clock"
 	"easydram/internal/core"
 	"easydram/internal/dram"
 	"easydram/internal/smc"
 	"easydram/internal/stats"
+	"easydram/internal/techniques"
 	"easydram/internal/timing"
 	"easydram/internal/workload"
 )
 
-// Ablations beyond the paper's evaluation (DESIGN.md §4.5): each sweeps one
-// design axis of the software-defined memory controller or the modeled
-// system and reports execution time on a fixed workload mix, demonstrating
-// the configurability the paper's Table 1 claims for EasyDRAM.
+// Ablations beyond the paper's evaluation: each sweeps one design axis of
+// the software-defined memory controller or the modeled system and reports
+// execution time on a fixed workload mix, demonstrating the configurability
+// the paper's Table 1 claims for EasyDRAM.
 
 // AblationResult holds one swept axis.
 type AblationResult struct {
@@ -179,10 +181,83 @@ func AblationTopology(opt Options) (*AblationResult, error) {
 	return r, nil
 }
 
+// AblationMLP sweeps the out-of-order core's memory-level parallelism on a
+// streaming initialisation, showing why streaming baselines accelerate with
+// MLP (the mechanism behind the Init workload's modest RowClone gains).
+func AblationMLP(opt Options) (*AblationResult, error) {
+	r := &AblationResult{Axis: "memory-level parallelism (1 MiB CPU init)"}
+	k := workload.CPUInit(0, 1<<20)
+	for _, mlp := range []int{1, 2, 4, 8} {
+		cfg := core.TimeScalingA57()
+		cfg.DRAM.Seed = opt.Seed
+		cfg.CPU.MLP = mlp
+		if err := r.ablationRun(fmt.Sprintf("mlp %d", mlp), cfg, k, opt); err != nil {
+			return nil, err
+		}
+	}
+	r.finish()
+	return r, nil
+}
+
+// AblationCtrlLatency sweeps the modeled hardware-controller latency,
+// quantifying how sensitive time-scaled results are to this calibration
+// constant.
+func AblationCtrlLatency(opt Options) (*AblationResult, error) {
+	r := &AblationResult{Axis: "modeled controller latency (lat_mem_rd 8 MiB)"}
+	k := workload.LatMemRd(8<<20, 4000)
+	for _, ns := range []int64{20, 40, 80} {
+		cfg := core.TimeScalingA57()
+		cfg.DRAM.Seed = opt.Seed
+		cfg.ModeledCtrlLatency = clock.PS(ns * 1000)
+		if err := r.ablationRun(fmt.Sprintf("%d ns", ns), cfg, k, opt); err != nil {
+			return nil, err
+		}
+	}
+	r.finish()
+	return r, nil
+}
+
+// AblationBloomFP sweeps the weak-row Bloom filter's target false-positive
+// rate (§8.2): a sloppier filter costs strong rows their reduced tRCD but
+// must never corrupt data, so any corrupted read is an error.
+func AblationBloomFP(opt Options) (*AblationResult, error) {
+	r := &AblationResult{Axis: "weak-row Bloom filter false-positive rate (gemver)"}
+	k := workload.PBGemver(260)
+	extent := workload.Extent(k)
+	for _, fp := range []float64{0.001, 0.05, 0.3} {
+		profCfg := core.TimeScalingA57()
+		profCfg.DRAM.Seed = opt.Seed
+		profCfg.DRAM.TrackData = true
+		profSys, err := core.NewSystem(profCfg)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: bloom-fp: %w", err)
+		}
+		profile, err := techniques.Characterize(profSys, 0, extent, techniques.ReducedTRCD, fp)
+		if err != nil {
+			return nil, err
+		}
+		cfg := core.TimeScalingA57()
+		cfg.DRAM.Seed = opt.Seed
+		cfg.TRCD = techniques.ProviderFromProfile(profile, profSys.Mapper(), techniques.ReducedTRCD)
+		res, err := runKernel(cfg, k, opt)
+		if err != nil {
+			return nil, err
+		}
+		if res.Chip.CorruptedReads != 0 {
+			return nil, fmt.Errorf("experiments: bloom-fp: fp=%g corrupted %d reads", fp, res.Chip.CorruptedReads)
+		}
+		r.Labels = append(r.Labels, fmt.Sprintf("fp %g", fp))
+		r.Cycles = append(r.Cycles, float64(res.ProcCycles))
+	}
+	r.finish()
+	return r, nil
+}
+
 // Ablations runs every sweep; the independent sweeps share the worker pool.
 func Ablations(opt Options) ([]*AblationResult, error) {
 	runs := []func(Options) (*AblationResult, error){
 		AblationScheduler, AblationPagePolicy, AblationPrefetcher, AblationDDR5, AblationTopology,
+		AblationMLP, AblationCtrlLatency, AblationBloomFP,
 	}
 	out := make([]*AblationResult, len(runs))
 	err := forEach(opt.EffectiveWorkers(), len(runs), func(i int) error {

@@ -1,7 +1,8 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (§6-§8). Each runner assembles the systems it needs,
 // executes the workloads, and returns both raw numbers and a rendered
-// text table, so the cmd/ tools and the benchmark harness share one
+// text table. Catalog lists the runners in report order with their
+// headline metrics, so the cmd/ tools and the benchmark harness share one
 // implementation.
 //
 // # Concurrency model

@@ -76,7 +76,7 @@ func Config(maxInstructions int64) core.Config {
 // The constants are calibrated to Ramulator 2.0's published simulation
 // speeds (hundreds of kHz to ~2 MHz depending on memory intensity); our Go
 // reimplementation's own wall clock is deliberately not used, since it
-// measures this repository, not Ramulator (see DESIGN.md §4.4).
+// measures this repository, not Ramulator.
 const (
 	hostSecPerInstr    = 4.0e-7 // 2.5 M instructions/s peak
 	hostSecPerMemEvent = 3.0e-6 // per main-memory request

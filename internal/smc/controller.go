@@ -14,18 +14,6 @@ import (
 	"easydram/internal/timing"
 )
 
-// Controller is a software memory controller program: the C++ loop of
-// Listing 1, expressed against the EasyAPI Env.
-type Controller interface {
-	// ServeOne performs one iteration of the controller loop: ingest new
-	// requests, make one scheduling decision, operate DRAM, and respond.
-	// It reports whether any request was served.
-	ServeOne(env *Env) (bool, error)
-	// Pending reports the number of requests buffered in the controller's
-	// software request table.
-	Pending() int
-}
-
 // TRCDProvider returns the tRCD to use when activating a row (the
 // tRCD-reduction technique's scheduler hook, §8.2). Returning 0 selects the
 // nominal value.
@@ -234,7 +222,8 @@ func (c *BaseController) Stats() ControllerStats { return c.stats }
 // Mapper returns the physical-to-DRAM address mapper in use.
 func (c *BaseController) Mapper() Mapper { return c.cfg.Mapper }
 
-// Pending implements Controller.
+// Pending reports the number of requests buffered in the controller's
+// software request table.
 func (c *BaseController) Pending() int { return len(c.table) }
 
 // OpenRow reports the controller's view of the open row in bank.
@@ -269,7 +258,10 @@ func (c *BaseController) ServeRefresh(env *Env) error {
 	return nil
 }
 
-// ServeOne implements Controller.
+// ServeOne performs one iteration of the controller loop (Listing 1's C++
+// loop, expressed against the EasyAPI Env): ingest new requests, make one
+// scheduling decision, operate DRAM, and respond. It reports whether any
+// request was served.
 func (c *BaseController) ServeOne(env *Env) (bool, error) {
 	costs := env.Tile().Costs()
 	env.Charge(costs.Poll)
@@ -778,5 +770,3 @@ func stripeCorrupt(rb []bender.ReadLine, total int) bool {
 	}
 	return false
 }
-
-var _ Controller = (*BaseController)(nil)

@@ -19,7 +19,7 @@ type ClonabilityTester func(src, dst uint64) (bool, error)
 
 // SystemTester profiles clonability on sys with the given trial count
 // (PiDRAM uses 1000 trials; profiling on the chip model is deterministic,
-// so a handful suffices — the trade-off is documented in DESIGN.md).
+// so a handful of trials gives the same verdict as a thousand).
 func SystemTester(sys *core.System, trials int) ClonabilityTester {
 	return func(src, dst uint64) (bool, error) {
 		return sys.TestRowClone(src, dst, trials)
@@ -74,7 +74,7 @@ func PlanCopy(a *alloc.Allocator, srcBase uint64, size int, test ClonabilityTest
 // paper allocates one source row per subarray; we extend the allocator to
 // recruit up to two donors, because with a single donor the per-pair
 // clonability failure rate makes fallback the dominant cost for Init in
-// every configuration (DESIGN.md §4.3 documents this deviation).
+// every configuration (a deliberate deviation from the paper).
 const maxDonorsPerSubarray = 2
 
 // PlanInit builds the RowClone execution plan for initialising the

@@ -3,8 +3,6 @@ package easydram
 import (
 	"fmt"
 
-	"easydram/internal/clock"
-	"easydram/internal/core"
 	"easydram/internal/dram"
 	"easydram/internal/snapshot"
 	"easydram/internal/stats"
@@ -88,29 +86,15 @@ func (s *System) ProfileWeakRowsWarm(path string, start, end uint64, rcd PS, fpR
 	return &WeakRowProfile{p: sp}, warm, nil
 }
 
-// ChannelTRCDProvider is the channel-aware variant of TRCDProvider: it
-// returns the tRCD to activate (channel, bank, row) with; 0 selects the
-// nominal value.
-type ChannelTRCDProvider func(ch, bank, row int) PS
-
 // Provider rebuilds the reduced-tRCD scheduler hook from the profile:
 // each channel's controller consults its own channel's weak-row filter.
 // s supplies the address mapping — the profiling system, or any system
 // with the same topology and DRAM geometry (which the compatibility key
 // guarantees for a loaded profile).
-func (p *WeakRowProfile) Provider(s *System, reduced PS) ChannelTRCDProvider {
+func (p *WeakRowProfile) Provider(s *System, reduced PS) TRCDProvider {
 	inner := techniques.ProviderFromProfile(p.p, s.sys.Mapper(), reduced)
 	return func(ch, bank, row int) PS {
 		return inner(dram.Addr{Chan: ch, Bank: bank, Row: row})
-	}
-}
-
-// WithChannelReducedTRCD installs a channel-aware per-row tRCD provider
-// (see WeakRowProfile.Provider) — the multi-channel-correct counterpart of
-// WithReducedTRCD.
-func WithChannelReducedTRCD(provider ChannelTRCDProvider) Option {
-	return func(cfg *core.Config) {
-		cfg.TRCD = func(a dram.Addr) clock.PS { return provider(a.Chan, a.Bank, a.Row) }
 	}
 }
 

@@ -53,9 +53,9 @@ func TestWarmStartFacade(t *testing.T) {
 		t.Error("loaded profile differs from the characterized one")
 	}
 
-	// The warm profile drives a run through the channel-aware provider.
+	// The warm profile drives a run through its provider.
 	provider := hot.Provider(profilingSystem(t, 3), ReducedTRCD)
-	fast, err := NewSystem(TimeScaled(), WithSeed(3), WithChannelReducedTRCD(provider))
+	fast, err := NewSystem(TimeScaled(), WithSeed(3), WithReducedTRCD(provider))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestMultiChannelCharacterize(t *testing.T) {
 	}
 
 	provider := p.Provider(sys, ReducedTRCD)
-	fast, err := NewSystem(TimeScaled(), WithSeed(5), WithTopology(2, 2), WithChannelReducedTRCD(provider))
+	fast, err := NewSystem(TimeScaled(), WithSeed(5), WithTopology(2, 2), WithReducedTRCD(provider))
 	if err != nil {
 		t.Fatal(err)
 	}

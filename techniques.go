@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"easydram/internal/alloc"
-	"easydram/internal/dram"
 	"easydram/internal/techniques"
 	"easydram/internal/workload"
 )
@@ -67,23 +66,16 @@ func (p *Planner) PlanInit(dstBase uint64, size int, flush bool) (RowClonePlan, 
 // (9.0 ns; nominal is 13.5 ns).
 const ReducedTRCD = techniques.ReducedTRCD
 
-// ProfileWeakRows characterizes every row covering [start, end) with
-// whole-row §8.1 profiling requests at the given tRCD (one host round-trip
-// per row) and returns a TRCDProvider backed by a Bloom filter of the weak
-// rows (§8.2), plus the weak-row fraction. Requires WithDataTracking on
-// the profiling system.
+// ProfileWeakRows characterizes every row covering [start, end) on every
+// channel with §8.1 bank-stripe profiling requests at the given tRCD and
+// returns a TRCDProvider backed by per-channel Bloom filters of the weak
+// rows (§8.2), plus the weak-row fraction. It is Characterize followed by
+// WeakRowProfile.Provider. Requires WithDataTracking on the profiling
+// system.
 func (s *System) ProfileWeakRows(start, end uint64, rcd PS, fpRate float64) (TRCDProvider, float64, error) {
-	weak, st, err := techniques.ProfileWeakRows(s.sys, start, end, rcd)
+	p, err := s.Characterize(start, end, rcd, fpRate)
 	if err != nil {
-		return nil, 0, fmt.Errorf("easydram: %w", err)
+		return nil, 0, err
 	}
-	filter, err := techniques.BuildWeakRowFilter(weak, fpRate, s.cfg.DRAM.Seed)
-	if err != nil {
-		return nil, 0, fmt.Errorf("easydram: %w", err)
-	}
-	inner := techniques.TRCDProvider(filter, s.sys.Mapper(), start, end, rcd)
-	provider := func(bank, row int) PS {
-		return inner(dram.Addr{Bank: bank, Row: row})
-	}
-	return provider, 1 - st.StrongFraction(), nil
+	return p.Provider(s, rcd), p.WeakFraction(), nil
 }
