@@ -1,6 +1,6 @@
 // Package cache implements set-associative write-back, write-allocate
-// caches with LRU replacement, plus the two-level hierarchy used by the
-// modelled processors (L1D + unified L2) including the memory-mapped
+// caches with exact LRU replacement, plus the two-level hierarchy used by
+// the modelled processors (L1D + unified L2) including the memory-mapped
 // cache-line flush EasyDRAM provides for RowClone coherence (§7.1).
 package cache
 
@@ -11,6 +11,21 @@ import (
 
 // LineBytes is the cache line size; it matches the DRAM burst size.
 const LineBytes = 64
+
+// maxAssoc is the largest associativity a recency word holds: one 4-bit
+// way number per way.
+const maxAssoc = 16
+
+// Tag-word flag bits. A way's tag word is tag<<2 | dirty<<1 | valid, so an
+// invalid way is the zero word.
+const (
+	validBit = 1
+	dirtyBit = 2
+)
+
+// nibbles has a 1 in every 4-bit field; w*nibbles repeats way number w in
+// all sixteen.
+const nibbles = 0x1111111111111111
 
 // Stats counts cache events.
 type Stats struct {
@@ -31,34 +46,41 @@ func (s *Stats) Add(o Stats) {
 	s.Flushes += o.Flushes
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set sequence number; higher = more recently used.
-	lru uint64
-}
-
 // Cache is one set-associative cache level. Not safe for concurrent use.
+//
+// Its state is two arrays. tags holds one tag word per way, set-major: way
+// w of set s is tags[s*assoc+w], its "position". recency holds one word
+// per set listing the set's way numbers, one per nibble, from the most
+// recently used (nibble 0) to the least (nibble assoc-1).
 type Cache struct {
-	name  string
-	sets  []line // sets*assoc lines, set-major
-	assoc int
+	name    string
+	tags    []uint64
+	recency []uint64
+	assoc   int
 	// setMask extracts the set index; tagShift strips line-offset and set
 	// bits in one shift (the set count is a power of two, so the tag needs
 	// no division).
 	setMask  uint64
 	tagShift uint
-	setCount int
 	setShift uint
-	lruClock uint64
-	stats    Stats
+	// tailShift is the bit offset of the recency word's last nibble, the
+	// set's least recently used way.
+	tailShift uint
+	stats     Stats
 }
 
 // New returns a cache of sizeBytes capacity and the given associativity.
+// The size must be a whole number of lines, the set count a power of two,
+// and the associativity at most 16.
 func New(name string, sizeBytes, assoc int) (*Cache, error) {
 	if sizeBytes <= 0 || assoc <= 0 {
 		return nil, fmt.Errorf("cache %s: size and associativity must be positive", name)
+	}
+	if assoc > maxAssoc {
+		return nil, fmt.Errorf("cache %s: associativity %d exceeds %d", name, assoc, maxAssoc)
+	}
+	if sizeBytes%LineBytes != 0 {
+		return nil, fmt.Errorf("cache %s: size %d is not a whole number of %d-byte lines", name, sizeBytes, LineBytes)
 	}
 	lines := sizeBytes / LineBytes
 	if lines%assoc != 0 {
@@ -68,15 +90,26 @@ func New(name string, sizeBytes, assoc int) (*Cache, error) {
 	if setCount&(setCount-1) != 0 {
 		return nil, fmt.Errorf("cache %s: set count %d must be a power of two", name, setCount)
 	}
+	// Every set starts with its ways in index order. The order of invalid
+	// ways never matters: a fill takes the first invalid way by index.
+	var order uint64
+	for w := 0; w < assoc; w++ {
+		order |= uint64(w) << (4 * w)
+	}
+	recency := make([]uint64, setCount)
+	for i := range recency {
+		recency[i] = order
+	}
 	shift := uint(6) // log2(LineBytes)
 	return &Cache{
-		name:     name,
-		sets:     make([]line, lines),
-		assoc:    assoc,
-		setMask:  uint64(setCount - 1),
-		tagShift: shift + uint(bits.TrailingZeros(uint(setCount))),
-		setCount: setCount,
-		setShift: shift,
+		name:      name,
+		tags:      make([]uint64, lines),
+		recency:   recency,
+		assoc:     assoc,
+		setMask:   uint64(setCount - 1),
+		tagShift:  shift + uint(bits.TrailingZeros(uint(setCount))),
+		setShift:  shift,
+		tailShift: 4 * uint(assoc-1),
 	}, nil
 }
 
@@ -85,9 +118,6 @@ func (c *Cache) Name() string { return c.name }
 
 // Stats returns a snapshot of event counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// SizeBytes reports the capacity.
-func (c *Cache) SizeBytes() int { return len(c.sets) * LineBytes }
 
 func (c *Cache) setOf(addr uint64) int {
 	return int((addr >> c.setShift) & c.setMask)
@@ -101,8 +131,23 @@ func (c *Cache) lineAddr(set int, tag uint64) uint64 {
 	return tag<<c.tagShift | uint64(set)<<c.setShift
 }
 
-func (c *Cache) setSlice(set int) []line {
-	return c.sets[set*c.assoc : (set+1)*c.assoc]
+// key returns the tag word of addr's line with both flag bits set: a way
+// holds the line exactly when its word ORed with dirtyBit equals the key.
+func (c *Cache) key(addr uint64) uint64 {
+	return c.tagOf(addr)<<2 | validBit | dirtyBit
+}
+
+// touch moves way w to the front of set's recency word. The way's nibble
+// is the word's lowest nibble equal to w (the unused nibbles above assoc-1
+// are zero, so they can equal w only above it): XOR with w in every nibble
+// zeroes it, and the borrow test below finds the lowest zero nibble
+// exactly.
+func (c *Cache) touch(set int, w uint64) {
+	r := c.recency[set]
+	x := r ^ w*nibbles
+	at := uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
+	below := r & (uint64(1)<<at - 1)
+	c.recency[set] = r&^(uint64(1)<<(at+4)-1) | below<<4 | w
 }
 
 // Victim describes an eviction produced by Access or Install.
@@ -112,13 +157,13 @@ type Victim struct {
 	Valid bool
 }
 
-// index returns the position of addr's line in c.sets, or -1 when addr
+// index returns the position of addr's line in c.tags, or -1 when addr
 // misses. It changes no replacement state.
 func (c *Cache) index(addr uint64) int {
-	tag := c.tagOf(addr)
+	key := c.key(addr)
 	base := c.setOf(addr) * c.assoc
-	for i, l := range c.sets[base : base+c.assoc] {
-		if l.valid && l.tag == tag {
+	for i, w := range c.tags[base : base+c.assoc] {
+		if w|dirtyBit == key {
 			return base + i
 		}
 	}
@@ -128,19 +173,19 @@ func (c *Cache) index(addr uint64) int {
 // Lookup reports whether addr hits without changing replacement state.
 func (c *Cache) Lookup(addr uint64) bool { return c.index(addr) >= 0 }
 
-// Access performs a demand access. On hit it updates LRU (and the dirty bit
-// for writes) and returns hit=true. On miss it returns hit=false and does
-// NOT install the line; the caller installs it after the fill completes.
+// Access performs a demand access. On hit it makes the line the most
+// recently used (and dirties it for writes) and returns hit=true. On miss it
+// returns hit=false and does NOT install the line; the caller installs it
+// after the fill completes.
 func (c *Cache) Access(addr uint64, write bool) (hit bool) {
-	tag := c.tagOf(addr)
-	ss := c.setSlice(c.setOf(addr))
-	for i := range ss {
-		if ss[i].valid && ss[i].tag == tag {
-			c.lruClock++
-			ss[i].lru = c.lruClock
+	set, key := c.setOf(addr), c.key(addr)
+	base := set * c.assoc
+	for i, w := range c.tags[base : base+c.assoc] {
+		if w|dirtyBit == key {
 			if write {
-				ss[i].dirty = true
+				c.tags[base+i] = key
 			}
+			c.touch(set, uint64(i))
 			c.stats.Hits++
 			return true
 		}
@@ -149,81 +194,70 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool) {
 	return false
 }
 
-// Install fills addr into the cache, returning the victim (Valid=false when
-// an empty way was available).
+// Install fills addr, which must miss, into the cache, returning the victim
+// (Valid=false when an empty way was available).
 func (c *Cache) Install(addr uint64, dirty bool) Victim {
-	set, tag := c.setOf(addr), c.tagOf(addr)
-	ss := c.setSlice(set)
-	victimIdx := 0
-	var oldest uint64 = ^uint64(0)
-	for i := range ss {
-		if !ss[i].valid {
-			victimIdx = i
-			oldest = 0
+	set := c.setOf(addr)
+	base := set * c.assoc
+	invalid := -1
+	for i, w := range c.tags[base : base+c.assoc] {
+		if w == 0 {
+			invalid = i
 			break
 		}
-		if ss[i].lru < oldest {
-			oldest = ss[i].lru
-			victimIdx = i
-		}
 	}
-	v := Victim{}
-	if ss[victimIdx].valid {
-		v = Victim{Addr: c.lineAddr(set, ss[victimIdx].tag), Dirty: ss[victimIdx].dirty, Valid: true}
-		c.stats.Evictions++
-		if v.Dirty {
-			c.stats.Writebacks++
-		}
+	word := c.tagOf(addr)<<2 | validBit
+	if dirty {
+		word |= dirtyBit
 	}
-	c.lruClock++
-	ss[victimIdx] = line{tag: tag, valid: true, dirty: dirty, lru: c.lruClock}
+	_, v := c.fill(set, invalid, word)
 	return v
 }
 
 // accessFill is a read Access followed, on a miss, by Install(addr, false),
-// fused into one scan of the set: a hit updates LRU and reports hit=true;
-// a miss installs the clean line over the victim Install would choose (the
-// first invalid way, otherwise the first least-recently-used way) and
-// returns that victim. Either way idx is the line's position in c.sets
-// afterwards. Statistics match the two-call sequence exactly.
+// fused into one scan of the set: a hit makes the line the most recently
+// used and reports hit=true; a miss installs the clean line over the victim
+// Install would choose and returns that victim. Either way idx is the
+// line's position in c.tags afterwards. Statistics match the two-call
+// sequence exactly.
 func (c *Cache) accessFill(addr uint64) (idx int, hit bool, v Victim) {
-	set, tag := c.setOf(addr), c.tagOf(addr)
-	ss := c.setSlice(set)
-	invalid, lruIdx := -1, 0
-	var oldest uint64 = ^uint64(0)
-	for i := range ss {
-		l := &ss[i]
-		if !l.valid {
-			if invalid < 0 {
-				invalid = i
-			}
-			continue
-		}
-		if l.tag == tag {
-			c.lruClock++
-			l.lru = c.lruClock
+	set, key := c.setOf(addr), c.key(addr)
+	base := set * c.assoc
+	invalid := -1
+	for i, w := range c.tags[base : base+c.assoc] {
+		if w|dirtyBit == key {
+			c.touch(set, uint64(i))
 			c.stats.Hits++
-			return set*c.assoc + i, true, Victim{}
+			return base + i, true, Victim{}
 		}
-		if l.lru < oldest {
-			oldest = l.lru
-			lruIdx = i
+		if w == 0 && invalid < 0 {
+			invalid = i
 		}
 	}
 	c.stats.Misses++
-	victimIdx := invalid
-	if victimIdx < 0 {
-		victimIdx = lruIdx
-		old := &ss[victimIdx]
-		v = Victim{Addr: c.lineAddr(set, old.tag), Dirty: old.dirty, Valid: true}
+	idx, v = c.fill(set, invalid, key&^dirtyBit)
+	return idx, false, v
+}
+
+// fill writes tag word word into set's way invalid or, when invalid is -1
+// (the set is full), over the least recently used way, which it evicts. The
+// filled way becomes the most recently used. fill returns its position in
+// c.tags and the evicted line.
+func (c *Cache) fill(set, invalid int, word uint64) (idx int, v Victim) {
+	way := invalid
+	if way < 0 {
+		way = int(c.recency[set] >> c.tailShift & 15)
+		old := c.tags[set*c.assoc+way]
+		v = Victim{Addr: c.lineAddr(set, old>>2), Dirty: old&dirtyBit != 0, Valid: true}
 		c.stats.Evictions++
 		if v.Dirty {
 			c.stats.Writebacks++
 		}
 	}
-	c.lruClock++
-	ss[victimIdx] = line{tag: tag, valid: true, lru: c.lruClock}
-	return set*c.assoc + victimIdx, false, v
+	idx = set*c.assoc + way
+	c.tags[idx] = word
+	c.touch(set, uint64(way))
+	return idx, v
 }
 
 // Flush removes addr from the cache if present, reporting whether it was
@@ -236,24 +270,11 @@ func (c *Cache) Flush(addr uint64) (present, dirty bool) {
 	return true, c.flushAt(i)
 }
 
-// flushAt invalidates the valid line at position i of c.sets, reporting
-// whether it was dirty.
+// flushAt invalidates the valid line at position i of c.tags, reporting
+// whether it was dirty. The way keeps its place in the recency word.
 func (c *Cache) flushAt(i int) (dirty bool) {
-	dirty = c.sets[i].dirty
-	c.sets[i] = line{}
+	dirty = c.tags[i]&dirtyBit != 0
+	c.tags[i] = 0
 	c.stats.Flushes++
 	return dirty
-}
-
-// DirtyLines returns the addresses of all dirty lines (drain support).
-func (c *Cache) DirtyLines() []uint64 {
-	var out []uint64
-	for set := 0; set < c.setCount; set++ {
-		for _, l := range c.setSlice(set) {
-			if l.valid && l.dirty {
-				out = append(out, c.lineAddr(set, l.tag))
-			}
-		}
-	}
-	return out
 }

@@ -24,6 +24,19 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New("bad", 4096+64, 4); err == nil {
 		t.Fatalf("non-power-of-two sets must fail")
 	}
+	// The recency word holds one 4-bit way number per way.
+	if _, err := New("bad", 32*LineBytes, 32); err == nil {
+		t.Fatalf("associativity above 16 must fail")
+	}
+	if _, err := New("ok", 16*LineBytes, 16); err != nil {
+		t.Fatalf("16 ways: %v", err)
+	}
+	// A partial line is not silently rounded down.
+	for _, size := range []int{100, 4096 + 32} {
+		if _, err := New("bad", size, 1); err == nil {
+			t.Fatalf("size %d (not a whole number of lines) must fail", size)
+		}
+	}
 }
 
 func TestHitMiss(t *testing.T) {
@@ -97,7 +110,7 @@ func TestDirtyLines(t *testing.T) {
 	c := newTestCache(t, 4096, 4)
 	c.Install(0x80, true)
 	c.Install(0x100, false)
-	dirty := c.DirtyLines()
+	dirty := dirtyLines(c)
 	if len(dirty) != 1 || dirty[0] != 0x80 {
 		t.Fatalf("DirtyLines = %v", dirty)
 	}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -9,9 +10,9 @@ import (
 // the two-call path it replaces: a read Access and, on a miss,
 // Install(addr, false) on a twin cache. Writes (dirty lines, so evictions
 // carry dirty victims) and Flushes (invalid ways in the middle of full
-// sets) are applied to both caches between fills. Hit, victim, statistics
-// and every line of the touched set must match after each step, and the
-// returned index must name the line.
+// sets) are applied to both caches between fills. Hit, victim, statistics,
+// and the touched set's tag words and recency word must match after each
+// step, and the returned index must name the line.
 func TestAccessFillMatchesAccessThenInstall(t *testing.T) {
 	for _, geom := range []struct{ sets, assoc int }{{1, 1}, {4, 2}, {8, 4}, {2, 8}} {
 		size := geom.sets * geom.assoc * LineBytes
@@ -37,10 +38,7 @@ func TestAccessFillMatchesAccessThenInstall(t *testing.T) {
 				}
 			default:
 				set := twin.setOf(addr)
-				hadInvalid := false
-				for _, l := range twin.setSlice(set) {
-					hadInvalid = hadInvalid || !l.valid
-				}
+				hadInvalid := setHasInvalid(twin, addr)
 				idx, hit, v := fused.accessFill(addr)
 				wantHit := twin.Access(addr, false)
 				var want Victim
@@ -57,14 +55,14 @@ func TestAccessFillMatchesAccessThenInstall(t *testing.T) {
 				if hit != wantHit || v != want {
 					t.Fatalf("%v step %d addr %#x: fused (%v, %+v), two-call (%v, %+v)", geom, step, addr, hit, v, wantHit, want)
 				}
-				if l := fused.sets[idx]; idx/geom.assoc != set || !l.valid || l.tag != fused.tagOf(addr) {
-					t.Fatalf("%v step %d addr %#x: index %d holds %+v, not the line", geom, step, addr, idx, l)
+				if w := fused.tags[idx]; idx/geom.assoc != set || w|dirtyBit != fused.key(addr) {
+					t.Fatalf("%v step %d addr %#x: index %d holds %#x, not the line", geom, step, addr, idx, w)
 				}
-				fs, ts := fused.setSlice(set), twin.setSlice(set)
-				for i := range fs {
-					if fs[i] != ts[i] {
-						t.Fatalf("%v step %d: set %d way %d = %+v, want %+v", geom, step, set, i, fs[i], ts[i])
-					}
+				base := set * geom.assoc
+				fs, ts := fused.tags[base:base+geom.assoc], twin.tags[base:base+geom.assoc]
+				if !slices.Equal(fs, ts) || fused.recency[set] != twin.recency[set] {
+					t.Fatalf("%v step %d: set %d = %#x order %#x, want %#x order %#x",
+						geom, step, set, fs, fused.recency[set], ts, twin.recency[set])
 				}
 			}
 			if fused.Stats() != twin.Stats() {

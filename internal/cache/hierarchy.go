@@ -17,8 +17,9 @@ func JetsonNanoHier() HierConfig {
 	return HierConfig{L1Size: 32 << 10, L1Assoc: 4, L2Size: 512 << 10, L2Assoc: 8}
 }
 
-// Hierarchy is a two-level data-cache hierarchy. It models tags and state
-// only (no data); the DRAM chip model owns data.
+// Hierarchy is the single-core two-level data-cache hierarchy. It models
+// tag words and LRU order only (no data); the DRAM chip model owns data. A
+// multi-core system builds a MultiHierarchy instead, never both.
 type Hierarchy struct {
 	L1 *Cache
 	L2 *Cache
@@ -70,7 +71,8 @@ func (h *Hierarchy) Access(addr uint64, write bool) (level int, writebacks []uin
 	}
 	// Fill L1.
 	if v := h.L1.Install(addr, write); v.Valid && v.Dirty {
-		// Dirty L1 victim folds back into L2.
+		// Dirty L1 victim folds back into L2: a write hit, so it also
+		// becomes the L2 set's most recently used line.
 		if !h.L2.Access(v.Addr, true) {
 			// Victim no longer in L2 (evicted earlier): write back.
 			h.wbScratch = append(h.wbScratch, v.Addr)

@@ -19,11 +19,12 @@ import (
 // share lines stays functionally safe (tags-only model) even though it
 // would not see coherence misses.
 //
-// "May hold" is a superset tracked per L2 line: holders has one bit per
-// (core, L2 line), set when the core fills its L1 through the line and
-// cleared for every core when the L2 line is refilled. Flushing an L1 that
-// lacks a line changes nothing, not even a counter, so flushing only the
-// L1s whose bits are set is exactly the every-L1 flush.
+// "May hold" is a superset tracked per L2 line position (the way's index
+// set*assoc+way into the L2's tag words): holders has one bit per (core,
+// position), set when the core fills its L1 through the line and cleared
+// for every core when the position is refilled. Flushing an L1 that lacks a
+// line changes nothing, not even a counter or a recency word, so flushing
+// only the L1s whose bits are set is exactly the every-L1 flush.
 type MultiHierarchy struct {
 	l1s []*Cache
 	l2  *Cache
@@ -61,7 +62,7 @@ func NewMultiHierarchy(cfg HierConfig, cores int) (*MultiHierarchy, error) {
 	m.l2 = l2
 	m.fieldLog = uint(bits.Len(uint(cores - 1)))
 	m.coreMask = ^uint64(0) >> (64 - cores)
-	m.holders = make([]uint64, (len(l2.sets)<<m.fieldLog+63)/64)
+	m.holders = make([]uint64, (len(l2.tags)<<m.fieldLog+63)/64)
 	return m, nil
 }
 

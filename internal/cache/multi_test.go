@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// refMulti is the reference multi-core fabric: private L1s in front of an
-// inclusive shared L2, with an L2 eviction flushing the victim from every
-// L1 and the L2 fill built from Access and Install.
+// refMulti is the reference multi-core fabric, built on the map+list LRU
+// reference: private L1s in front of an inclusive shared L2, with an L2
+// eviction flushing the victim from every L1 and the L2 fill built from
+// access and install.
 type refMulti struct {
-	l1s []*Cache
-	l2  *Cache
+	l1s []*lruRef
+	l2  *lruRef
 	// sharedVictims counts L2 victims that several L1s held.
 	sharedVictims int
 }
@@ -19,16 +20,16 @@ type refMulti struct {
 func (r *refMulti) access(core int, addr uint64, write bool) (level int, writebacks []uint64) {
 	addr &^= uint64(LineBytes - 1)
 	l1 := r.l1s[core]
-	if l1.Access(addr, write) {
+	if l1.access(addr, write) {
 		return 1, nil
 	}
 	level = 2
-	if !r.l2.Access(addr, false) {
+	if !r.l2.access(addr, false) {
 		level = 3
-		if vic := r.l2.Install(addr, false); vic.Valid {
+		if vic := r.l2.install(addr, false); vic.Valid {
 			dirty, held := vic.Dirty, 0
 			for _, other := range r.l1s {
-				p, d := other.Flush(vic.Addr)
+				p, d := other.flush(vic.Addr)
 				if p {
 					held++
 				}
@@ -44,8 +45,8 @@ func (r *refMulti) access(core int, addr uint64, write bool) (level int, writeba
 			}
 		}
 	}
-	if vic := l1.Install(addr, write); vic.Valid && vic.Dirty {
-		if !r.l2.Access(vic.Addr, true) {
+	if vic := l1.install(addr, write); vic.Valid && vic.Dirty {
+		if !r.l2.access(vic.Addr, true) {
 			writebacks = append(writebacks, vic.Addr)
 		}
 	}
@@ -55,17 +56,17 @@ func (r *refMulti) access(core int, addr uint64, write bool) (level int, writeba
 func (r *refMulti) flush(addr uint64) (writeback bool) {
 	addr &^= uint64(LineBytes - 1)
 	for _, l1 := range r.l1s {
-		if _, d := l1.Flush(addr); d {
+		if _, d := l1.flush(addr); d {
 			writeback = true
 		}
 	}
-	_, d2 := r.l2.Flush(addr)
+	_, d2 := r.l2.flush(addr)
 	return writeback || d2
 }
 
 // TestMultiHierarchyMatchesEveryL1Flush checks MultiHierarchy's
-// back-invalidation of only the L1s that may hold a line against the
-// reference that flushes every L1. All cores draw from one small address
+// back-invalidation of only the L1s that may hold a line against refMulti,
+// which flushes every L1 and shares no code with Cache. All cores draw from one small address
 // space, so lines live in several L1s at once, and the L2 is small, so it
 // evicts constantly. Level and writebacks must match after every
 // operation, and every cache line, counter and dirty line at the end.
@@ -76,9 +77,9 @@ func TestMultiHierarchyMatchesEveryL1Flush(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := &refMulti{l2: newTestCache(t, cfg.L2Size, cfg.L2Assoc)}
+		ref := &refMulti{l2: newLRURef(cfg.L2Size, cfg.L2Assoc)}
 		for i := 0; i < cores; i++ {
-			ref.l1s = append(ref.l1s, newTestCache(t, cfg.L1Size, cfg.L1Assoc))
+			ref.l1s = append(ref.l1s, newLRURef(cfg.L1Size, cfg.L1Assoc))
 		}
 		views := make([]*CoreView, cores)
 		for i := range views {
@@ -93,7 +94,7 @@ func TestMultiHierarchyMatchesEveryL1Flush(t *testing.T) {
 			addr := uint64(rng.Intn(lines))*LineBytes + uint64(rng.Intn(LineBytes))
 			holders := 0
 			for _, l1 := range ref.l1s {
-				if l1.Lookup(addr) {
+				if l1.lookup(addr) {
 					holders++
 				}
 			}
@@ -107,7 +108,7 @@ func TestMultiHierarchyMatchesEveryL1Flush(t *testing.T) {
 					sharedFlushes++
 				}
 			default:
-				if views[core].WouldMiss(addr) != (!ref.l1s[core].Lookup(addr) && !ref.l2.Lookup(addr)) {
+				if views[core].WouldMiss(addr) != (!ref.l1s[core].lookup(addr) && !ref.l2.lookup(addr)) {
 					t.Fatalf("%d cores, step %d: WouldMiss(%#x) disagrees", cores, step, addr)
 				}
 				write := op < 4
@@ -121,14 +122,12 @@ func TestMultiHierarchyMatchesEveryL1Flush(t *testing.T) {
 			}
 		}
 		for i, l1 := range m.l1s {
-			if !slices.Equal(l1.sets, ref.l1s[i].sets) || l1.Stats() != ref.l1s[i].Stats() ||
-				!slices.Equal(l1.DirtyLines(), ref.l1s[i].DirtyLines()) {
-				t.Fatalf("%d cores: L1 %d diverged: stats %+v, want %+v", cores, i, l1.Stats(), ref.l1s[i].Stats())
+			if !slices.Equal(residents(l1), ref.l1s[i].residents()) || l1.Stats() != ref.l1s[i].stats {
+				t.Fatalf("%d cores: L1 %d diverged: stats %+v, want %+v", cores, i, l1.Stats(), ref.l1s[i].stats)
 			}
 		}
-		if !slices.Equal(m.l2.sets, ref.l2.sets) || m.L2Stats() != ref.l2.Stats() ||
-			!slices.Equal(m.l2.DirtyLines(), ref.l2.DirtyLines()) {
-			t.Fatalf("%d cores: L2 diverged: stats %+v, want %+v", cores, m.L2Stats(), ref.l2.Stats())
+		if !slices.Equal(residents(m.l2), ref.l2.residents()) || m.L2Stats() != ref.l2.stats {
+			t.Fatalf("%d cores: L2 diverged: stats %+v, want %+v", cores, m.L2Stats(), ref.l2.stats)
 		}
 		if ref.sharedVictims == 0 || sharedFlushes == 0 || writebacks == 0 {
 			t.Fatalf("%d cores: weak coverage: %d L2 victims held by several L1s, %d flushes of lines held by several L1s, %d writebacks",

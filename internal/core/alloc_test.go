@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"easydram/internal/workload"
@@ -69,5 +70,37 @@ func TestServiceLoopSteadyStateAllocs(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestNewSystemBytes anchors set-up cost: the bytes NewSystem allocates,
+// averaged over repeated calls, for the Cortex-A57 preset with one core and
+// with four. Almost all of them are cache state (a 512 KiB L2 of 8-byte tag
+// words plus one recency word per set), and a multi-core system builds only
+// its shared fabric, not also a single-core hierarchy.
+func TestNewSystemBytes(t *testing.T) {
+	for _, tc := range []struct {
+		cores int
+		limit uint64
+	}{
+		{1, 96 << 10},
+		{4, 128 << 10},
+	} {
+		cfg := TimeScalingA57()
+		cfg.Cores = tc.cores
+		const calls = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if _, err := NewSystem(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+		if perCall > tc.limit {
+			t.Errorf("%d cores: NewSystem allocates %d B per call, limit %d", tc.cores, perCall, tc.limit)
+		}
+		t.Logf("%d cores: %d B per NewSystem", tc.cores, perCall)
 	}
 }

@@ -37,7 +37,7 @@ func (c Config) CompatKey() string {
 	if c.Scheduler != nil {
 		sched = c.Scheduler.Name()
 	}
-	return fmt.Sprintf("core:v4|scaling=%v|hwmc=%v|fpga=%v|proc=%v|cpu=%+v|hier=%+v|dram=%+v|costs=%+v|sched=%s|policy=%d|trcd=%v|ctrl=%d|topo=%+v|refresh=%v|faults=%+v|mit=%+v",
+	return fmt.Sprintf("core:v5|scaling=%v|hwmc=%v|fpga=%v|proc=%v|cpu=%+v|hier=%+v|dram=%+v|costs=%+v|sched=%s|policy=%d|trcd=%v|ctrl=%d|topo=%+v|refresh=%v|faults=%+v|mit=%+v",
 		c.Scaling, c.HardwareMC, c.FPGA, c.ProcPhys, c.CPU, c.Hier, c.DRAM,
 		c.Costs, sched, c.Policy, c.TRCD != nil, c.ModeledCtrlLatency,
 		c.Topology, c.RefreshEnabled, c.Faults, c.Mitigation)

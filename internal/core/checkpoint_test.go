@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"easydram/internal/cache"
 	"easydram/internal/fault"
 	"easydram/internal/smc"
 	"easydram/internal/snapshot"
@@ -83,6 +84,93 @@ func TestCheckpointRestoreBitIdentity(t *testing.T) {
 				t.Fatalf("restored run diverged:\nbase     %+v\nrestored %+v", base, restored)
 			}
 		})
+	}
+}
+
+// TestCheckpointCarriesCacheState checkpoints right after a phase that
+// leaves dirty lines in both cache levels and a flushed hole among the
+// valid ways of an L2 set. The blob's cache section must hold exactly that
+// state, and the restored run, whose tail refills the hole and evicts the
+// set's dirty lines, must match the uninterrupted run.
+func TestCheckpointCarriesCacheState(t *testing.T) {
+	cfg := TimeScalingA57()
+	const (
+		stride = 64 << 10 // lines this far apart share an L1 set and an L2 set
+		base   = 1 << 24
+		region = 1 << 25
+	)
+	k := workload.Kernel{Name: "dirty-hole", Body: func(g *workload.Gen) {
+		for i := uint64(0); i < 4; i++ {
+			g.Store(base + i*stride)
+		}
+		g.Flush(base + stride)
+		// Dirty 64 KiB that skips the lines above's L2 set. The L1 keeps
+		// the last half and folds the rest, dirty, into the L2, including
+		// lines 0, 2 and 3 above.
+		for a := uint64(region); a < region+stride; a += 8 {
+			if a/cache.LineBytes%1024 != 0 {
+				g.Store(a)
+			}
+		}
+		g.Mark()
+		g.Compute(4096)
+		for i := uint64(4); i < 16; i++ {
+			g.Load(base + i*stride)
+		}
+		for a := uint64(region); a < region+stride; a += 64 {
+			g.Load(a)
+		}
+	}}
+	base0 := mustRunKernel(t, cfg, k)
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, blob, err := sys.RunCheckpoint(k.Stream(), base0.Marks[0])
+	if err != nil || blob == nil {
+		t.Fatalf("RunCheckpoint: blob=%d err=%v", len(blob), err)
+	}
+
+	r, err := snapshot.ParseExpect(blob, snapshot.KindCheckpoint, cfg.CompatKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := r.Section("cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := cache.NewHierarchy(cfg.Hier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := snapshot.NewDec(payload)
+	h.LoadState(d)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if !h.L2.Lookup(base) || h.L2.Lookup(base+stride) || !h.L2.Lookup(base+2*stride) || !h.L2.Lookup(base+3*stride) {
+		t.Fatalf("checkpointed L2 set lacks the flushed hole between valid lines")
+	}
+	if h.L1.Lookup(base) {
+		t.Fatalf("checkpointed L1 still holds line 0; its dirtiness never reached the L2")
+	}
+	if p, dirty := h.L2.Flush(base); !p || !dirty {
+		t.Fatalf("checkpointed L2 line 0: present %v, dirty %v; want a dirty line", p, dirty)
+	}
+	if p, dirty := h.L1.Flush(region + stride - cache.LineBytes); !p || !dirty {
+		t.Fatalf("checkpointed L1 last line: present %v, dirty %v; want a dirty line", p, dirty)
+	}
+
+	restoredSys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := restoredSys.RunRestored(k.Stream(), blob)
+	if err != nil {
+		t.Fatalf("RunRestored: %v", err)
+	}
+	if !reflect.DeepEqual(restored, base0) {
+		t.Fatalf("restored run diverged:\nbase     %+v\nrestored %+v", base0, restored)
 	}
 }
 
@@ -175,19 +263,22 @@ func TestRestoreRejectsBadBlobs(t *testing.T) {
 			t.Fatalf("err = %v, want ErrKeyMismatch", err)
 		}
 	})
-	t.Run("v3-key", func(t *testing.T) {
-		// The key lost Config.MemPathLatency in core:v4, so a core:v3
-		// blob must not restore.
-		key := cfg.CompatKey()
-		if !strings.HasPrefix(key, "core:v4|") {
-			t.Fatalf("CompatKey %q does not start with core:v4|", key)
-		}
-		w := snapshot.NewWriter(snapshot.KindCheckpoint, "core:v3|"+strings.TrimPrefix(key, "core:v4|"))
-		w.Section("engine", nil)
-		if _, err := newSys().RunRestored(k.Stream(), w.Bytes()); !errors.Is(err, snapshot.ErrKeyMismatch) {
-			t.Fatalf("err = %v, want ErrKeyMismatch", err)
-		}
-	})
+	// The key lost Config.MemPathLatency in core:v4, and core:v5 encodes
+	// the caches as tag and recency words, so a blob under either older
+	// key must not restore.
+	for _, old := range []string{"v3", "v4"} {
+		t.Run(old+"-key", func(t *testing.T) {
+			key := cfg.CompatKey()
+			if !strings.HasPrefix(key, "core:v5|") {
+				t.Fatalf("CompatKey %q does not start with core:v5|", key)
+			}
+			w := snapshot.NewWriter(snapshot.KindCheckpoint, "core:"+old+"|"+strings.TrimPrefix(key, "core:v5|"))
+			w.Section("engine", nil)
+			if _, err := newSys().RunRestored(k.Stream(), w.Bytes()); !errors.Is(err, snapshot.ErrKeyMismatch) {
+				t.Fatalf("err = %v, want ErrKeyMismatch", err)
+			}
+		})
+	}
 	t.Run("wrong-kind", func(t *testing.T) {
 		w := snapshot.NewWriter(snapshot.KindProfile, cfg.CompatKey())
 		if _, err := newSys().RunRestored(k.Stream(), w.Bytes()); !errors.Is(err, snapshot.ErrBadKind) {

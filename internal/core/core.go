@@ -250,9 +250,11 @@ type sysChannel struct {
 type System struct {
 	cfg  Config
 	topo dram.Topology
-	hier *cache.Hierarchy
-	// mhier is the multi-core cache fabric (private L1s, shared L2), built
-	// only when cfg.Cores > 1; single-core runs use hier.
+	// hier is the single-core cache hierarchy, built only when
+	// cfg.Cores <= 1. mhier is the multi-core fabric (private L1s, shared
+	// L2), built only when cfg.Cores > 1: every single-core entry rejects a
+	// multi-core system, so one of the two stays nil.
+	hier   *cache.Hierarchy
 	mhier  *cache.MultiHierarchy
 	chans  []sysChannel
 	mapper *smc.TopologyMapper
@@ -316,10 +318,6 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	topo := cfg.Topology.Normalize()
-	hier, err := cache.NewHierarchy(cfg.Hier)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	banksPerRank := cfg.DRAM.BankGroups * cfg.DRAM.BanksPerGroup
 	mapper, err := smc.NewTopologyMapper(topo, banksPerRank, cfg.DRAM.ColsPerRow)
 	if err != nil {
@@ -328,15 +326,16 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{
 		cfg:       cfg,
 		topo:      topo,
-		hier:      hier,
 		mapper:    mapper,
 		hostReqID: hostReqIDBase,
 	}
 	if cfg.Cores > 1 {
 		s.mhier, err = cache.NewMultiHierarchy(cfg.Hier, cfg.Cores)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+	} else {
+		s.hier, err = cache.NewHierarchy(cfg.Hier)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	dramCfg := cfg.DRAM
 	dramCfg.Faults = cfg.Faults.Chip

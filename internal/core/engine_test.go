@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"easydram/internal/cache"
 	"easydram/internal/smc"
 	"easydram/internal/workload"
 )
@@ -129,6 +130,31 @@ func TestConfigValidation(t *testing.T) {
 	cfg.DRAM.SubarrayRows = 100 // does not divide rows
 	if _, err := NewSystem(cfg); err == nil {
 		t.Fatalf("bad DRAM config must fail")
+	}
+}
+
+// TestNewSystemRejectsCacheGeometry pins that a cache geometry the model
+// cannot hold fails NewSystem, on both hierarchies, rather than running a
+// different cache: more than 16 ways, or a size that is not a whole number
+// of lines.
+func TestNewSystemRejectsCacheGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hier cache.HierConfig
+	}{
+		{"l1-32-way", cache.HierConfig{L1Size: 32 << 10, L1Assoc: 32, L2Size: 512 << 10, L2Assoc: 8}},
+		{"l2-32-way", cache.HierConfig{L1Size: 32 << 10, L1Assoc: 4, L2Size: 512 << 10, L2Assoc: 32}},
+		{"l1-100-bytes", cache.HierConfig{L1Size: 100, L1Assoc: 1, L2Size: 512 << 10, L2Assoc: 8}},
+		{"l2-partial-line", cache.HierConfig{L1Size: 32 << 10, L1Assoc: 4, L2Size: 512<<10 + 32, L2Assoc: 8}},
+	} {
+		for _, cores := range []int{1, 4} {
+			cfg := TimeScalingA57()
+			cfg.Hier = tc.hier
+			cfg.Cores = cores
+			if _, err := NewSystem(cfg); err == nil {
+				t.Errorf("%s, %d cores: NewSystem succeeded, want an error", tc.name, cores)
+			}
+		}
 	}
 }
 

@@ -167,8 +167,10 @@ type outstandingMiss struct {
 
 // CacheView is the cache surface a core executes against: the single-core
 // two-level cache.Hierarchy, or one core's cache.CoreView onto the shared
-// multi-core fabric. The methods mirror cache.Hierarchy exactly (see its
-// docs for the writeback-slice aliasing contract).
+// multi-core fabric (a system builds one or the other, never both). Both
+// have the same semantics. The writebacks slice Access returns aliases a
+// buffer the next Access reuses; for a CoreView that is the next Access on
+// any core's view, so the engine consumes it before stepping another core.
 type CacheView interface {
 	// Access performs a load or store, reporting the satisfying level
 	// (1, 2, or 3 = main-memory fill) and dirty victim lines to write back.
