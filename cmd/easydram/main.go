@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	easydram [-quick] [-seed N] [-channels N] [-ranks N] [-shard-workers N]
-//	         [-cores N] [-faults] [-mitigation P] [-save-profile DIR]
+//	easydram [-quick] [-seed N] [-channels N] [-ranks N] [-cores N]
+//	         [-faults] [-mitigation P] [-save-profile DIR]
 //	         [-load-profile DIR] [-checkpoint FILE] [-v] <experiment>
 //
 // where experiment is a name from experiments.Catalog (table1, fig2,
@@ -28,7 +28,6 @@ func main() {
 	quick := flag.Bool("quick", false, "use unit-test-scale parameters")
 	seed := flag.Uint64("seed", 1, "DRAM variation seed")
 	channels := flag.Int("channels", 0, "memory channels (power of two; 0 = the paper's single channel). Topology is a workload axis: multi-channel runs overlap service and change emulated timing")
-	shardWorkers := flag.Int("shard-workers", 0, "host workers advancing emulated channels in parallel within one run (0 = GOMAXPROCS, 1 = serial); results are byte-identical at any count")
 	ranks := flag.Int("ranks", 0, "ranks per channel bus (power of two; 0 = the paper's single rank; rank switches pay the tRTRS turnaround)")
 	cores := flag.Int("cores", 0, "emulated core count the fairness sweep tops out at (0 = the default {2, 4} grid); a modeled-system axis — more cores means more contention")
 	faults := flag.Bool("faults", false, "arm default fault injection (chip disturb, transient/stuck-at reads, host-link failures) on every run; deterministic in -seed")
@@ -38,7 +37,7 @@ func main() {
 	loadProfile := flag.String("load-profile", "", "characterization store directory to warm-start from; missing/corrupt/stale profiles degrade to fresh characterization")
 	checkpoint := flag.String("checkpoint", "", "file the snapshot experiment writes its mid-run system checkpoint to")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: easydram [-quick] [-seed N] [-channels N] [-ranks N] [-shard-workers N] [-cores N] [-faults] [-mitigation P] [-save-profile DIR] [-load-profile DIR] [-checkpoint FILE] [-v] <%s>\n", experimentNames())
+		fmt.Fprintf(os.Stderr, "usage: easydram [-quick] [-seed N] [-channels N] [-ranks N] [-cores N] [-faults] [-mitigation P] [-save-profile DIR] [-load-profile DIR] [-checkpoint FILE] [-v] <%s>\n", experimentNames())
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -56,7 +55,6 @@ func main() {
 	opt.Channels = *channels
 	opt.Ranks = *ranks
 	opt.Cores = *cores
-	opt.ShardWorkers = *shardWorkers
 	opt.Faults = *faults
 	opt.Mitigation = *mitigation
 	opt.Verbose = *verbose

@@ -149,16 +149,6 @@ func WithRefresh(on bool) Option {
 	return func(cfg *core.Config) { cfg.RefreshEnabled = on }
 }
 
-// WithShardWorkers bounds the host worker pool that executes emulated
-// memory channels in parallel during fence and drain phases (see WithTopology
-// for channels). Sharding is pure host parallelism: results are byte-identical
-// at any worker count. 0 — the default — uses GOMAXPROCS; 1 forces the serial
-// path with zero shard overhead; counts above the channel count are clamped.
-// Single-channel systems always run serial.
-func WithShardWorkers(n int) Option {
-	return func(cfg *core.Config) { cfg.ShardWorkers = n }
-}
-
 // WithTopology selects the module organisation: `channels` independent
 // memory channels (each with its own software-memory-controller instance,
 // request table, and DRAM Bender pipeline) and `ranks` ranks sharing each

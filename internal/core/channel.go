@@ -71,8 +71,7 @@ func (e *engine) channelHasWork(ch int) bool {
 
 // decisionTime is channel ch's next controller decision point: its service
 // chain, lifted to its first staged arrival when it has nothing else to
-// serve. Monotone nondecreasing across the channel's steps — what makes the
-// shard merge's (key, channel) order equal the serial interleave.
+// serve.
 func (e *engine) decisionTime(ch int) clock.PS {
 	t := e.chain[ch]
 	c := &e.sys.chans[ch]
@@ -131,7 +130,7 @@ func (e *engine) ingest(ch int) {
 // before its next request service starts: a refresh fires iff it is due by
 // max(service point, next arrival). Refreshes falling in idle periods chain
 // off the stale service point and so cost the emulated timeline nothing.
-func (e *engine) settleRefreshes(ch int, fx *chanFX) error {
+func (e *engine) settleRefreshes(ch int) error {
 	c := &e.sys.chans[ch]
 	if !c.ctl.RefreshEnabled() {
 		return nil
@@ -152,7 +151,7 @@ func (e *engine) settleRefreshes(ch int, fx *chanFX) error {
 			return err
 		}
 		// A refresh arrives at the first key at or after it is due.
-		e.account(ch, fx, env, e.toKey(due+e.keyPS-1), 0)
+		e.account(ch, env, e.toKey(due+e.keyPS-1), 0)
 	}
 }
 
@@ -163,22 +162,17 @@ func (e *engine) smcStep() error {
 	if !ok {
 		return e.idle(-1)
 	}
-	return e.stepChannel(ch, nil)
+	return e.stepChannel(ch)
 }
 
-// stepChannel runs one controller iteration on channel ch. With a nil fx
-// the step applies its shared effects (wall charges, the shared MC counter,
-// release-heap pushes, the fence point) directly — the serial path. A
-// non-nil fx is a shard worker's effect sink: shared effects are recorded
-// there for the canonical merge, and everything the step touches directly
-// is channel-local (see shard.go).
-func (e *engine) stepChannel(ch int, fx *chanFX) error {
+// stepChannel runs one controller iteration on channel ch.
+func (e *engine) stepChannel(ch int) error {
 	// Time scaling ingests before settling refreshes, and the wall-clock
 	// mode after; each order is part of the mode's pinned output.
 	if e.cfg.Scaling {
 		e.ingest(ch)
 	}
-	if err := e.settleRefreshes(ch, fx); err != nil {
+	if err := e.settleRefreshes(ch); err != nil {
 		return err
 	}
 	if !e.cfg.Scaling {
@@ -194,13 +188,6 @@ func (e *engine) stepChannel(ch int, fx *chanFX) error {
 		return err
 	}
 	if !worked {
-		if fx != nil {
-			// A worker cannot consult the shared ready queue or move the
-			// processor; park the channel and let the serial path resolve
-			// the idle state.
-			fx.stopped = true
-			return nil
-		}
 		return e.idle(ch)
 	}
 
@@ -214,8 +201,8 @@ func (e *engine) stepChannel(ch int, fx *chanFX) error {
 			at = p.at
 		}
 	}
-	release, fence := e.account(ch, fx, env, at, len(responses))
-	e.noteFence(fx, fence)
+	release, fence := e.account(ch, env, at, len(responses))
+	e.fenceAt = max(e.fenceAt, fence)
 	for _, r := range responses {
 		p, ok := e.inflight[ch].Take(r.ReqID)
 		if !ok {
@@ -228,11 +215,9 @@ func (e *engine) stepChannel(ch int, fx *chanFX) error {
 		if p.posted {
 			continue
 		}
-		e.pushReady(fx, r.ReqID, release)
+		e.ready.Push(r.ReqID, release)
 	}
-	if fx == nil {
-		e.maybeExitCritical()
-	}
+	e.maybeExitCritical()
 	return nil
 }
 
@@ -249,7 +234,7 @@ func (e *engine) stepChannel(ch int, fx *chanFX) error {
 // exact mirror of the reference engine's wall-clock service math. Without
 // time scaling the chain is the channel's wall-clock busy point, and the raw
 // software controller's charged cycles appear in both occupancy and latency.
-func (e *engine) account(ch int, fx *chanFX, env *smc.Env, at int64, n int) (release, fence int64) {
+func (e *engine) account(ch int, env *smc.Env, at int64, n int) (release, fence int64) {
 	var charged clock.PS
 	if !e.cfg.HardwareMC {
 		charged = clock.PS(env.ChargedFPGA()) * e.cfg.FPGA.Period()
@@ -257,11 +242,9 @@ func (e *engine) account(ch int, fx *chanFX, env *smc.Env, at int64, n int) (rel
 	start := max(e.chain[ch], e.keyTime(at))
 	latency := env.Latency() + e.extraModeled(n)
 	if e.cfg.Scaling {
-		e.chargeWall(fx, charged+env.BenderWall())
+		e.ts.AdvanceWall(charged + env.BenderWall())
 		e.chain[ch] = start + env.Occupancy()
-		if fx == nil {
-			e.ts.RaiseMCTime(e.chain[ch])
-		}
+		e.ts.RaiseMCTime(e.chain[ch])
 		release = int64(e.cfg.CPU.Clock.CyclesCeil(start + max(latency, env.Occupancy())))
 		if n > 0 {
 			fence = release
@@ -286,50 +269,13 @@ func (e *engine) idle(ch int) error {
 	case e.cfg.Scaling:
 		e.ts.JumpProcTo(clock.Cycles(e.ready.Min().release))
 	case ch >= 0:
-		e.noteFence(nil, int64(e.chain[ch]))
+		e.fenceAt = max(e.fenceAt, int64(e.chain[ch]))
 	default:
 		for _, t := range e.chain {
-			e.noteFence(nil, int64(t))
+			e.fenceAt = max(e.fenceAt, int64(t))
 		}
 	}
 	return nil
-}
-
-// chargeWall charges FPGA wall time consumed by the SMC or Bender under
-// time scaling. Serial path: straight to the counters. Shard worker:
-// recorded as FPGA cycles (the per-call ceiling AdvanceWall would take) and
-// credited at merge — the charge only moves the global counter, a
-// commutative sum.
-func (e *engine) chargeWall(fx *chanFX, d clock.PS) {
-	if fx == nil {
-		e.ts.AdvanceWall(d)
-		return
-	}
-	fx.global += e.cfg.FPGA.CyclesCeil(d)
-}
-
-// noteFence raises the run's fence point (what a fence waits out: the
-// latest release under time scaling, the latest service completion
-// without). Commutative max, so workers record per-channel maxima.
-func (e *engine) noteFence(fx *chanFX, at int64) {
-	if fx == nil {
-		e.fenceAt = max(e.fenceAt, at)
-		return
-	}
-	fx.fenceAt = max(fx.fenceAt, at)
-}
-
-// pushReady queues one response for delivery. Serial path: straight into
-// the shared release heap. Shard worker: recorded in the effect sink; the
-// merge replays pushes in canonical serial order, so heap sequence numbers
-// — and therefore delivery order among equal releases — are bit-identical
-// to the serial run.
-func (e *engine) pushReady(fx *chanFX, id uint64, release int64) {
-	if fx == nil {
-		e.ready.Push(id, release)
-		return
-	}
-	fx.resps = append(fx.resps, shardRespFX{id: id, release: release})
 }
 
 // maybeExitCritical releases critical mode once nothing is in flight (time

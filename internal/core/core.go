@@ -79,16 +79,11 @@ type Config struct {
 	// per-request decision latency in the target system.
 	ModeledCtrlLatency clock.PS
 
-	// ShardWorkers bounds the host worker pool the engine shards per-channel
-	// service onto during fence and drain phases (see shard.go). This is
-	// host parallelism only: results are byte-identical at any worker count.
-	// 0 selects GOMAXPROCS; 1 forces the existing single-threaded path
-	// (zero overhead); values above the channel count are clamped. Sharded
-	// runs invoke a shared stateless Scheduler and the TRCD provider from
-	// several goroutines concurrently, so both must be safe for concurrent
-	// read-only use (every implementation in this repository is).
-	// ShardWorkers is deliberately excluded from CompatKey: a checkpoint
-	// taken at one worker count restores at any other.
+	// ShardWorkers does nothing: every run serves its channels on one
+	// serial path.
+	//
+	// Deprecated: it remains only because the host benchmark in bench/
+	// still sets it; ROADMAP item 3 deletes it.
 	ShardWorkers int
 
 	// Cores selects the number of emulated host cores. 0 or 1 models the
@@ -96,8 +91,7 @@ type Config struct {
 	// to the pre-multicore engine, golden-pinned). Above 1, the system
 	// models N cores with private L1s behind a shared L2 competing for the
 	// per-channel controllers; runs take one workload stream per core via
-	// RunStreams (see multicore.go). Multi-core runs force ShardWorkers to
-	// its serial setting and reject checkpoints.
+	// RunStreams (see multicore.go). Multi-core runs reject checkpoints.
 	Cores int
 
 	// Topology selects the module organisation: independent channels, each
@@ -142,9 +136,6 @@ func (c Config) Validate() error {
 	}
 	if c.Policy != smc.OpenPage && c.Policy != smc.ClosedPage {
 		return fmt.Errorf("core: unknown page policy %d (want open or closed)", c.Policy)
-	}
-	if c.ShardWorkers < 0 {
-		return fmt.Errorf("core: shard workers must be non-negative, got %d", c.ShardWorkers)
 	}
 	if c.Cores < 0 || c.Cores > 64 {
 		return fmt.Errorf("core: cores must be in [0, 64], got %d", c.Cores)
@@ -223,9 +214,6 @@ func (r Result) Window() clock.Cycles {
 	return r.ProcCycles
 }
 
-// WindowTime reports the measured region in emulated time.
-func (r Result) WindowTime(c clock.Clock) clock.PS { return c.ToTime(r.Window()) }
-
 // MPKI reports last-level-cache misses per kilo-instruction.
 func (r Result) MPKI() float64 {
 	if r.CPU.Instructions == 0 {
@@ -267,10 +255,6 @@ type System struct {
 	// response-settlement counters (see SettleStats).
 	settleBatches   int64
 	settleDelivered int64
-	// shardRounds/shardSteps hold the most recent run's shard-runner
-	// counters (see ShardStats).
-	shardRounds int64
-	shardSteps  int64
 }
 
 // SettleStats reports the response-settlement counters of the most recent
@@ -282,14 +266,12 @@ func (s *System) SettleStats() (batches, delivered int64) {
 	return s.settleBatches, s.settleDelivered
 }
 
-// ShardStats reports the host-parallel shard runner's counters for the most
-// recent run: how many parallel fence/drain rounds engaged and how many
-// channel steps those rounds executed off the serial path (see shard.go).
-// Host-side telemetry only; sharding never changes emulated results, so
-// these counters exist to prove a run actually exercised the parallel path.
-func (s *System) ShardStats() (rounds, steps int64) {
-	return s.shardRounds, s.shardSteps
-}
+// ShardStats always reports (0, 0): channel service has no host-parallel
+// path.
+//
+// Deprecated: it remains only because the host benchmark in bench/ still
+// reads it; ROADMAP item 3 deletes it.
+func (s *System) ShardStats() (rounds, steps int64) { return 0, 0 }
 
 // hostReqIDBase is the first host-driven request ID. It sits far above any
 // CPU-issued ID (those start at 1 and stay dense), so the two ID spaces
@@ -508,9 +490,7 @@ func (s *System) run(strm workload.Stream, ck *ckptReq, restore *snapshot.Reader
 		return Result{}, err
 	}
 	e.core = core
-	e.shardWorkers = effectiveShardWorkers(s.cfg.ShardWorkers, len(s.chans))
 	e.ckpt, e.restore = ck, restore
-	defer e.stopShard()
 	if s.cfg.Scaling {
 		err = e.runScaled()
 	} else {
@@ -519,8 +499,7 @@ func (s *System) run(strm workload.Stream, ck *ckptReq, restore *snapshot.Reader
 	return s.finish(e, err)
 }
 
-// newEngine assembles the engine state every loop shares. Channel steps
-// run serially (shardWorkers 1) unless the caller sets otherwise.
+// newEngine assembles the engine state every loop shares.
 func (s *System) newEngine() (*engine, error) {
 	nch := len(s.chans)
 	e := &engine{
@@ -532,7 +511,6 @@ func (s *System) newEngine() (*engine, error) {
 		chain:         make([]clock.PS, nch),
 		arrivals:      make([]arrivalRing, nch),
 		staged:        make([][]stagedReq, nch),
-		shardWorkers:  1,
 		keyPS:         1,
 	}
 	for i := range e.inflight {
@@ -552,7 +530,6 @@ func (s *System) newEngine() (*engine, error) {
 // finish publishes a finished run's host-side counters and its result.
 func (s *System) finish(e *engine, err error) (Result, error) {
 	s.settleBatches, s.settleDelivered = e.settleBatches, e.settleDelivered
-	s.shardRounds, s.shardSteps = e.shardRounds, e.shardSteps
 	if err != nil {
 		return Result{}, err
 	}
@@ -598,7 +575,7 @@ type engine struct {
 
 	// inflight tracks outstanding requests in dense slot rings indexed by
 	// request ID (IDs are sequential, so indexing replaces hashing), one
-	// ring per owning channel so shard workers mutate only their own ring.
+	// ring per owning channel.
 	inflight []slotRing
 	// arrivals mirrors inflight in issue order, one ring per channel
 	// (monotone arrival keys); the head yields the channel's earliest live
@@ -627,22 +604,12 @@ type engine struct {
 	ckpt    *ckptReq
 	restore *snapshot.Reader
 
-	// shardWorkers is the effective host worker count (1 = serial path);
-	// shard is the lazily created worker pool. See shard.go.
-	shardWorkers int
-	shard        *shardRunner
-
 	// settleBatches/settleDelivered count response settlement: each
 	// nonzero drain of matured releases is one batch. Exposed through
 	// System.SettleStats (not Result: the counters are host-side engine
 	// telemetry, not emulated-system behaviour).
 	settleBatches   int64
 	settleDelivered int64
-	// shardRounds/shardSteps count engaged shard rounds and the channel
-	// steps they executed off the serial path. Exposed through
-	// System.ShardStats.
-	shardRounds int64
-	shardSteps  int64
 
 	procCycles  clock.Cycles // final, non-scaled mode
 	globalFinal clock.Cycles

@@ -92,6 +92,23 @@ func TestGoldenCycleCounts(t *testing.T) {
 	}
 }
 
+// mlp8 widens the A57 core so a full RowBurstDepth group can be outstanding
+// together.
+func mlp8(cfg Config) Config {
+	cfg.CPU.MLP = 8
+	return cfg
+}
+
+// unscaledOoO is the no-time-scaling configuration with an out-of-order
+// core (MLP 8) at the physical clock: the in-order Rocket blocks on every
+// miss and so never holds a same-row run in the request table.
+func unscaledOoO() Config {
+	cfg := NoTimeScaling()
+	cfg.CPU = mlp8(TimeScalingA57()).CPU
+	cfg.CPU.Clock = cfg.ProcPhys
+	return cfg
+}
+
 // TestRowBurstGoldenCycleCounts pins absolute cycle counts of the MLP-8
 // row-burst kernel (same-row groups of RowBurstDepth reads, each closed by
 // a barrier), scaled and unscaled, alongside the in-order goldens above:

@@ -19,8 +19,8 @@ import (
 //     clocks change.
 //   - the wall: WallTime and GlobalCycles, the FPGA time the emulation
 //     occupied. SimSpeedMHz is derived from them and ProcCycles.
-//   - host telemetry, reported outside Result (System.SettleStats,
-//     System.ShardStats), which no projection covers.
+//   - host telemetry, reported outside Result (System.SettleStats), which
+//     no projection covers.
 //
 // writeOutput below is the one list of projected fields. A field added to
 // Result belongs in it unless it is derived or always zero.

@@ -65,11 +65,6 @@ func (e *engine) runScaled() error {
 				e.consume(it.id)
 				continue
 			}
-			if ran, err := e.shardRound(true); err != nil {
-				return err
-			} else if ran {
-				continue
-			}
 			if err := e.smcStep(); err != nil {
 				return err
 			}
@@ -120,11 +115,6 @@ func (e *engine) runScaled() error {
 
 	// Drain posted writebacks so wall-time accounting covers them.
 	for e.inflightLen() > 0 {
-		if ran, err := e.shardRound(false); err != nil {
-			return err
-		} else if ran {
-			continue
-		}
 		if err := e.smcStep(); err != nil {
 			return err
 		}
@@ -198,11 +188,6 @@ func (e *engine) runUnscaled() error {
 				continue
 			}
 			if e.inflightLen() > 0 {
-				if ran, err := e.shardRound(true); err != nil {
-					return err
-				} else if ran {
-					continue
-				}
 				if err := e.smcStep(); err != nil {
 					return err
 				}
@@ -251,11 +236,6 @@ func (e *engine) runUnscaled() error {
 	e.procCycles = proc()
 	// Drain remaining posted writebacks for wall-time accounting.
 	for e.inflightLen() > 0 {
-		if ran, err := e.shardRound(false); err != nil {
-			return err
-		} else if ran {
-			continue
-		}
 		if err := e.smcStep(); err != nil {
 			return err
 		}

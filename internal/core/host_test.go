@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"easydram/internal/clock"
 	"easydram/internal/dram"
 	"easydram/internal/fault"
+	"easydram/internal/workload"
 )
 
 // TestProfileRowStripeBounds pins that a stripe request the controller
@@ -42,6 +45,62 @@ func TestProfileRowStripeBounds(t *testing.T) {
 			rowLines, ok, err := sys.ProfileRowStripe(end, 8, nominal)
 			if err != nil || !ok || len(rowLines) != 8 {
 				t.Fatalf("final stripe after a rejected request: %d rows, ok=%v, err=%v", len(rowLines), ok, err)
+			}
+		})
+	}
+}
+
+// TestOutOfRangeAddressIsError pins that an address past the module's
+// rows is an error on every path that reaches the controller, not a panic
+// in the chip model: a workload load, a line probe, and both in-DRAM
+// operations with the bad row as their source. The rejected request must
+// leave the controller and the tile, so an in-range host call on the same
+// System still succeeds.
+func TestOutOfRangeAddressIsError(t *testing.T) {
+	const bad = uint64(1) << 44
+	const rcd = clock.PS(9000)
+	cfg := TimeScalingA57()
+	cfg.DRAM = TechniqueDRAM()
+	// sameBank is an in-range row in the bank bad decodes to, so the
+	// in-DRAM operations pass their same-bank check and reach the chip.
+	sameBank := func(sys *System) uint64 {
+		return sys.Mapper().Unmap(dram.Addr{Bank: sys.Mapper().Map(bad).Bank, Row: 1})
+	}
+	for _, tc := range []struct {
+		name string
+		call func(sys *System) error
+	}{
+		{"Run", func(sys *System) error {
+			_, err := sys.Run(workload.NewSliceStream([]workload.Op{{Kind: workload.OpLoad, Addr: bad}}))
+			return err
+		}},
+		{"ProfileLine", func(sys *System) error {
+			_, err := sys.ProfileLine(bad, rcd)
+			return err
+		}},
+		{"TestRowClone", func(sys *System) error {
+			_, err := sys.TestRowClone(bad, sameBank(sys), 1)
+			return err
+		}},
+		{"BitwiseMAJ", func(sys *System) error {
+			_, err := sys.BitwiseMAJ(bad, sameBank(sys))
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = tc.call(sys)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%#x", bad)) {
+				t.Fatalf("out-of-range address: err = %v, want an error naming %#x", err, bad)
+			}
+			if ok, err := sys.ProfileLine(sameBank(sys), cfg.DRAM.Timing.TRCD); err != nil || !ok {
+				t.Fatalf("in-range probe after the rejected request: ok=%v, err=%v", ok, err)
+			}
+			if n := sys.chans[0].ctl.Pending(); n != 0 {
+				t.Fatalf("%d requests left in the controller table", n)
 			}
 		})
 	}

@@ -221,7 +221,7 @@ func (e *engine) runMerge() error {
 		}
 		m.stale = append(m.stale, a)
 		if a < m.nch {
-			if err := e.stepChannel(a, nil); err != nil {
+			if err := e.stepChannel(a); err != nil {
 				return err
 			}
 			continue

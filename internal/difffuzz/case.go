@@ -3,7 +3,7 @@
 // EasyDRAM emulator against its direct-simulation baseline (the role
 // Ramulator plays in the paper's Figure 13) across the whole configuration
 // space — topology, scheduler, refresh, time scaling, faults, mitigation,
-// checkpoints, shard workers and cores — instead of just the golden
+// checkpoints and cores — instead of just the golden
 // validation configs.
 //
 // A Case is a pure function of a uint64 seed. For each case the engine
@@ -11,7 +11,7 @@
 // configs, the derived baseline (ramulator.Baseline), gating the paper's
 // <1% max / 0.1% avg cycle-error envelope; on ALL configs it checks
 // oracle-free invariants: request conservation, run-to-run determinism,
-// sharded ≡ serial and checkpoint-restored ≡ straight-through bit-identity,
+// checkpoint-restored ≡ straight-through bit-identity,
 // zero-fault ≡ fault-armed-but-idle identity, the §6 time-scaling
 // invariance of the emulated timeline, and TRR's zero-escaped-flips
 // guarantee. Every identity check compares core.Result's one output
@@ -123,12 +123,6 @@ type Case struct {
 	// (Appended at the end of Decode, like every new axis, so older seeds
 	// keep decoding to the same earlier-axis values.)
 	CheckpointFrac int `json:"checkpoint_frac,omitempty"`
-
-	// ShardWorkers > 1 arms the shard-identity check: the case runs with
-	// that many host shard workers and must produce a result bit-identical
-	// to the single-worker (serial-path) run — core.Config.ShardWorkers is
-	// a pure host-parallelism knob. 0 runs serial and skips the axis.
-	ShardWorkers int `json:"shard_workers,omitempty"`
 
 	// Cores > 1 runs the case on a multi-core emulated host: every core runs
 	// the case's kernel relocated into its own private address window,
@@ -263,24 +257,21 @@ func Decode(seed uint64) Case {
 		c.CheckpointFrac = 1 + int(s.mod(6)) // 1/8 .. 6/8 into the run
 	}
 
-	// Host-parallel shard workers (appended last, decoder purity): 1 in 3
-	// cases runs sharded and must digest-match its single-worker twin. Only
-	// multi-channel cases can engage the shard runner, so the draw is gated
-	// to keep the armed fraction meaningful.
+	// Retired ordinals: on multi-channel cases these draws once chose a
+	// host shard-worker count (an axis since removed). They are still
+	// consumed and discarded, like the burst cap's above.
 	if c.Channels > 1 && s.chance(1, 3) {
-		c.ShardWorkers = 2 + int(s.mod(3)) // 2, 3, 4
+		s.next()
 	}
 
 	// Multi-core emulated hosts (appended last, decoder purity): 1 in 4
 	// cases runs the kernel on every core of a small multi-core system. The
 	// axis trades away the envelope oracle (the baseline is single-core), so
 	// the bias keeps most of the corpus comparable. Armed cases disarm the
-	// axes multi-core systems reject or force serial anyway: checkpoints are
-	// unsupported and the engine pins shard service to the serial path.
+	// checkpoint axis, which multi-core systems reject.
 	if s.chance(1, 4) {
 		c.Cores = 2 + int(s.mod(3)) // 2, 3, 4
 		c.CheckpointFrac = 0
-		c.ShardWorkers = 0
 	}
 	return c
 }
@@ -314,13 +305,6 @@ func (c Case) SystemConfig() (core.Config, error) {
 	}
 
 	cfg.RefreshEnabled = c.Refresh
-	// Unarmed cases pin ShardWorkers to 1 (not 0 = GOMAXPROCS): the fuzzer's
-	// baseline runs must take the serial path so the shard-identity check
-	// compares a genuinely sharded run against a genuinely serial one.
-	cfg.ShardWorkers = 1
-	if c.ShardWorkers > 0 {
-		cfg.ShardWorkers = c.ShardWorkers
-	}
 	cfg.Faults = c.Faults.Config()
 	if c.Mitigation != "" {
 		cfg.Mitigation = fault.MitigationConfig{Policy: c.Mitigation, Seed: c.Faults.Seed}
@@ -335,9 +319,9 @@ func (c Case) String() string {
 	if mit == "" {
 		mit = "none"
 	}
-	return fmt.Sprintf("%s/%d %dch%drk/%s %s refresh=%v ts=%v faults=%v mit=%s ck=%d shard=%d cores=%d",
+	return fmt.Sprintf("%s/%d %dch%drk/%s %s refresh=%v ts=%v faults=%v mit=%s ck=%d cores=%d",
 		c.Kernel, c.KernelDim, c.Channels, c.Ranks, c.Interleave, c.Scheduler,
-		c.Refresh, c.TimeScaling, c.Faults.Enabled(), mit, c.CheckpointFrac, c.ShardWorkers, c.Cores)
+		c.Refresh, c.TimeScaling, c.Faults.Enabled(), mit, c.CheckpointFrac, c.Cores)
 }
 
 // MarshalIndent renders the case as the canonical JSON used in regression

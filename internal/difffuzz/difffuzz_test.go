@@ -28,7 +28,7 @@ func tier1Sweep() *SweepResult {
 
 // TestTier1Sweep is the deterministic config-space sweep that runs in
 // go test ./...: 64 seeded cases across topology, scheduler, refresh,
-// time-scaling, fault, mitigation, checkpoint, shard, and core axes, every one holding its
+// time-scaling, fault, mitigation, checkpoint, and core axes, every one holding its
 // invariants and the comparable ones holding the paper's <1% max / 0.1%
 // avg cycle-error envelope against the direct-simulation baseline.
 func TestTier1Sweep(t *testing.T) {
@@ -60,29 +60,6 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		if res.Digest != want {
 			t.Errorf("workers=%d digest %s != default-pool digest %s", workers, res.Digest, want)
 		}
-	}
-}
-
-// TestShardIdentityReplay replays the shard-identity axis directly: the
-// first few decoded cases that arm ShardWorkers run through the full check
-// set, which includes the sharded-vs-serial digest comparison. A dedicated
-// named test so the CI race smoke can drive the shard runner's worker pool
-// under the race detector by name.
-func TestShardIdentityReplay(t *testing.T) {
-	checked := 0
-	for seed := uint64(0); seed < 4096 && checked < 4; seed++ {
-		c := Decode(seed)
-		if c.ShardWorkers <= 1 || c.Channels <= 1 {
-			continue
-		}
-		checked++
-		rep := RunCase(c, nil)
-		if rep.Failure != nil {
-			t.Errorf("seed %#x [%s]\n  %s: %s", seed, c, rep.Failure.Check, rep.Failure.Detail)
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no seed in 0..4095 armed the shard axis; the decoder draw is broken")
 	}
 }
 
@@ -197,9 +174,6 @@ func TestDecodeCoversEveryAxis(t *testing.T) {
 		if c.CheckpointFrac > 0 {
 			seen["checkpoint"] = true
 		}
-		if c.ShardWorkers > 1 {
-			seen["shard"] = true
-		}
 		if c.Cores > 1 {
 			seen["multi-core"] = true
 		}
@@ -207,7 +181,7 @@ func TestDecodeCoversEveryAxis(t *testing.T) {
 	for _, axis := range []string{
 		"multi-channel", "multi-rank", "row-interleave", "fcfs", "bliss",
 		"refresh-off", "direct-mode", "faults", "disturb", "link-faults", "para",
-		"trr", "comparable", "checkpoint", "shard", "multi-core",
+		"trr", "comparable", "checkpoint", "multi-core",
 	} {
 		if !seen[axis] {
 			t.Errorf("512 seeds never drew axis %q", axis)

@@ -36,7 +36,7 @@ const maxProcCycles = clock.Cycles(2_000_000_000)
 type Failure struct {
 	// Check identifies the oracle: "decode", "run", "conservation",
 	// "rank-bus", "fault-counters", "trr-escape", "determinism",
-	// "shard-identity", "armed-idle", "checkpoint-identity", "time-scaling",
+	// "armed-idle", "checkpoint-identity", "time-scaling",
 	// "envelope".
 	Check string `json:"check"`
 	// Detail is the human-readable mismatch.
@@ -75,8 +75,8 @@ func (c Case) Comparable() bool {
 
 // runOnce assembles a fresh system for the case and runs its kernel.
 // mutate is the test-only breakage hook (applied to the EasyDRAM side
-// only, never the baseline); transform derives the run variant (serial
-// shard twin, armed-idle, hidden-cost mutation, baseline). A fresh
+// only, never the baseline); transform derives the run variant
+// (armed-idle, hidden-cost mutation, baseline). A fresh
 // core.Config per run is load-bearing: stateful schedulers (BLISS) must
 // never be shared between runs.
 func runOnce(c Case, mutate, transform func(*core.Config)) (core.Result, error) {
@@ -250,25 +250,6 @@ func RunCase(c Case, mutate func(*core.Config)) Report {
 		}
 		if d := main.OutputDiff(again); d != "" {
 			rep.Failure = failf("determinism", "identical config produced different results: %s", d)
-			return rep
-		}
-	}
-
-	// Sharded ≡ serial: host-parallel channel execution must be invisible
-	// in every field of the result — not just emulated time but every
-	// statistic and the host-side counters too (the shard runner replays
-	// the exact serial step order; see core/shard.go). The main run used
-	// the case's worker count, so compare it against a single-worker twin.
-	if c.ShardWorkers > 1 && c.Channels > 1 && c.Cores <= 1 {
-		serial, err := runOnce(c, mutate, func(cfg *core.Config) { cfg.ShardWorkers = 1 })
-		rep.Runs++
-		if err != nil {
-			rep.Failure = failf("shard-identity", "single-worker counterpart failed: %v", err)
-			return rep
-		}
-		if d := main.OutputDiff(serial); d != "" {
-			rep.Failure = failf("shard-identity", "%d shard workers changed the result (sharded vs serial): %s",
-				c.ShardWorkers, d)
 			return rep
 		}
 	}

@@ -102,16 +102,6 @@ var shrinkers = []struct {
 		c.Cores = 0
 		return c, true
 	}},
-	{"drop-shard", func(c Case) (Case, bool) {
-		// Disarming the shard axis also puts the main run back on the serial
-		// path; a shard-identity failure rejects the shrink (the check no
-		// longer fires), so the failure itself is safe.
-		if c.ShardWorkers == 0 {
-			return c, false
-		}
-		c.ShardWorkers = 0
-		return c, true
-	}},
 	{"drop-checkpoint", func(c Case) (Case, bool) {
 		// Disarming the checkpoint axis drops two runs per candidate; a
 		// checkpoint-identity failure rejects the shrink (the check would no

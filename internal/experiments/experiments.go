@@ -70,15 +70,9 @@ type Options struct {
 	// Cores selects the emulated core count the fairness sweep tops out at
 	// (cmd/easydram's -cores flag): FairnessSweep runs its mixes at {2,
 	// Cores} emulated cores. 0 leaves the default {2, 4} grid. Unlike
-	// Workers or ShardWorkers this is a modeled-system axis: more cores
-	// means more contention and different emulated timing.
+	// Workers this is a modeled-system axis: more cores means more
+	// contention and different emulated timing.
 	Cores int
-	// ShardWorkers bounds the host worker pool that advances emulated
-	// memory channels in parallel inside one run (core.Config.ShardWorkers;
-	// distinct from Workers, which parallelizes across runs). Result-
-	// neutral: any setting is byte-identical. 0 uses GOMAXPROCS, 1 forces
-	// the serial engine path (cmd/easydram's -shard-workers flag).
-	ShardWorkers int
 	// DisturbIntensities are the RowHammer sweep's hammer counts: double-
 	// sided activation pairs per victim site (see DisturbSweep).
 	DisturbIntensities []int
@@ -150,13 +144,10 @@ func Quick() Options {
 }
 
 // runKernel executes one kernel on a fresh system built from cfg, with the
-// option-level knobs (cycle cap, shard workers, topology, faults) applied.
+// option-level knobs (cycle cap, topology, faults) applied.
 func runKernel(cfg core.Config, k workload.Kernel, opt Options) (core.Result, error) {
 	if opt.MaxProcCycles > 0 {
 		cfg.MaxProcCycles = opt.MaxProcCycles
-	}
-	if opt.ShardWorkers > 0 {
-		cfg.ShardWorkers = opt.ShardWorkers
 	}
 	// Option-level topology applies only where the experiment left the
 	// preset default: a sweep that sets its own per-cell topology (the

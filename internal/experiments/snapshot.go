@@ -33,7 +33,7 @@ func profilePath(dir, name string) string {
 // characterizeWarm warm-starts one workload's characterization through the
 // store directories opt configures (see techniques.CharacterizeWarm); it is
 // the entry Figure13 and the WarmStart sweep share.
-func characterizeWarm(sys *core.System, name string, extent uint64, opt Options) (*snapshot.Profile, bool, error) {
+func characterizeWarm(sys *core.System, name string, extent uint64, opt Options) (p *snapshot.Profile, warm bool, fallback, err error) {
 	return techniques.CharacterizeWarm(sys, profilePath(opt.ProfileLoad, name), profilePath(opt.ProfileSave, name),
 		0, extent, techniques.ReducedTRCD, opt.FPRate)
 }
@@ -53,8 +53,8 @@ type WarmStartResult struct {
 	// differing from the uninterrupted one. Must be zero (cmd/benchall's
 	// golden metrics test pins it).
 	IdentityMismatches int
-	// Fallbacks is the stats.SnapshotFallbacks delta over the sweep — the
-	// corruption drill contributes exactly one.
+	// Fallbacks counts the sweep's loads that degraded to
+	// re-characterization; the corruption drill contributes exactly one.
 	Fallbacks int64
 	// CheckpointBytes is the size of the mid-run checkpoint the restore
 	// drill captured.
@@ -120,7 +120,6 @@ func WarmStart(opt Options) (*WarmStartResult, error) {
 	}
 
 	res := &WarmStartResult{}
-	fall0 := stats.SnapshotFallbacks.Load()
 	var lastPath string
 	for _, k := range kernels {
 		extent := workload.Extent(k)
@@ -147,12 +146,7 @@ func WarmStart(opt Options) (*WarmStartResult, error) {
 			return nil, fmt.Errorf("experiments: warmstart: %w", err)
 		}
 		t0 = time.Now()
-		data, err := snapshot.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: warmstart: %w", err)
-		}
-		key := techniques.ProfileCompatKey(warmSys, 0, extent, techniques.ReducedTRCD, opt.FPRate)
-		warm, err := snapshot.DecodeProfile(data, key)
+		warm, err := techniques.LoadProfile(warmSys, path, 0, extent, techniques.ReducedTRCD, opt.FPRate)
 		warmSecs := time.Since(t0).Seconds()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: warmstart: %w", err)
@@ -171,8 +165,7 @@ func WarmStart(opt Options) (*WarmStartResult, error) {
 
 	// Corruption drill: a flipped byte must surface as a named error and
 	// degrade to re-characterization, never load. The re-characterization
-	// itself goes through the shared warm-start path so the fallback is
-	// counted exactly where production callers count it.
+	// goes through the shared warm-start path, which returns the fallback.
 	if lastPath != "" {
 		data, err := os.ReadFile(lastPath)
 		if err != nil {
@@ -193,9 +186,12 @@ func WarmStart(opt Options) (*WarmStartResult, error) {
 		}
 		wOpt := opt
 		wOpt.ProfileLoad, wOpt.ProfileSave = dir, dir
-		p, warm, err := characterizeWarm(profSys, k.Name, extent, wOpt)
+		p, warm, fallback, err := characterizeWarm(profSys, k.Name, extent, wOpt)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: warmstart: %w", err)
+		}
+		if fallback != nil {
+			res.Fallbacks++
 		}
 		if warm || p == nil {
 			res.IdentityMismatches++ // corrupt profile must not load
@@ -246,6 +242,5 @@ func WarmStart(opt Options) (*WarmStartResult, error) {
 		}
 	}
 
-	res.Fallbacks = stats.SnapshotFallbacks.Load() - fall0
 	return res, nil
 }

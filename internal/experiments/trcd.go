@@ -181,7 +181,7 @@ func Figure13(opt Options) (*TRCDResult, error) {
 		// Warm-start through the durable profile store when a store is
 		// configured; a fresh characterization otherwise. The rebuilt
 		// provider is bit-identical either way.
-		profile, _, err := characterizeWarm(profSys, k.Name, extent, opt)
+		profile, _, _, err := characterizeWarm(profSys, k.Name, extent, opt)
 		if err != nil {
 			return err
 		}

@@ -185,6 +185,9 @@ func NewBaseController(cfg Config, p timing.Params, banks int) (*BaseController,
 	if cfg.Mapper == nil {
 		return nil, fmt.Errorf("smc: controller needs a mapper")
 	}
+	if cfg.RowsPerBank <= 0 {
+		return nil, fmt.Errorf("smc: controller needs RowsPerBank > 0, got %d", cfg.RowsPerBank)
+	}
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = FRFCFS{}
 	}
@@ -289,6 +292,15 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 		case mem.RowClone, mem.Bitwise:
 			ent.Src = c.cfg.Mapper.Map(req.Src)
 		}
+		// The chip has no row past the bank's last to drive: reject such
+		// an address here, before it reaches a Bender program. Src is zero
+		// for every kind without a source operand.
+		if rows := uint(c.cfg.RowsPerBank); uint(ent.Addr.Row) >= rows || uint(ent.Src.Row) >= rows {
+			err := c.rowError(req, ent)
+			c.table = c.table[:len(c.table)-1]
+			t.Release(slot)
+			return false, err
+		}
 	}
 	if len(c.table) == 0 {
 		return false, nil
@@ -314,6 +326,17 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 	return c.serveIndex(env, idx)
 }
 
+// rowError names the out-of-range address of a request ServeOne rejects:
+// Addr, or else the source operand Src.
+func (c *BaseController) rowError(req *mem.Request, ent *Entry) error {
+	pa, row := req.Addr, ent.Addr.Row
+	if uint(row) < uint(c.cfg.RowsPerBank) {
+		pa, row = req.Src, ent.Src.Row
+	}
+	return fmt.Errorf("smc: %v request %d: address %#x decodes to row %d, past the bank's %d rows",
+		req.Kind, req.ID, pa, row, c.cfg.RowsPerBank)
+}
+
 // serveIndex serves the table entry at idx in place and then removes it
 // by swap-remove — also when service fails, so a failed request leaves the
 // table exactly as a served one does.
@@ -325,12 +348,10 @@ func (c *BaseController) serveIndex(env *Env, idx int) (bool, error) {
 		err = c.serveAccess(env, ent, false)
 	case mem.Write, mem.Writeback:
 		err = c.serveAccess(env, ent, true)
-	case mem.RowClone:
-		err = c.serveRowClone(env, ent)
+	case mem.RowClone, mem.Bitwise:
+		err = c.serveInDRAM(env, ent)
 	case mem.Profile, mem.ProfileRow:
 		err = c.serveProfile(env, ent)
-	case mem.Bitwise:
-		err = c.serveBitwise(env, ent)
 	default:
 		err = fmt.Errorf("smc: unknown request kind %v", ent.Kind)
 	}
@@ -593,16 +614,24 @@ func (c *BaseController) serveAccess(env *Env, ent *Entry, isWrite bool) error {
 	return nil
 }
 
-// serveRowClone serves an in-DRAM row copy (§7).
-func (c *BaseController) serveRowClone(env *Env, ent *Entry) error {
+// serveInDRAM serves an in-DRAM operation on the rows at Src and Addr:
+// a RowClone copy from Src to Addr (§7), or a bulk bitwise majority, a
+// many-row activation of both rows that drags in their address-OR row.
+// Success means the chip committed every attempt. FPM RowClone and the
+// majority both need their rows in one bank of one channel (the request
+// routed to Addr's controller, which cannot reach another channel's rows);
+// otherwise the request fails and the caller must fall back.
+func (c *BaseController) serveInDRAM(env *Env, ent *Entry) error {
 	costs := env.Tile().Costs()
 	env.Charge(2 * costs.MapAddr)
 	src, dst := ent.Src, ent.Addr
-	c.stats.RowClones++
+	clone := ent.Kind == mem.RowClone
+	if clone {
+		c.stats.RowClones++
+	} else {
+		c.stats.BitwiseOps++
+	}
 	if src.Bank != dst.Bank || src.Chan != dst.Chan {
-		// FPM RowClone cannot cross banks — or channels: the request routed
-		// to the destination's controller, which cannot reach another
-		// channel's rows. The caller must fall back.
 		env.Respond(ent.ID, false)
 		env.Tile().Release(ent.Slot)
 		return nil
@@ -612,42 +641,16 @@ func (c *BaseController) serveRowClone(env *Env, ent *Entry) error {
 		b.PRE(src.Bank)
 		b.WaitCycles(c.preWait)
 	}
-	b.RowClone(src.Bank, src.Row, dst.Row)
+	if clone {
+		b.RowClone(src.Bank, src.Row, dst.Row)
+	} else {
+		b.BitwiseMAJ(src.Bank, src.Row, dst.Row)
+	}
 	res, _, err := c.launch(env, true)
 	if err != nil {
 		return err
 	}
 	c.openRows[src.Bank] = -1
-	env.AddService(res.Elapsed, res.Elapsed)
-	env.Respond(ent.ID, res.CloneAttempts > 0 && res.CloneSuccesses == res.CloneAttempts)
-	env.Tile().Release(ent.Slot)
-	return nil
-}
-
-// serveBitwise serves an in-DRAM bulk bitwise majority: a many-row
-// activation of the rows at Src and Addr (which drags in their address-OR
-// row). Success means the chip committed the majority result.
-func (c *BaseController) serveBitwise(env *Env, ent *Entry) error {
-	costs := env.Tile().Costs()
-	env.Charge(2 * costs.MapAddr)
-	r1, r2 := ent.Src, ent.Addr
-	c.stats.BitwiseOps++
-	if r1.Bank != r2.Bank || r1.Chan != r2.Chan {
-		env.Respond(ent.ID, false)
-		env.Tile().Release(ent.Slot)
-		return nil
-	}
-	b := env.Tile().Builder()
-	if c.openRows[r1.Bank] >= 0 {
-		b.PRE(r1.Bank)
-		b.WaitCycles(c.preWait)
-	}
-	b.BitwiseMAJ(r1.Bank, r1.Row, r2.Row)
-	res, _, err := c.launch(env, true)
-	if err != nil {
-		return err
-	}
-	c.openRows[r1.Bank] = -1
 	env.AddService(res.Elapsed, res.Elapsed)
 	env.Respond(ent.ID, res.CloneAttempts > 0 && res.CloneSuccesses == res.CloneAttempts)
 	env.Tile().Release(ent.Slot)

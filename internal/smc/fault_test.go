@@ -152,7 +152,7 @@ func TestMitigationEmitsVictimRefreshes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := NewBaseController(Config{Mapper: m, Scheduler: FRFCFS{}, Mitigation: mit},
+	ctl, err := NewBaseController(Config{Mapper: m, Scheduler: FRFCFS{}, Mitigation: mit, RowsPerBank: cfg.RowsPerBank},
 		chip.Timing(), chip.Geometry().Banks)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestServeOneLaunchFailureRemovesEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := NewBaseController(Config{Mapper: m, Scheduler: FRFCFS{}}, chip.Timing(), chip.Geometry().Banks)
+	ctl, err := NewBaseController(Config{Mapper: m, Scheduler: FRFCFS{}, RowsPerBank: cfg.RowsPerBank}, chip.Timing(), chip.Geometry().Banks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func NewMultiBenchHarness(channels int) (*MultiBenchHarness, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctl, err := NewBaseController(Config{Mapper: m, Scheduler: FRFCFS{}}, mod.Timing(), mod.Banks())
+		ctl, err := NewBaseController(Config{Mapper: m, Scheduler: FRFCFS{}, RowsPerBank: cfg.RowsPerBank}, mod.Timing(), mod.Banks())
 		if err != nil {
 			return nil, err
 		}

@@ -182,7 +182,7 @@ func newControllerEnv(t *testing.T) (*BaseController, *Env) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := NewBaseController(Config{Mapper: m}, chip.Timing(), chip.Geometry().Banks)
+	ctl, err := NewBaseController(Config{Mapper: m, RowsPerBank: cfg.RowsPerBank}, chip.Timing(), chip.Geometry().Banks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestControllerRefresh(t *testing.T) {
 	}
 	tl := tile.New(chip, tile.DefaultCostModel())
 	m, _ := NewRowBankCol(chip.Geometry().Banks, cfg.ColsPerRow)
-	ctl, err := NewBaseController(Config{Mapper: m, RefreshEnabled: true}, chip.Timing(), chip.Geometry().Banks)
+	ctl, err := NewBaseController(Config{Mapper: m, RefreshEnabled: true, RowsPerBank: cfg.RowsPerBank}, chip.Timing(), chip.Geometry().Banks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,5 +354,15 @@ func TestControllerRowCloneCrossBankFails(t *testing.T) {
 func TestControllerNeedsMapper(t *testing.T) {
 	if _, err := NewBaseController(Config{}, dram.DefaultConfig().Timing, 16); err == nil {
 		t.Fatalf("controller without mapper must fail")
+	}
+}
+
+func TestControllerNeedsRows(t *testing.T) {
+	m, err := NewRowBankCol(16, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewBaseController(Config{Mapper: m}, dram.DefaultConfig().Timing, 16); err == nil {
+		t.Fatalf("controller without RowsPerBank must fail")
 	}
 }

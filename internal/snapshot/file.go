@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"easydram/internal/stats"
 )
 
 // WriteFile writes a snapshot image to path atomically: the bytes land in
@@ -59,13 +57,4 @@ func ReadFile(path string) ([]byte, error) {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	return data, nil
-}
-
-// RecordFallback counts one graceful degradation: a snapshot load failed
-// (err says why) and the caller is re-characterizing from scratch. It
-// feeds the stats.SnapshotFallbacks counter that benchall surfaces as
-// snapshot/fallbacks.
-func RecordFallback(err error) {
-	_ = err
-	stats.SnapshotFallbacks.Add(1)
 }

@@ -18,9 +18,9 @@
 // Robustness is the contract: every load path validates the magic, the
 // format version, the per-section CRCs, and the caller's compatibility key.
 // Any mismatch, truncation, or garbage byte yields a named error — never a
-// panic — so callers can fall back to fresh characterization (counted by
-// stats.SnapshotFallbacks). Writes go through WriteFile: temp file + fsync
-// + rename, so a crash mid-write can never leave a loadable half-snapshot.
+// panic — so callers can fall back to fresh characterization. Writes go
+// through WriteFile: temp file + fsync + rename, so a crash mid-write can
+// never leave a loadable half-snapshot.
 package snapshot
 
 import (

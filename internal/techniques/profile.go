@@ -80,37 +80,46 @@ func Characterize(sys *core.System, start, end uint64, rcd clock.PS, fpRate floa
 	return p, nil
 }
 
+// LoadProfile reads the profile stored at path and decodes it under the
+// compatibility key of characterizing [start, end) at rcd on sys. A stale,
+// corrupt or foreign profile is a named snapshot error.
+func LoadProfile(sys *core.System, path string, start, end uint64, rcd clock.PS, fpRate float64) (*snapshot.Profile, error) {
+	data, err := snapshot.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return snapshot.DecodeProfile(data, ProfileCompatKey(sys, start, end, rcd, fpRate))
+}
+
 // CharacterizeWarm is the warm-start characterization routine: it loads the
 // profile stored at load when one exists under this pass's compatibility
 // key, and otherwise characterizes [start, end) at rcd from scratch and,
 // when save is set, stores the result there. warm reports whether the
 // stored profile was used. A present-but-unusable file (corrupt, stale,
-// keyed to different silicon) records one snapshot fallback and degrades to
-// re-characterization; a missing file is an ordinary cold start and records
-// nothing. An empty path skips the load or the save.
-func CharacterizeWarm(sys *core.System, load, save string, start, end uint64, rcd clock.PS, fpRate float64) (p *snapshot.Profile, warm bool, err error) {
+// keyed to different silicon) degrades to re-characterization, and
+// fallback is the load error it degraded from; a missing file is an
+// ordinary cold start with a nil fallback. An empty path skips the load or
+// the save.
+func CharacterizeWarm(sys *core.System, load, save string, start, end uint64, rcd clock.PS, fpRate float64) (p *snapshot.Profile, warm bool, fallback error, err error) {
 	if load != "" {
-		data, err := snapshot.ReadFile(load)
+		p, err := LoadProfile(sys, load, start, end, rcd, fpRate)
 		if err == nil {
-			p, err = snapshot.DecodeProfile(data, ProfileCompatKey(sys, start, end, rcd, fpRate))
-			if err == nil {
-				return p, true, nil
-			}
+			return p, true, nil, nil
 		}
 		if !errors.Is(err, fs.ErrNotExist) {
-			snapshot.RecordFallback(err)
+			fallback = err
 		}
 	}
 	p, err = Characterize(sys, start, end, rcd, fpRate)
 	if err != nil {
-		return nil, false, err
+		return nil, false, fallback, err
 	}
 	if save != "" {
 		if err := snapshot.WriteFile(save, p.Encode()); err != nil {
-			return nil, false, err
+			return nil, false, fallback, err
 		}
 	}
-	return p, false, nil
+	return p, false, fallback, nil
 }
 
 // ProviderFromProfile rebuilds the reduced-tRCD scheduler hook from a

@@ -54,11 +54,6 @@ var fuzzPoolNames = func() []string {
 	return names
 }()
 
-// FuzzKernelNames lists the pool in deterministic order.
-func FuzzKernelNames() []string {
-	return append([]string(nil), fuzzPoolNames...)
-}
-
 // PickKernel maps two hash draws to a (name, dim) pair from the fuzz pool:
 // sel selects the kernel, size selects a dimension uniformly inside the
 // kernel's own [minDim, maxDim] range. Pure function of its inputs.

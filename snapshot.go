@@ -5,7 +5,6 @@ import (
 
 	"easydram/internal/dram"
 	"easydram/internal/snapshot"
-	"easydram/internal/stats"
 	"easydram/internal/techniques"
 )
 
@@ -14,8 +13,7 @@ import (
 // written atomically (temp file + fsync + rename); every load validates
 // the format version, per-section CRCs, and a compatibility key, and any
 // corrupt, stale, or mismatched artifact returns a named error so callers
-// degrade gracefully to fresh characterization (counted by
-// stats.SnapshotFallbacks).
+// degrade gracefully to fresh characterization.
 
 // WeakRowProfile is a durable characterization artifact: per-channel
 // weak-row sets and Bloom filters keyed to the module's variation seed,
@@ -59,12 +57,7 @@ func (s *System) SaveProfile(path string, p *WeakRowProfile) error {
 // parameters. Any mismatch, truncation, or corruption returns a named
 // snapshot error — callers fall back to Characterize.
 func (s *System) LoadProfile(path string, start, end uint64, rcd PS, fpRate float64) (*WeakRowProfile, error) {
-	data, err := snapshot.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	key := techniques.ProfileCompatKey(s.sys, start, end, rcd, fpRate)
-	p, err := snapshot.DecodeProfile(data, key)
+	p, err := techniques.LoadProfile(s.sys, path, start, end, rcd, fpRate)
 	if err != nil {
 		return nil, err
 	}
@@ -75,15 +68,15 @@ func (s *System) LoadProfile(path string, start, end uint64, rcd PS, fpRate floa
 // loads the profile at path when one exists and matches this system's
 // compatibility key, and otherwise characterizes from scratch and saves
 // the result to path for the next run. warm reports whether the stored
-// profile was used; a failed load (missing, corrupt, stale, wrong silicon)
-// increments stats.SnapshotFallbacks (a missing file excepted) and is
-// never fatal.
-func (s *System) ProfileWeakRowsWarm(path string, start, end uint64, rcd PS, fpRate float64) (p *WeakRowProfile, warm bool, err error) {
-	sp, warm, err := techniques.CharacterizeWarm(s.sys, path, path, start, end, rcd, fpRate)
+// profile was used. A failed load is never fatal: fallback is the error a
+// corrupt, stale or foreign profile degraded from, and nil for a missing
+// file (an ordinary cold start).
+func (s *System) ProfileWeakRowsWarm(path string, start, end uint64, rcd PS, fpRate float64) (p *WeakRowProfile, warm bool, fallback, err error) {
+	sp, warm, fallback, err := techniques.CharacterizeWarm(s.sys, path, path, start, end, rcd, fpRate)
 	if err != nil {
-		return nil, false, fmt.Errorf("easydram: %w", err)
+		return nil, false, fallback, fmt.Errorf("easydram: %w", err)
 	}
-	return &WeakRowProfile{p: sp}, warm, nil
+	return &WeakRowProfile{p: sp}, warm, fallback, nil
 }
 
 // Provider rebuilds the reduced-tRCD scheduler hook from the profile:
@@ -133,10 +126,4 @@ func SaveSnapshot(path string, blob []byte) error {
 // validation happens at Restore/LoadProfile time.
 func LoadSnapshot(path string) ([]byte, error) {
 	return snapshot.ReadFile(path)
-}
-
-// SnapshotFallbacks reports how many snapshot loads have degraded to fresh
-// characterization process-wide (the stats.SnapshotFallbacks counter).
-func SnapshotFallbacks() int64 {
-	return stats.SnapshotFallbacks.Load()
 }

@@ -27,27 +27,26 @@ func TestWarmStartFacade(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.ezdrprof")
 
 	// Cold start: the store is absent, so this characterizes fresh, saves,
-	// and must NOT count a fallback (missing ≠ degraded).
-	before := SnapshotFallbacks()
-	cold, warm, err := profilingSystem(t, 3).ProfileWeakRowsWarm(path, 0, extent, ReducedTRCD, 0.01)
+	// and must NOT report a fallback (missing ≠ degraded).
+	cold, warm, fallback, err := profilingSystem(t, 3).ProfileWeakRowsWarm(path, 0, extent, ReducedTRCD, 0.01)
 	if err != nil {
 		t.Fatalf("cold warm-start: %v", err)
 	}
 	if warm {
 		t.Error("first run reported warm with no store on disk")
 	}
-	if d := SnapshotFallbacks() - before; d != 0 {
-		t.Errorf("cold start from an absent store counted %d fallbacks", d)
+	if fallback != nil {
+		t.Errorf("cold start from an absent store reported fallback %v", fallback)
 	}
 
 	// Warm start: a fresh system with the same seed loads the stored
 	// profile, and the loaded artifact is bit-identical to the computed one.
-	hot, warm, err := profilingSystem(t, 3).ProfileWeakRowsWarm(path, 0, extent, ReducedTRCD, 0.01)
+	hot, warm, fallback, err := profilingSystem(t, 3).ProfileWeakRowsWarm(path, 0, extent, ReducedTRCD, 0.01)
 	if err != nil {
 		t.Fatalf("warm start: %v", err)
 	}
-	if !warm {
-		t.Error("second run did not use the stored profile")
+	if !warm || fallback != nil {
+		t.Errorf("second run did not use the stored profile (fallback %v)", fallback)
 	}
 	if !reflect.DeepEqual(hot.p, cold.p) {
 		t.Error("loaded profile differs from the characterized one")
@@ -71,18 +70,17 @@ func TestWarmStartFacade(t *testing.T) {
 		t.Fatalf("profile-driven reduced-tRCD run corrupted %d reads", res.Chip.CorruptedReads)
 	}
 
-	// A stale store (different silicon seed) must degrade: fallback counted,
-	// fresh characterization, no error.
-	before = SnapshotFallbacks()
-	_, warm, err = profilingSystem(t, 4).ProfileWeakRowsWarm(path, 0, extent, ReducedTRCD, 0.01)
+	// A stale store (different silicon seed) must degrade: a key-mismatch
+	// fallback, fresh characterization, no error.
+	_, warm, fallback, err = profilingSystem(t, 4).ProfileWeakRowsWarm(path, 0, extent, ReducedTRCD, 0.01)
 	if err != nil {
 		t.Fatalf("stale-store warm-start: %v", err)
 	}
 	if warm {
 		t.Error("profile keyed to other silicon was accepted")
 	}
-	if d := SnapshotFallbacks() - before; d != 1 {
-		t.Errorf("stale store counted %d fallbacks, want 1", d)
+	if !errors.Is(fallback, snapshot.ErrKeyMismatch) {
+		t.Errorf("stale store fallback %v, want ErrKeyMismatch", fallback)
 	}
 
 	// A corrupt store likewise degrades gracefully.
@@ -94,16 +92,15 @@ func TestWarmStartFacade(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	before = SnapshotFallbacks()
-	_, warm, err = profilingSystem(t, 4).ProfileWeakRowsWarm(path, 0, extent, ReducedTRCD, 0.01)
+	_, warm, fallback, err = profilingSystem(t, 4).ProfileWeakRowsWarm(path, 0, extent, ReducedTRCD, 0.01)
 	if err != nil {
 		t.Fatalf("corrupt-store warm-start: %v", err)
 	}
 	if warm {
 		t.Error("corrupt profile was accepted")
 	}
-	if d := SnapshotFallbacks() - before; d != 1 {
-		t.Errorf("corrupt store counted %d fallbacks, want 1", d)
+	if fallback == nil {
+		t.Error("corrupt store reported no fallback")
 	}
 }
 
