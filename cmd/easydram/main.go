@@ -26,7 +26,7 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "use unit-test-scale parameters")
-	seed := flag.Uint64("seed", 1, "DRAM variation seed")
+	seed := flag.Uint64("seed", 1, "DRAM variation seed. It does not reach the validation presets: validation prints the same output for every seed")
 	channels := flag.Int("channels", 0, "memory channels (power of two; 0 = the paper's single channel). Topology is a workload axis: multi-channel runs overlap service and change emulated timing")
 	ranks := flag.Int("ranks", 0, "ranks per channel bus (power of two; 0 = the paper's single rank; rank switches pay the tRTRS turnaround)")
 	cores := flag.Int("cores", 0, "emulated core count the fairness sweep tops out at (0 = the default {2, 4} grid); a modeled-system axis — more cores means more contention")

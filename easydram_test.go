@@ -1,6 +1,7 @@
 package easydram
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -369,5 +370,50 @@ func TestRunNilBodyKernel(t *testing.T) {
 	res, err := sys.Run(NewKernel("empty", nil))
 	if err != nil || res.ProcCycles != 0 || res.CPU.Instructions != 0 {
 		t.Fatalf("Run = %+v, %v; want an empty run", res, err)
+	}
+}
+
+// pickAt is a custom scheduler whose Pick returns at(len(table)) and
+// records the last index and table length.
+type pickAt struct {
+	at         func(n int) int
+	idx, table *int
+}
+
+func (pickAt) Name() string { return "pick-at" }
+
+func (p pickAt) Pick(table []SchedEntry, _ []int) int {
+	*p.idx, *p.table = p.at(len(table)), len(table)
+	return *p.idx
+}
+
+// TestCustomSchedulerPickOutOfRange checks that a custom scheduler whose
+// Pick returns an index outside the request table makes Run fail with an
+// error naming the scheduler, the index and the table length, rather than
+// panicking inside the controller.
+func TestCustomSchedulerPickOutOfRange(t *testing.T) {
+	for name, at := range map[string]func(n int) int{
+		"negative":     func(int) int { return -1 },
+		"table length": func(n int) int { return n },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var idx, table int
+			sys, err := NewSystem(WithCustomScheduler(pickAt{at: at, idx: &idx, table: &table}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = sys.Run(NewKernel("misses", func(g *Gen) {
+				for i := 0; i < 64; i++ {
+					g.Load(uint64(i) << 20)
+				}
+			}))
+			if err == nil {
+				t.Fatal("Run accepted an out-of-range pick")
+			}
+			want := fmt.Sprintf(`scheduler "pick-at" picked entry %d of a %d-entry request table`, idx, table)
+			if table == 0 || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Run error %q, want it to contain %q", err, want)
+			}
+		})
 	}
 }

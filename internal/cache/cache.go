@@ -12,6 +12,9 @@ import (
 // LineBytes is the cache line size; it matches the DRAM burst size.
 const LineBytes = 64
 
+// lineShift is log2(LineBytes): an address's line number is addr>>lineShift.
+const lineShift = 6
+
 // maxAssoc is the largest associativity a recency word holds: one 4-bit
 // way number per way.
 const maxAssoc = 16
@@ -57,12 +60,11 @@ type Cache struct {
 	tags    []uint64
 	recency []uint64
 	assoc   int
-	// setMask extracts the set index; tagShift strips line-offset and set
-	// bits in one shift (the set count is a power of two, so the tag needs
-	// no division).
+	// setMask extracts the set index from the line number; tagShift
+	// strips line-offset and set bits in one shift (the set count is a
+	// power of two, so the tag needs no division).
 	setMask  uint64
 	tagShift uint
-	setShift uint
 	// tailShift is the bit offset of the recency word's last nibble, the
 	// set's least recently used way.
 	tailShift uint
@@ -100,15 +102,13 @@ func New(name string, sizeBytes, assoc int) (*Cache, error) {
 	for i := range recency {
 		recency[i] = order
 	}
-	shift := uint(6) // log2(LineBytes)
 	return &Cache{
 		name:      name,
 		tags:      make([]uint64, lines),
 		recency:   recency,
 		assoc:     assoc,
 		setMask:   uint64(setCount - 1),
-		tagShift:  shift + uint(bits.TrailingZeros(uint(setCount))),
-		setShift:  shift,
+		tagShift:  lineShift + uint(bits.TrailingZeros(uint(setCount))),
 		tailShift: 4 * uint(assoc-1),
 	}, nil
 }
@@ -119,16 +119,20 @@ func (c *Cache) Name() string { return c.name }
 // Stats returns a snapshot of event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// Variable shift counts in the per-access helpers are masked to 63, which
+// they never exceed, so the compiler emits bare shifts without Go's guard
+// for counts of 64 and more.
+
 func (c *Cache) setOf(addr uint64) int {
-	return int((addr >> c.setShift) & c.setMask)
+	return int(addr >> lineShift & c.setMask)
 }
 
 func (c *Cache) tagOf(addr uint64) uint64 {
-	return addr >> c.tagShift
+	return addr >> (c.tagShift & 63)
 }
 
 func (c *Cache) lineAddr(set int, tag uint64) uint64 {
-	return tag<<c.tagShift | uint64(set)<<c.setShift
+	return tag<<(c.tagShift&63) | uint64(set)<<lineShift
 }
 
 // key returns the tag word of addr's line with both flag bits set: a way
@@ -141,13 +145,14 @@ func (c *Cache) key(addr uint64) uint64 {
 // is the word's lowest nibble equal to w (the unused nibbles above assoc-1
 // are zero, so they can equal w only above it): XOR with w in every nibble
 // zeroes it, and the borrow test below finds the lowest zero nibble
-// exactly.
+// exactly. The nibbles up to and including it (mask) shift up by one, and
+// w fills nibble 0.
 func (c *Cache) touch(set int, w uint64) {
 	r := c.recency[set]
 	x := r ^ w*nibbles
 	at := uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
-	below := r & (uint64(1)<<at - 1)
-	c.recency[set] = r&^(uint64(1)<<(at+4)-1) | below<<4 | w
+	mask := ^uint64(0) >> ((60 - at) & 63)
+	c.recency[set] = r&^mask | r<<4&mask | w
 }
 
 // Victim describes an eviction produced by Access or Install.
@@ -246,7 +251,7 @@ func (c *Cache) accessFill(addr uint64) (idx int, hit bool, v Victim) {
 func (c *Cache) fill(set, invalid int, word uint64) (idx int, v Victim) {
 	way := invalid
 	if way < 0 {
-		way = int(c.recency[set] >> c.tailShift & 15)
+		way = int(c.recency[set] >> (c.tailShift & 63) & 15)
 		old := c.tags[set*c.assoc+way]
 		v = Victim{Addr: c.lineAddr(set, old>>2), Dirty: old&dirtyBit != 0, Valid: true}
 		c.stats.Evictions++

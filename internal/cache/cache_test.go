@@ -223,7 +223,7 @@ func TestWouldMissDoesNotPerturb(t *testing.T) {
 	if !h.WouldMiss(0x9000) {
 		t.Fatalf("cold line should miss")
 	}
-	st := h.L1.Stats()
+	st := h.L1().Stats()
 	if st.Hits+st.Misses != 0 {
 		t.Fatalf("WouldMiss must not touch statistics")
 	}

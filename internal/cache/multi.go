@@ -67,7 +67,7 @@ func NewMultiHierarchy(cfg HierConfig, cores int) (*MultiHierarchy, error) {
 }
 
 // View returns core i's private window onto the fabric.
-func (m *MultiHierarchy) View(i int) *CoreView { return &CoreView{m: m, core: i} }
+func (m *MultiHierarchy) View(i int) *CoreView { return &CoreView{m: m, l1: m.l1s[i], core: i} }
 
 // L1Stats returns core i's private-L1 counters.
 func (m *MultiHierarchy) L1Stats(i int) Stats { return m.l1s[i].Stats() }
@@ -102,22 +102,32 @@ func (m *MultiHierarchy) dropHolders(i int, addr uint64, flush bool) (dirty bool
 // coherence simplifications).
 type CoreView struct {
 	m    *MultiHierarchy
+	l1   *Cache
 	core int
 }
+
+// L1 returns the core's private L1.
+func (v *CoreView) L1() *Cache { return v.l1 }
 
 // Access performs a load or store of the line containing addr through the
 // core's private L1 and the shared L2, mirroring Hierarchy.Access: it
 // reports the satisfying level (1, 2, or 3 = main-memory fill) and the
 // dirty victim lines that must be written back to memory. The writebacks
-// slice aliases a buffer reused by the next Access on ANY view; the engine
-// consumes it before stepping another core.
+// slice aliases a buffer reused by the next Access or Fill on ANY view;
+// the engine consumes it before stepping another core. As for Hierarchy,
+// Access is the L1 probe followed on a miss by Fill.
 func (v *CoreView) Access(addr uint64, write bool) (level int, writebacks []uint64) {
-	m := v.m
-	l1 := m.l1s[v.core]
-	addr &^= uint64(LineBytes - 1)
-	if l1.Access(addr, write) {
+	if v.l1.Access(addr, write) {
 		return 1, nil
 	}
+	return v.Fill(addr, write)
+}
+
+// Fill completes an access whose probe of the core's L1,
+// L1().Access(addr, write), has just missed, mirroring Hierarchy.Fill.
+func (v *CoreView) Fill(addr uint64, write bool) (level int, writebacks []uint64) {
+	m := v.m
+	addr &^= uint64(LineBytes - 1)
 	m.wbScratch = m.wbScratch[:0]
 	level = 2
 	i, hit, vic := m.l2.accessFill(addr)
@@ -133,7 +143,7 @@ func (v *CoreView) Access(addr uint64, write bool) (level int, writebacks []uint
 	w, sh := m.holder(i)
 	*w |= 1 << (sh + uint(v.core))
 	// Fill the private L1.
-	if vic := l1.Install(addr, write); vic.Valid && vic.Dirty {
+	if vic := v.l1.Install(addr, write); vic.Valid && vic.Dirty {
 		// Dirty L1 victim folds back into the shared L2.
 		if !m.l2.Access(vic.Addr, true) {
 			// Victim no longer in L2 (evicted earlier): write back.
@@ -147,7 +157,7 @@ func (v *CoreView) Access(addr uint64, write bool) (level int, writebacks []uint
 // L1 and the shared L2, without perturbing replacement state.
 func (v *CoreView) WouldMiss(addr uint64) bool {
 	addr &^= uint64(LineBytes - 1)
-	return !v.m.l1s[v.core].Lookup(addr) && !v.m.l2.Lookup(addr)
+	return !v.l1.Lookup(addr) && !v.m.l2.Lookup(addr)
 }
 
 // Flush removes the line containing addr from every L1 and the shared L2

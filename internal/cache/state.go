@@ -66,12 +66,12 @@ func (c *Cache) isOrdering(r uint64) bool {
 // SaveState serializes both hierarchy levels (wbScratch is per-access
 // scratch and holds nothing across steps).
 func (h *Hierarchy) SaveState(e *snapshot.Enc) {
-	h.L1.SaveState(e)
-	h.L2.SaveState(e)
+	h.l1.SaveState(e)
+	h.l2.SaveState(e)
 }
 
 // LoadState restores state written by SaveState.
 func (h *Hierarchy) LoadState(d *snapshot.Dec) {
-	h.L1.LoadState(d)
-	h.L2.LoadState(d)
+	h.l1.LoadState(d)
+	h.l2.LoadState(d)
 }

@@ -57,15 +57,15 @@ func TestHierarchyStateRoundTrip(t *testing.T) {
 	// Fill L2 set 3 with fresh lines, then flush its second way's line to
 	// leave a hole between valid ways.
 	base := 3 * cfg.L2Assoc
-	sets := uint64(len(h.L2.recency))
-	for k := uint64(0); slices.Contains(h.L2.tags[base:base+cfg.L2Assoc], 0); k++ {
+	sets := uint64(len(h.l2.recency))
+	for k := uint64(0); slices.Contains(h.l2.tags[base:base+cfg.L2Assoc], 0); k++ {
 		h.Access(((1000+k)*sets+3)*LineBytes, true)
 	}
-	h.Flush(h.L2.lineAddr(3, h.L2.tags[base+1]>>2))
-	if len(dirtyLines(h.L1)) == 0 || len(dirtyLines(h.L2)) == 0 {
-		t.Fatalf("weak state: L1 dirty %v, L2 dirty %v", dirtyLines(h.L1), dirtyLines(h.L2))
+	h.Flush(h.l2.lineAddr(3, h.l2.tags[base+1]>>2))
+	if len(dirtyLines(h.l1)) == 0 || len(dirtyLines(h.l2)) == 0 {
+		t.Fatalf("weak state: L1 dirty %v, L2 dirty %v", dirtyLines(h.l1), dirtyLines(h.l2))
 	}
-	if set := h.L2.tags[base : base+cfg.L2Assoc]; set[1] != 0 || set[0] == 0 || set[2] == 0 {
+	if set := h.l2.tags[base : base+cfg.L2Assoc]; set[1] != 0 || set[0] == 0 || set[2] == 0 {
 		t.Fatalf("L2 set 3 = %#x, want a hole at way 1 between valid ways", set)
 	}
 
@@ -81,7 +81,7 @@ func TestHierarchyStateRoundTrip(t *testing.T) {
 			t.Fatalf("op %d: restored (%d, %#x), original (%d, %#x)", i, gl, gw, wl, ww)
 		}
 	}
-	for _, pair := range [][2]*Cache{{restored.L1, h.L1}, {restored.L2, h.L2}} {
+	for _, pair := range [][2]*Cache{{restored.l1, h.l1}, {restored.l2, h.l2}} {
 		got, want := pair[0], pair[1]
 		if !slices.Equal(got.tags, want.tags) || !slices.Equal(got.recency, want.recency) || got.Stats() != want.Stats() {
 			t.Fatalf("%s diverged after restore", want.Name())

@@ -148,16 +148,16 @@ func TestCheckpointCarriesCacheState(t *testing.T) {
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if !h.L2.Lookup(base) || h.L2.Lookup(base+stride) || !h.L2.Lookup(base+2*stride) || !h.L2.Lookup(base+3*stride) {
+	if !h.L2().Lookup(base) || h.L2().Lookup(base+stride) || !h.L2().Lookup(base+2*stride) || !h.L2().Lookup(base+3*stride) {
 		t.Fatalf("checkpointed L2 set lacks the flushed hole between valid lines")
 	}
-	if h.L1.Lookup(base) {
+	if h.L1().Lookup(base) {
 		t.Fatalf("checkpointed L1 still holds line 0; its dirtiness never reached the L2")
 	}
-	if p, dirty := h.L2.Flush(base); !p || !dirty {
+	if p, dirty := h.L2().Flush(base); !p || !dirty {
 		t.Fatalf("checkpointed L2 line 0: present %v, dirty %v; want a dirty line", p, dirty)
 	}
-	if p, dirty := h.L1.Flush(region + stride - cache.LineBytes); !p || !dirty {
+	if p, dirty := h.L1().Flush(region + stride - cache.LineBytes); !p || !dirty {
 		t.Fatalf("checkpointed L1 last line: present %v, dirty %v; want a dirty line", p, dirty)
 	}
 

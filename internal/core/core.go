@@ -658,8 +658,8 @@ func (e *engine) result() Result {
 		r.L2 = e.sys.mhier.L2Stats()
 	} else {
 		r.CPU = e.core.Stats()
-		r.L1 = e.sys.hier.L1.Stats()
-		r.L2 = e.sys.hier.L2.Stats()
+		r.L1 = e.sys.hier.L1().Stats()
+		r.L2 = e.sys.hier.L2().Stats()
 	}
 	for i := range e.sys.chans {
 		c := &e.sys.chans[i]

@@ -168,13 +168,20 @@ type outstandingMiss struct {
 // CacheView is the cache surface a core executes against: the single-core
 // two-level cache.Hierarchy, or one core's cache.CoreView onto the shared
 // multi-core fabric (a system builds one or the other, never both). Both
-// have the same semantics. The writebacks slice Access returns aliases a
-// buffer the next Access reuses; for a CoreView that is the next Access on
-// any core's view, so the engine consumes it before stepping another core.
+// have the same semantics. The writebacks slice Access and Fill return
+// aliases a buffer the next Access or Fill reuses; for a CoreView that is
+// the next one on any core's view, so the engine consumes it before
+// stepping another core.
 type CacheView interface {
 	// Access performs a load or store, reporting the satisfying level
 	// (1, 2, or 3 = main-memory fill) and dirty victim lines to write back.
 	Access(addr uint64, write bool) (level int, writebacks []uint64)
+	// L1 returns the L1 the view probes first. Access is
+	// L1().Access(addr, write) followed on a miss by Fill.
+	L1() *cache.Cache
+	// Fill completes an access whose L1 probe has just missed, with
+	// Access's results (level 2 or 3).
+	Fill(addr uint64, write bool) (level int, writebacks []uint64)
 	// WouldMiss reports whether addr would miss every level, without
 	// perturbing replacement state.
 	WouldMiss(addr uint64) bool
@@ -191,7 +198,13 @@ var (
 type Core struct {
 	cfg  Config
 	hier CacheView
+	// l1 is hier.L1(): Step probes it directly, so an L1 hit makes no
+	// interface call, and only a miss goes on to hier.Fill.
+	l1   *cache.Cache
 	strm workload.Stream
+	// hitCycles[level-1][dep] is hitCost's charge for a hit at level 1 or
+	// 2, for an independent (dep 0) or dependent (dep 1) access.
+	hitCycles [2][2]clock.Cycles
 	// issueShift is log2(IssueWidth) when the width is a power of two (every
 	// preset), else -1; see computeCycles.
 	issueShift int
@@ -237,7 +250,12 @@ func New(cfg Config, hier CacheView, strm workload.Stream) (*Core, error) {
 	if w := uint(cfg.IssueWidth); w&(w-1) == 0 {
 		shift = bits.TrailingZeros(w)
 	}
-	return &Core{cfg: cfg, hier: hier, strm: strm, issueShift: shift, nextID: 1, idStride: 1}, nil
+	c := &Core{cfg: cfg, hier: hier, l1: hier.L1(), strm: strm, issueShift: shift, nextID: 1, idStride: 1}
+	for dep := 0; dep < 2; dep++ {
+		c.hitCycles[0][dep] = c.hitCost(cfg.L1Lat, dep == 1)
+		c.hitCycles[1][dep] = c.hitCost(cfg.L2Lat, dep == 1)
+	}
+	return c, nil
 }
 
 // SetIDSpace places the core's request IDs on an interleaved-dense lattice:
@@ -389,18 +407,24 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 			} else {
 				c.stats.Loads++
 			}
-			level, writebacks := c.hier.Access(c.op.Addr, isStore)
 			c.opValid = false
-			dep := c.op.Dep
-			if level < 3 {
-				// Cache hit: pure cycles, the batch keeps running.
-				if level == 1 {
-					c.stats.L1Hits++
-					acc += c.hitCost(c.cfg.L1Lat, dep)
-				} else {
-					c.stats.L2Hits++
-					acc += c.hitCost(c.cfg.L2Lat, dep)
+			dep := 0
+			if c.op.Dep {
+				dep = 1
+			}
+			if c.l1.Access(c.op.Addr, isStore) {
+				// L1 hit: pure cycles, the batch keeps running.
+				c.stats.L1Hits++
+				acc += c.hitCycles[0][dep]
+				if acc >= budget {
+					return Outcome{Cycles: acc}
 				}
+				continue
+			}
+			level, writebacks := c.hier.Fill(c.op.Addr, isStore)
+			if level == 2 {
+				c.stats.L2Hits++
+				acc += c.hitCycles[1][dep]
 				if acc >= budget {
 					return Outcome{Cycles: acc}
 				}
@@ -513,7 +537,7 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 func (c *Core) computeCycles(n int64) clock.Cycles {
 	w := clock.Cycles(c.cfg.IssueWidth)
 	if c.issueShift >= 0 {
-		return (clock.Cycles(n) + w - 1) >> c.issueShift
+		return (clock.Cycles(n) + w - 1) >> (c.issueShift & 63)
 	}
 	return (clock.Cycles(n) + w - 1) / w
 }

@@ -1,4 +1,4 @@
-// Package difffuzz is the differential fuzz harness of ROADMAP item 5(a):
+// Package difffuzz is the differential fuzz harness:
 // a deterministic, seeded config-space fuzzer that cross-validates the
 // EasyDRAM emulator against its direct-simulation baseline (the role
 // Ramulator plays in the paper's Figure 13) across the whole configuration

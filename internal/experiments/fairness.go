@@ -9,7 +9,7 @@ import (
 	"easydram/internal/workload"
 )
 
-// The fairness sweep (ROADMAP item 2): run every named multiprogram mix on
+// The fairness sweep: run every named multiprogram mix on
 // N emulated cores under each scheduler and report the standard multi-core
 // fairness metrics. This is BLISS's real habitat — FR-FCFS's row-hit-first
 // greed lets streaming cores starve a pointer chase, and the blacklisting

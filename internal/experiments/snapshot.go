@@ -14,7 +14,7 @@ import (
 	"easydram/internal/workload"
 )
 
-// The durable-characterization sweep (ROADMAP item 3): cold vs warm
+// The durable-characterization sweep: cold vs warm
 // characterization through the snapshot store, round-trip identity of the
 // stored artifact, corruption handling, and checkpoint/restore identity.
 // Wall-clock timings feed the snapshot/warm_start_speedup_x benchall

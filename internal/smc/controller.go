@@ -322,6 +322,10 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 		idx = 0
 	} else {
 		idx = c.cfg.Scheduler.Pick(c.table, c.openRows)
+		if uint(idx) >= uint(len(c.table)) {
+			return false, fmt.Errorf("smc: scheduler %q picked entry %d of a %d-entry request table",
+				c.cfg.Scheduler.Name(), idx, len(c.table))
+		}
 	}
 	return c.serveIndex(env, idx)
 }

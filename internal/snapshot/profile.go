@@ -6,7 +6,7 @@ import (
 	"easydram/internal/bloom"
 )
 
-// The durable characterization profile (ROADMAP item 3). A Profile carries
+// The durable characterization profile. A Profile carries
 // one characterization pass's results — per-channel weak-row sets and the
 // Bloom filters built over them — keyed by everything that determines the outcome: variation seed,
 // topology, profiled tRCD, and profiling granularity (the compatibility

@@ -1,6 +1,7 @@
 // Package snapshot implements the durable, integrity-checked serialization
 // format behind EasyDRAM's characterization store and whole-system
-// checkpoints (ROADMAP item 3: characterization-as-a-service).
+// checkpoints: a characterization is computed once and served from disk
+// to every later run on the same silicon.
 //
 // A snapshot file is a sectioned binary container:
 //

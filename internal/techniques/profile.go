@@ -12,7 +12,7 @@ import (
 	"easydram/internal/snapshot"
 )
 
-// The durable-characterization bridge (ROADMAP item 3): one profiling pass
+// The durable-characterization bridge: one profiling pass
 // produces a snapshot.Profile — per-channel weak-row sets and Bloom
 // filters keyed to the silicon — that round-trips through the snapshot
 // store and rebuilds the reduced-tRCD scheduler hook without re-profiling.

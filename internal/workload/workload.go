@@ -108,8 +108,14 @@ func (k Kernel) Stream() Stream {
 // straight into the slot returned by slot, so no Op travels by value
 // through a call (see ARCHITECTURE.md, "Op streams").
 type Gen struct {
-	// buf is the slab being filled; s is the stream it is handed to.
+	// buf is the slab being filled, at its full length; buf[:n] holds the
+	// ops written so far. s is the stream the slab is handed to.
 	buf []Op
+	n   int
+	// lim is the fill index at which slot leaves its fast path: len(buf),
+	// or 0 while compute is pending, so one compare covers both the full
+	// slab and the coalesced compute op owed before the next op.
+	lim int
 	s   *goStream
 	// aborted is set once the consumer has closed the stream; later ops
 	// overwrite buf and are dropped.
@@ -118,78 +124,86 @@ type Gen struct {
 	pendingCompute int64
 }
 
-// slot returns the next free op slot, handing a full slab to the consumer
-// first.
+// slot returns the next free op slot. It is small enough to inline into
+// every emitter: the pending compute op and the slab handoff are taken out
+// of line by makeRoom.
 func (g *Gen) slot() *Op {
-	if len(g.buf) == slabSize {
+	if g.n >= g.lim {
+		g.makeRoom()
+	}
+	g.n++
+	return &g.buf[g.n-1]
+}
+
+// makeRoom writes the pending compute op, if any, and hands a full slab to
+// the consumer, so that buf[n] is free and slot's fast path holds again.
+//
+//go:noinline
+func (g *Gen) makeRoom() {
+	if g.pendingCompute > 0 {
+		if g.n == len(g.buf) {
+			g.spill()
+		}
+		g.buf[g.n] = Op{Kind: OpCompute, N: g.pendingCompute}
+		g.n++
+		g.pendingCompute = 0
+	}
+	if g.n == len(g.buf) {
 		g.spill()
 	}
-	n := len(g.buf)
-	g.buf = g.buf[:n+1]
-	return &g.buf[n]
+	g.lim = len(g.buf)
 }
 
 // spill hands the full slab to the consumer and starts a fresh one.
 func (g *Gen) spill() {
 	if !g.aborted {
 		select {
-		case g.s.ch <- g.buf:
+		case g.s.ch <- g.buf[:g.n]:
 			g.buf = g.s.nextSlab()
+			g.n = 0
 			return
 		case <-g.s.stop:
 			g.aborted = true
 		}
 	}
-	g.buf = g.buf[:0]
+	g.n = 0
 }
 
 // Compute emits n instructions of non-memory work (coalesced).
 func (g *Gen) Compute(n int64) {
 	if n > 0 {
 		g.pendingCompute += n
-	}
-}
-
-func (g *Gen) flushCompute() {
-	if g.pendingCompute > 0 {
-		*g.slot() = Op{Kind: OpCompute, N: g.pendingCompute}
-		g.pendingCompute = 0
+		g.lim = 0
 	}
 }
 
 // Load emits a load of addr.
 func (g *Gen) Load(addr uint64) {
-	g.flushCompute()
 	*g.slot() = Op{Kind: OpLoad, Addr: addr}
 }
 
 // LoadDep emits a load whose address depends on the previous load.
 func (g *Gen) LoadDep(addr uint64) {
-	g.flushCompute()
 	*g.slot() = Op{Kind: OpLoad, Addr: addr, Dep: true}
 }
 
 // Store emits a store to addr.
 func (g *Gen) Store(addr uint64) {
-	g.flushCompute()
 	*g.slot() = Op{Kind: OpStore, Addr: addr}
 }
 
 // Flush emits a cache-line flush of addr.
 func (g *Gen) Flush(addr uint64) {
-	g.flushCompute()
 	*g.slot() = Op{Kind: OpFlush, Addr: addr}
 }
 
 // RowClone emits an in-DRAM copy of the row at src to the row at dst.
 func (g *Gen) RowClone(src, dst uint64) {
-	g.flushCompute()
 	*g.slot() = Op{Kind: OpRowClone, Addr: dst, Src: src}
 }
 
 // Barrier emits a full memory barrier.
 func (g *Gen) Barrier() {
-	g.flushCompute()
 	*g.slot() = Op{Kind: OpBarrier}
 }
 
@@ -233,12 +247,16 @@ func newGoStream(body func(*Gen)) *goStream {
 	go func() {
 		defer s.wg.Done()
 		defer close(s.ch)
-		g := &Gen{buf: s.nextSlab(), s: s}
+		g := &Gen{buf: s.nextSlab(), lim: slabSize, s: s}
 		body(g)
-		g.flushCompute()
-		if !g.aborted && len(g.buf) > 0 {
+		if n := g.pendingCompute; n > 0 {
+			// Cleared first, so slot only makes room for the op.
+			g.pendingCompute = 0
+			*g.slot() = Op{Kind: OpCompute, N: n}
+		}
+		if !g.aborted && g.n > 0 {
 			select {
-			case s.ch <- g.buf:
+			case s.ch <- g.buf[:g.n]:
 			case <-s.stop:
 			}
 		}
@@ -246,14 +264,14 @@ func newGoStream(body func(*Gen)) *goStream {
 	return s
 }
 
-// nextSlab returns an empty slab for the producer, recycled when the
-// consumer has returned one.
+// nextSlab returns a slab for the producer to fill, at its full length:
+// recycled when the consumer has returned one, else new.
 func (s *goStream) nextSlab() []Op {
 	select {
 	case slab := <-s.free:
-		return slab
+		return slab[:slabSize]
 	default:
-		return make([]Op, 0, slabSize)
+		return make([]Op, slabSize)
 	}
 }
 

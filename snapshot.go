@@ -8,7 +8,7 @@ import (
 	"easydram/internal/techniques"
 )
 
-// Durable characterization and crash-safe checkpointing (ROADMAP item 3).
+// Durable characterization and crash-safe checkpointing.
 // Profiles and checkpoints are versioned, checksummed snapshot files
 // written atomically (temp file + fsync + rename); every load validates
 // the format version, per-section CRCs, and a compatibility key, and any
