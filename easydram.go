@@ -119,9 +119,11 @@ func (r rejectedScheduler) Pick([]smc.Entry, []int) int { panic(r.err) }
 type Scheduler = smc.Scheduler
 
 // SchedEntry is one buffered request as schedulers see it: decoded DRAM
-// coordinates plus an arrival sequence number (the table is unordered;
-// order by Seq). SchedEntry.IsAccess distinguishes plain accesses from
-// technique requests.
+// coordinates plus an arrival sequence number. The table a scheduler sees
+// is in arrival order (index 0 is the oldest, and Seq increases with the
+// index), so a scan's first eligible entry is the oldest one.
+// SchedEntry.IsAccess distinguishes plain accesses from technique
+// requests.
 type SchedEntry = smc.Entry
 
 // ReqKind classifies a buffered request (SchedEntry.Kind).

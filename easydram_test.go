@@ -2,6 +2,7 @@ package easydram
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -415,5 +416,45 @@ func TestCustomSchedulerPickOutOfRange(t *testing.T) {
 				t.Fatalf("Run error %q, want it to contain %q", err, want)
 			}
 		})
+	}
+}
+
+// TestHugeComputeHitsCycleCap checks that compute counts near the int64
+// limit reach the cycle cap on both engines rather than overflowing into
+// a short, error-free run: two coalesced halves whose sum overflows, and
+// one maximal count whose issue-width ceiling overflows.
+func TestHugeComputeHitsCycleCap(t *testing.T) {
+	const half = math.MaxInt64/2 + 10
+	bodies := map[string]func(*Gen){
+		"coalesced sum": func(g *Gen) {
+			g.Compute(half)
+			g.Compute(half)
+			g.Load(0)
+		},
+		"single maximal": func(g *Gen) { g.Compute(math.MaxInt64) },
+	}
+	for mode, opt := range map[string]Option{"scaled": TimeScaled(), "unscaled": NoTimeScaling()} {
+		for name, body := range bodies {
+			t.Run(mode+"/"+name, func(t *testing.T) {
+				sys, err := NewSystem(opt, WithMaxCycles(1000))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sys.Run(NewKernel("huge", body))
+				if err == nil || !strings.Contains(err.Error(), "exceeded 1000 emulated processor cycles") {
+					t.Fatalf("Run = %d cycles, %v; want the cycle-cap error", res.ProcCycles, err)
+				}
+			})
+		}
+	}
+}
+
+// TestNegativeMaxCyclesRejected checks that a negative cycle cap is
+// rejected when the system is built, naming the value, instead of
+// silently disabling the cap.
+func TestNegativeMaxCyclesRejected(t *testing.T) {
+	_, err := NewSystem(WithMaxCycles(-5))
+	if err == nil || !strings.Contains(err.Error(), "-5") {
+		t.Fatalf("NewSystem(WithMaxCycles(-5)) error = %v, want one naming -5", err)
 	}
 }

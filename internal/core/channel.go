@@ -24,8 +24,8 @@ func (e *engine) toKey(t clock.PS) int64   { return int64(t / e.keyPS) }
 func (e *engine) keyTime(k int64) clock.PS { return clock.PS(k) * e.keyPS }
 
 // deliverMatured hands core h every ready response whose release key is at
-// or before now, in release order (O(log n) each). Each nonzero drain is
-// one settle batch.
+// or before now, in release order, each popped off the ready queue's
+// front. Each nonzero drain is one settle batch.
 func (e *engine) deliverMatured(h *coreState, now int64) {
 	n := int64(0)
 	for h.ready.Len() > 0 && h.ready.Min().release <= now {

@@ -10,7 +10,7 @@ import (
 
 // Whole-system checkpointing. A
 // checkpoint is taken only at a quiescent point: the engine's in-flight
-// machinery — release heap, arrival rings, staged lists, controller tables,
+// machinery — release queues, arrival rings, staged lists, controller tables,
 // tile FIFOs and slabs — is empty, the processor holds no outstanding
 // misses, and no fence is pending. Everything that remains is persistent
 // state with a per-layer SaveState hook, so the blob is small and a restore

@@ -22,15 +22,15 @@
 //
 // The engine's inner loop is event-driven: each iteration either advances
 // the processor or performs one SMC step, and both need the earliest
-// pending event. Ready responses live in an indexed min-heap keyed by
-// release point (releaseQueue), giving O(1) min-peek, O(log n) delivery,
-// and O(1) lookup of the response a blocked processor waits on. Unserved
-// requests additionally sit in an issue-order FIFO of arrival keys
-// (arrivalRing); arrivals are monotone, so the earliest live arrival — the
-// refresh accounting horizon — is read off the head in amortised O(1). See
-// events.go. Every engine loop shares the structures; keys are emulated
-// processor cycles with time scaling and wall picoseconds without (see
-// channel.go).
+// pending event. Ready responses live in a slice sorted by release point
+// (releaseQueue): min-peek and delivery read its front, and the lookup of
+// the response a blocked processor waits on scans a queue bounded by the
+// core's outstanding misses. Unserved requests additionally sit in an
+// issue-order FIFO of arrival keys (arrivalRing); arrivals are monotone, so
+// the earliest live arrival — the refresh accounting horizon — is read off
+// the head in amortised O(1). See events.go. Every engine loop shares the
+// structures; keys are emulated processor cycles with time scaling and wall
+// picoseconds without (see channel.go).
 package core
 
 import (
@@ -130,6 +130,9 @@ func (c Config) Validate() error {
 	if !c.Scaling && c.CPU.Clock.Period() != c.ProcPhys.Period() {
 		return fmt.Errorf("core: without time scaling the emulated clock (%v) must equal the physical clock (%v)",
 			c.CPU.Clock, c.ProcPhys)
+	}
+	if c.MaxProcCycles < 0 {
+		return fmt.Errorf("core: max processor cycles must be non-negative (0 = no cap), got %d", c.MaxProcCycles)
 	}
 	if c.ModeledCtrlLatency < 0 {
 		return fmt.Errorf("core: modeled controller latency must be non-negative")
@@ -505,7 +508,6 @@ func (s *System) newEngine() (*engine, error) {
 	e := &engine{
 		cfg:           s.cfg,
 		sys:           s,
-		coreState:     coreState{ready: newReleaseQueue()},
 		inflight:      make([]slotRing, nch),
 		trackArrivals: s.cfg.RefreshEnabled,
 		chain:         make([]clock.PS, nch),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"easydram/internal/cache"
@@ -107,6 +108,21 @@ func TestMaxProcCyclesAborts(t *testing.T) {
 	_, err = sys.Run(workload.NewSliceStream([]workload.Op{{Kind: workload.OpCompute, N: 1_000_000}}))
 	if err == nil {
 		t.Fatalf("cap did not abort the run")
+	}
+}
+
+// TestNegativeMaxProcCyclesRejected checks that Validate rejects a
+// negative cycle cap, naming the value, rather than treating it as no cap.
+func TestNegativeMaxProcCyclesRejected(t *testing.T) {
+	for _, cfg := range []Config{TimeScalingA57(), NoTimeScaling()} {
+		cfg.MaxProcCycles = -5
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), "-5") {
+			t.Fatalf("Validate = %v, want an error naming -5", err)
+		}
+		if _, err := NewSystem(cfg); err == nil {
+			t.Fatalf("NewSystem accepted a negative cycle cap")
+		}
 	}
 }
 

@@ -11,14 +11,14 @@ package core
 // profile with map iteration. Two purpose-built structures replace those
 // scans:
 //
-//   - releaseQueue: an indexed min-heap of response release points keyed by
-//     (release, insertion sequence). Min-peek is O(1), pop and remove are
-//     O(log n), and the position index gives O(1) lookup of the response a
-//     blocked processor is waiting on. The sequence number makes tie order
-//     deterministic (the engine's results are insensitive to delivery order
-//     within one release point, but determinism must not rest on that).
-//     The position index is an idIndex — the same dense-ID slot scheme as
-//     slotRing — so heap maintenance performs no hashing either.
+//   - releaseQueue: a slice of response release points kept sorted by
+//     (release, insertion order). Min-peek and pop read the front, and
+//     push, lookup and removal scan a queue that never holds more than
+//     one core's outstanding non-posted misses, so the scans are short and
+//     need no heap or position index. Ties pop in push order, which keeps
+//     delivery deterministic (the engine's results are insensitive to
+//     delivery order within one release point, but determinism must not
+//     rest on that).
 //
 //   - arrivalRing: a FIFO of (request id, arrival key) in issue order.
 //     Because the engines issue requests at monotonically nondecreasing
@@ -40,21 +40,24 @@ package core
 type releaseItem struct {
 	id      uint64
 	release int64 // emulated processor cycles (scaled) or wall ps (unscaled)
-	seq     uint64
 }
 
-// releaseQueue is an indexed min-heap over (release, seq) with O(1) lookup
-// by request id. The id -> heap-index map is a dense idIndex rather than a
-// Go map: request IDs are sequential, so slot indexing replaces hashing on
-// every push, pop, swap, and removal.
+// releaseQueue holds one core's responses awaiting release, sorted by
+// (release, insertion order). It holds at most that core's outstanding
+// non-posted misses — MLP-bounded, a handful of entries — so linear scans
+// over one short slice cost less than a heap's sifts and the id -> position
+// index they would have to maintain.
+//
+// Responses leave from the front: the earliest release is popped, and the
+// response a blocked core waits on is the earliest too. So items is a
+// window of buf that a removal narrows from the front, after shifting the
+// items ahead of the removed one up a slot, and Push slides the window
+// back to the start of buf once it reaches the end. The shifts are loops
+// rather than copy: on a queue this short the builtin's memmove call costs
+// more than the moves it makes. The zero value is an empty queue.
 type releaseQueue struct {
 	items []releaseItem
-	pos   idIndex // request id -> index in items
-	seq   uint64
-}
-
-func newReleaseQueue() releaseQueue {
-	return releaseQueue{pos: newIDIndex()}
+	buf   []releaseItem
 }
 
 // Len reports the number of queued responses.
@@ -63,98 +66,55 @@ func (q *releaseQueue) Len() int { return len(q.items) }
 // Min returns the earliest-release item. The queue must be non-empty.
 func (q *releaseQueue) Min() releaseItem { return q.items[0] }
 
-// Push inserts a release point for id.
+// Push inserts a release point for id after every item whose release is no
+// later, so equal releases keep their push order. Releases mostly arrive in
+// order, so the scan runs from the back, shifting later items down a slot.
 func (q *releaseQueue) Push(id uint64, release int64) {
-	q.items = append(q.items, releaseItem{id: id, release: release, seq: q.seq})
-	q.seq++
+	if n := len(q.items); n == cap(q.items) {
+		// The window reached the end of buf: move it to the start, into a
+		// larger array when it fills this one.
+		if n == cap(q.buf) {
+			q.buf = make([]releaseItem, 2*n+8)
+		}
+		q.items = q.buf[:copy(q.buf, q.items)]
+	}
+	q.items = q.items[:len(q.items)+1]
 	i := len(q.items) - 1
-	q.pos.Put(id, i)
-	q.siftUp(i)
+	for ; i > 0 && q.items[i-1].release > release; i-- {
+		q.items[i] = q.items[i-1]
+	}
+	q.items[i] = releaseItem{id: id, release: release}
 }
 
 // PopMin removes and returns the earliest-release item.
 func (q *releaseQueue) PopMin() releaseItem {
 	it := q.items[0]
-	q.removeAt(0)
+	q.items = q.items[1:]
 	return it
 }
 
 // Release reports the release point recorded for id.
 func (q *releaseQueue) Release(id uint64) (int64, bool) {
-	i, ok := q.pos.Get(id)
-	if !ok {
-		return 0, false
+	for i := range q.items {
+		if q.items[i].id == id {
+			return q.items[i].release, true
+		}
 	}
-	return q.items[i].release, true
+	return 0, false
 }
 
 // Remove deletes id's entry if present.
 func (q *releaseQueue) Remove(id uint64) bool {
-	i, ok := q.pos.Get(id)
-	if !ok {
-		return false
-	}
-	q.removeAt(i)
-	return true
-}
-
-func (q *releaseQueue) less(i, j int) bool {
-	a, b := &q.items[i], &q.items[j]
-	if a.release != b.release {
-		return a.release < b.release
-	}
-	return a.seq < b.seq
-}
-
-func (q *releaseQueue) swap(i, j int) {
-	q.items[i], q.items[j] = q.items[j], q.items[i]
-	q.pos.Put(q.items[i].id, i)
-	q.pos.Put(q.items[j].id, j)
-}
-
-func (q *releaseQueue) removeAt(i int) {
-	last := len(q.items) - 1
-	q.pos.Delete(q.items[i].id)
-	if i != last {
-		q.items[i] = q.items[last]
-		q.pos.Put(q.items[i].id, i)
-	}
-	q.items = q.items[:last]
-	if i < last {
-		// The moved element may need to travel either direction.
-		q.siftDown(i)
-		q.siftUp(i)
-	}
-}
-
-func (q *releaseQueue) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			return
+	for i := range q.items {
+		if q.items[i].id == id {
+			for ; i > 0; i-- {
+				q.items[i] = q.items[i-1]
+			}
+			q.items = q.items[1:]
+			return true
 		}
-		q.swap(i, parent)
-		i = parent
 	}
-}
-
-func (q *releaseQueue) siftDown(i int) {
-	n := len(q.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && q.less(l, min) {
-			min = l
-		}
-		if r < n && q.less(r, min) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		q.swap(i, min)
-		i = min
-	}
+	return false
 }
 
 // arrivalEntry records one request's arrival key (processor-cycle tag under
@@ -206,9 +166,8 @@ type idSlot[V any] struct {
 // the live window is small relative to the table, so collisions are
 // effectively nonexistent; when one does occur (an entry outliving a full
 // table's worth of successors), the table doubles until every live entry
-// fits. Steady state performs zero allocations. Both engine-side dense-ID
-// structures instantiate it: slotRing (the in-flight request table) and
-// idIndex (the releaseQueue's id -> heap-position index).
+// fits. Steady state performs zero allocations. slotRing (the in-flight
+// request table) instantiates it.
 type idTable[V any] struct {
 	slots []idSlot[V]
 	mask  uint64
@@ -219,18 +178,11 @@ type idTable[V any] struct {
 // that was ~15% of the substrate CPU profile.
 type slotRing = idTable[pending]
 
-// idIndex maps request IDs to releaseQueue heap positions, removing the
-// engine's last hash map.
-type idIndex = idTable[int]
-
 // idTableInitial is the starting table size; it comfortably covers the
-// live window of every configured core model (MLP plus posted traffic,
-// which also bounds the responses awaiting release).
+// live window of every configured core model (MLP plus posted traffic).
 const idTableInitial = 64
 
 func newSlotRing() slotRing { return newIDTable[pending]() }
-
-func newIDIndex() idIndex { return newIDTable[int]() }
 
 func newIDTable[V any]() idTable[V] {
 	return idTable[V]{slots: make([]idSlot[V], idTableInitial), mask: idTableInitial - 1}

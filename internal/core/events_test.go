@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -73,11 +75,11 @@ func TestSlotRingLongLivedEntry(t *testing.T) {
 	}
 }
 
-// TestReleaseQueueOrderAndLookup covers the dense-ID position index end to
-// end: pushes, keyed min-pops, O(1) release lookup, and removal from the
-// middle of the heap.
+// TestReleaseQueueOrderAndLookup covers the queue end to end: out-of-order
+// pushes with a tie, keyed min-pops, release lookup, and removal from the
+// middle of the queue.
 func TestReleaseQueueOrderAndLookup(t *testing.T) {
-	q := newReleaseQueue()
+	var q releaseQueue
 	if q.Len() != 0 {
 		t.Fatalf("new queue not empty")
 	}
@@ -110,14 +112,14 @@ func TestReleaseQueueOrderAndLookup(t *testing.T) {
 	}
 }
 
-// TestReleaseQueueLongLivedEntry pins the position index's growth path: an
-// entry that stays queued while thousands of successors are pushed and
-// popped must survive the dense table doubling (the releaseQueue analogue
-// of TestSlotRingLongLivedEntry).
+// TestReleaseQueueLongLivedEntry pins lookup across a long queue: an entry
+// that stays queued while thousands of successors are pushed and popped
+// must still be found, ahead of the long-lived entries parked behind it
+// (the releaseQueue analogue of TestSlotRingLongLivedEntry).
 func TestReleaseQueueLongLivedEntry(t *testing.T) {
-	q := newReleaseQueue()
+	var q releaseQueue
 	const ancient = uint64(3)
-	const future = int64(1) << 40 // keeps long-lived entries off the heap top
+	const future = int64(1) << 40 // keeps long-lived entries off the queue front
 	q.Push(ancient, future)
 	for id := uint64(4); id < 4+4096; id++ {
 		if id%3 == 0 {
@@ -139,33 +141,33 @@ func TestReleaseQueueLongLivedEntry(t *testing.T) {
 	}
 }
 
-// TestIDIndexWraparound pins dense-ID indexing across an ID-space
+// TestSlotRingWraparound pins dense-ID indexing across an ID-space
 // wraparound: IDs that collide under the slot mask force growth until both
-// live entries fit, exactly like slotRing.
-func TestIDIndexWraparound(t *testing.T) {
-	x := newIDIndex()
+// live entries fit.
+func TestSlotRingWraparound(t *testing.T) {
+	x := newSlotRing()
 	// Two IDs idTableInitial apart collide in the initial table.
 	a, b := uint64(5), uint64(5+idTableInitial)
-	x.Put(a, 1)
-	x.Put(b, 2)
-	if va, ok := x.Get(a); !ok || va != 1 {
-		t.Fatalf("Get(a) = %d, %v after collision growth", va, ok)
+	x.Put(a, pending{at: 1})
+	x.Put(b, pending{at: 2})
+	if va, ok := x.Get(a); !ok || va.at != 1 {
+		t.Fatalf("Get(a) = %+v, %v after collision growth", va, ok)
 	}
-	if vb, ok := x.Get(b); !ok || vb != 2 {
-		t.Fatalf("Get(b) = %d, %v after collision growth", vb, ok)
+	if vb, ok := x.Get(b); !ok || vb.at != 2 {
+		t.Fatalf("Get(b) = %+v, %v after collision growth", vb, ok)
 	}
 	// ID-space wraparound: the sequential allocator rolling over from the
 	// top of the uint64 range to small IDs must keep both ends live (the
 	// top ID's slot bits are all ones, the restart's nearly all zeros).
 	top, restart := ^uint64(0), uint64(1)
-	x.Put(top, 3)
-	x.Put(restart, 4)
+	x.Put(top, pending{at: 3})
+	x.Put(restart, pending{at: 4})
 	for _, c := range []struct {
 		id   uint64
-		want int
+		want int64
 	}{{a, 1}, {b, 2}, {top, 3}, {restart, 4}} {
-		if v, ok := x.Get(c.id); !ok || v != c.want {
-			t.Fatalf("Get(%d) = %d, %v, want %d", c.id, v, ok, c.want)
+		if v, ok := x.Get(c.id); !ok || v.at != c.want {
+			t.Fatalf("Get(%d) = %+v, %v, want at %d", c.id, v, ok, c.want)
 		}
 	}
 	if !x.Delete(b) || x.Delete(b) {
@@ -177,10 +179,10 @@ func TestIDIndexWraparound(t *testing.T) {
 }
 
 // TestReleaseQueueSteadyStateAllocs pins the queue at zero allocations per
-// operation in steady state, mirroring the slot-ring guard: once the heap
-// and its dense index are sized, push/lookup/pop cycles must not allocate.
+// operation in steady state, mirroring the slot-ring guard: once the
+// slice is sized, push/lookup/pop cycles must not allocate.
 func TestReleaseQueueSteadyStateAllocs(t *testing.T) {
-	q := newReleaseQueue()
+	var q releaseQueue
 	next := uint64(1)
 	for i := 0; i < 32; i++ { // warm: establish capacity
 		q.Push(next, int64(next))
@@ -234,4 +236,132 @@ func TestSlotRingSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("slot ring allocates in steady state: %.1f allocs/run", allocs)
 	}
+}
+
+// naiveItem is one entry of the release-queue oracle: an unordered list
+// that finds the minimum (release, insertion order) by scanning.
+type naiveItem struct {
+	releaseItem
+	ins int
+}
+
+// releaseCoverage counts the oracle cases a run exercised.
+type releaseCoverage struct {
+	ties, pops, removed, absent int
+}
+
+// diffReleaseQueue drives a releaseQueue and the naive oracle with the same
+// operations decoded from ops, two bytes each, and fails on the first
+// divergence in any result or in the queue's order. Releases come from a
+// 16-value window that drifts upward, so pushes tie and arrive out of
+// order; lookups and removals name present and absent ids.
+func diffReleaseQueue(t *testing.T, ops []byte) releaseCoverage {
+	t.Helper()
+	var (
+		q     releaseQueue
+		naive []naiveItem
+		cov   releaseCoverage
+		next  = uint64(1)
+		base  int64
+		ins   int
+	)
+	minAt := func() int {
+		m := 0
+		for i, it := range naive {
+			if it.release < naive[m].release || it.release == naive[m].release && it.ins < naive[m].ins {
+				m = i
+			}
+		}
+		return m
+	}
+	for k := 0; k+1 < len(ops); k += 2 {
+		op, arg := ops[k]%6, ops[k+1]
+		switch op {
+		case 0, 1: // Push
+			release := base + int64(arg%16)
+			for _, it := range naive {
+				if it.release == release {
+					cov.ties++
+					break
+				}
+			}
+			q.Push(next, release)
+			naive = append(naive, naiveItem{releaseItem{id: next, release: release}, ins})
+			next++
+			ins++
+			base += int64(arg >> 6)
+		case 2: // PopMin
+			if len(naive) == 0 {
+				continue
+			}
+			m := minAt()
+			if got := q.PopMin(); got != naive[m].releaseItem {
+				t.Fatalf("op %d: PopMin = %+v, want %+v", k/2, got, naive[m].releaseItem)
+			}
+			naive = slices.Delete(naive, m, m+1)
+			cov.pops++
+		case 3: // Min
+			if len(naive) == 0 {
+				continue
+			}
+			if got, want := q.Min(), naive[minAt()].releaseItem; got != want {
+				t.Fatalf("op %d: Min = %+v, want %+v", k/2, got, want)
+			}
+		case 4, 5: // Release, then Remove on odd op bytes
+			id := next - 1 - uint64(arg%32) // spans live, popped and never-pushed ids
+			at := slices.IndexFunc(naive, func(it naiveItem) bool { return it.id == id })
+			rel, ok := q.Release(id)
+			if ok != (at >= 0) || ok && rel != naive[at].release {
+				t.Fatalf("op %d: Release(%d) = %d, %v; oracle index %d", k/2, id, rel, ok, at)
+			}
+			if op == 5 {
+				if q.Remove(id) != (at >= 0) {
+					t.Fatalf("op %d: Remove(%d) disagrees with the oracle (index %d)", k/2, id, at)
+				}
+				if at >= 0 {
+					naive = slices.Delete(naive, at, at+1)
+					cov.removed++
+				} else {
+					cov.absent++
+				}
+			}
+		}
+		if q.Len() != len(naive) {
+			t.Fatalf("op %d: Len = %d, oracle holds %d", k/2, q.Len(), len(naive))
+		}
+		want := slices.Clone(naive)
+		slices.SortFunc(want, func(a, b naiveItem) int {
+			if a.release != b.release {
+				return int(a.release - b.release)
+			}
+			return a.ins - b.ins
+		})
+		for i := range want {
+			if q.items[i] != want[i].releaseItem {
+				t.Fatalf("op %d: queue order %+v, oracle order %+v", k/2, q.items, want)
+			}
+		}
+	}
+	return cov
+}
+
+// TestReleaseQueueMatchesOracle diffs the sorted queue against the naive
+// unordered oracle over seeded random operation streams.
+func TestReleaseQueueMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		ops := make([]byte, 2*4000)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		cov := diffReleaseQueue(t, ops)
+		if cov.ties == 0 || cov.pops == 0 || cov.removed == 0 || cov.absent == 0 {
+			t.Fatalf("seed %d: weak coverage: %+v", seed, cov)
+		}
+	}
+}
+
+// FuzzReleaseQueue diffs the sorted queue against the naive oracle on
+// fuzzed operation streams.
+func FuzzReleaseQueue(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 3, 1, 1, 3, 0, 2, 0, 5, 1, 2, 0})
+	f.Add([]byte{0, 200, 0, 7, 4, 0, 5, 1, 5, 40, 2, 0, 2, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) { diffReleaseQueue(t, ops) })
 }

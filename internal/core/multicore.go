@@ -366,7 +366,7 @@ func (s *System) runMulti(strms []workload.Stream) (Result, error) {
 			return Result{}, fmt.Errorf("core: %w", err)
 		}
 		core.SetIDSpace(uint64(i)+1, uint64(n))
-		m.cores = append(m.cores, &mcCore{coreState: coreState{core: core, ready: newReleaseQueue()}})
+		m.cores = append(m.cores, &mcCore{coreState: coreState{core: core}})
 	}
 	e, err := s.newEngine()
 	if err != nil {

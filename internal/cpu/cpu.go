@@ -533,13 +533,16 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 
 // computeCycles is ceil(n/IssueWidth) for a non-negative instruction count:
 // a shift for power-of-two widths, so the per-op decode avoids a 64-bit
-// divide, and the divide for any other width.
+// divide, and the divide for any other width. Neither form adds to n, so
+// neither can overflow near the int64 limit: (n-1)>>s + 1 is the ceiling
+// for every n >= 0 under an arithmetic shift (n = 0 gives -1 + 1).
 func (c *Core) computeCycles(n int64) clock.Cycles {
 	w := clock.Cycles(c.cfg.IssueWidth)
+	x := clock.Cycles(n)
 	if c.issueShift >= 0 {
-		return (clock.Cycles(n) + w - 1) >> (c.issueShift & 63)
+		return (x-1)>>(c.issueShift&63) + 1
 	}
-	return (clock.Cycles(n) + w - 1) / w
+	return x/w + (x%w+w-1)/w
 }
 
 // hitCost converts a load-to-use latency into charged cycles. Out-of-order

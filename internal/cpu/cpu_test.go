@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 
 	"easydram/internal/cache"
@@ -74,7 +75,7 @@ func TestComputeDecodeIsCeilDiv(t *testing.T) {
 		if pow2 := w&(w-1) == 0; (c.issueShift >= 0) != pow2 {
 			t.Fatalf("width %d: issueShift = %d, power of two = %v", w, c.issueShift, pow2)
 		}
-		for _, n := range []int64{1, int64(w) - 1, int64(w), int64(w) + 1, 1<<40 + 3} {
+		for _, n := range []int64{0, 1, int64(w) - 1, int64(w), int64(w) + 1, 1<<40 + 3, math.MaxInt64 - 1, math.MaxInt64} {
 			want := n / int64(w)
 			if n%int64(w) != 0 {
 				want++

@@ -25,42 +25,32 @@ func NewBLISS() *BLISS { return &BLISS{MaxStreak: 4, streakBank: -1} }
 // Name implements Scheduler.
 func (s *BLISS) Name() string { return "bliss" }
 
-// Pick implements Scheduler.
+// Pick implements Scheduler: the oldest eligible row hit, else the oldest
+// request. The table is in arrival order, so the first eligible row hit
+// ends the scan and the oldest request is at index 0.
 func (s *BLISS) Pick(table []Entry, openRows []int) int {
 	max := s.MaxStreak
 	if max <= 0 {
 		max = 4
 	}
-	pick, oldest := -1, 0
 	for i := range table {
 		e := &table[i]
-		if e.Seq < table[oldest].Seq {
-			oldest = i
-		}
-		if !e.IsAccess() {
+		if !e.IsAccess() || openRows[e.Addr.Bank] != e.Addr.Row {
 			continue
 		}
-		if openRows[e.Addr.Bank] != e.Addr.Row {
-			continue
+		if e.Addr.Bank != s.streakBank {
+			s.streakBank, s.streak = e.Addr.Bank, 1
+			return i
 		}
-		if e.Addr.Bank == s.streakBank && s.streak >= max {
-			continue // blacklisted: streak cap reached
+		if s.streak < max {
+			s.streak++
+			return i
 		}
-		if pick < 0 || e.Seq < table[pick].Seq {
-			pick = i // oldest eligible row hit
-		}
+		// Blacklisted: streak cap reached on this bank.
 	}
-	if pick < 0 {
-		// Oldest first; reset the streak for the newly opened bank.
-		s.streakBank, s.streak = table[oldest].Addr.Bank, 0
-		return oldest
-	}
-	if table[pick].Addr.Bank == s.streakBank {
-		s.streak++
-	} else {
-		s.streakBank, s.streak = table[pick].Addr.Bank, 1
-	}
-	return pick
+	// Oldest first; reset the streak for the newly opened bank.
+	s.streakBank, s.streak = table[0].Addr.Bank, 0
+	return 0
 }
 
 // CloneForChannel implements ChannelScheduler: each channel gets its own

@@ -71,18 +71,25 @@ type Config struct {
 // request table, a pluggable scheduler, open-row tracking, and service
 // routines for reads, writes, RowClone, and profiling requests.
 //
-// The request table is an unordered slice of Entry: each request's DRAM
-// coordinates are decoded once at ingest and served entries are removed by
-// swap-remove, so both the scheduling decision and the removal are free of
-// per-decision address translation and O(n) copying. Arrival order lives in
-// Entry.Seq (a monotone counter), which schedulers use for age-based
-// tie-breaking. Entries carry a slot into the tile's pooled request slab
+// The request table is a slice of Entry in arrival order: each request's
+// DRAM coordinates are decoded once at ingest and new entries are
+// appended, so index 0 is always the oldest and a scheduler's first
+// eligible entry is its oldest. Most picks are at or near the front (the
+// oldest request, or the oldest row hit), so a served entry is removed by
+// shifting the older entries up a slot, and table is a window of tableBuf
+// that each removal narrows from the front; appendEntry slides it back to
+// the start of the array once it reaches the end. The shift is a loop
+// rather than copy: on a table this short (bounded by the cores'
+// outstanding misses) the builtin's memmove call costs more than the moves
+// it makes. Entry.Seq (a monotone counter) records arrival for custom
+// schedulers. Entries carry a slot into the tile's pooled request slab
 // instead of a copy of the request itself.
 type BaseController struct {
 	cfg      Config
 	p        timing.Params
 	openRows []int
 	table    []Entry
+	tableBuf []Entry
 	nextSeq  uint64
 	// profilePattern is the known data pattern used by profiling requests.
 	profilePattern [dram.LineBytes]byte
@@ -283,8 +290,7 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 		}
 		env.Charge(costs.ReceiveRequest)
 		req := t.Req(slot)
-		c.table = append(c.table, Entry{})
-		ent := &c.table[len(c.table)-1]
+		ent := c.appendEntry()
 		ent.Slot, ent.ID, ent.Kind, ent.Seq = slot, req.ID, req.Kind, c.nextSeq
 		ent.Addr = c.cfg.Mapper.Map(req.Addr)
 		c.nextSeq++
@@ -309,8 +315,8 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 		env.SetCritical(true)
 	}
 
-	// Scheduling decision. Swap-remove keeps the pop O(1); age order is
-	// preserved in Entry.Seq, not in slice positions.
+	// Scheduling decision. The table is in arrival order (index 0 is the
+	// oldest), so the built-in schedulers stop at the first eligible entry.
 	env.Charge(costs.ScheduleBase + costs.SchedulePerReq*len(c.table))
 
 	var idx int
@@ -330,6 +336,22 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 	return c.serveIndex(env, idx)
 }
 
+// appendEntry appends a zero entry to the table and returns it.
+func (c *BaseController) appendEntry() *Entry {
+	if n := len(c.table); n == cap(c.table) {
+		// The window reached the end of tableBuf: move it to the start,
+		// into a larger array when it fills this one.
+		if n == cap(c.tableBuf) {
+			c.tableBuf = make([]Entry, 2*n+8)
+		}
+		c.table = c.tableBuf[:copy(c.tableBuf, c.table)]
+	}
+	c.table = c.table[:len(c.table)+1]
+	ent := &c.table[len(c.table)-1]
+	*ent = Entry{}
+	return ent
+}
+
 // rowError names the out-of-range address of a request ServeOne rejects:
 // Addr, or else the source operand Src.
 func (c *BaseController) rowError(req *mem.Request, ent *Entry) error {
@@ -342,7 +364,8 @@ func (c *BaseController) rowError(req *mem.Request, ent *Entry) error {
 }
 
 // serveIndex serves the table entry at idx in place and then removes it
-// by swap-remove — also when service fails, so a failed request leaves the
+// by shifting the older entries up a slot, which keeps the table in
+// arrival order — also when service fails, so a failed request leaves the
 // table exactly as a served one does.
 func (c *BaseController) serveIndex(env *Env, idx int) (bool, error) {
 	ent := &c.table[idx]
@@ -359,9 +382,10 @@ func (c *BaseController) serveIndex(env *Env, idx int) (bool, error) {
 	default:
 		err = fmt.Errorf("smc: unknown request kind %v", ent.Kind)
 	}
-	last := len(c.table) - 1
-	c.table[idx] = c.table[last]
-	c.table = c.table[:last]
+	for i := idx; i > 0; i-- {
+		c.table[i] = c.table[i-1]
+	}
+	c.table = c.table[1:]
 	if err != nil {
 		return false, err
 	}

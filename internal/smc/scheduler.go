@@ -24,9 +24,11 @@ import (
 //     once per request instead of once per request per scheduling decision;
 //     the modeled MapAddr cost is still charged at service time, so
 //     emulated timing is unchanged.
-//   - Seq is a monotone arrival sequence number. The table is unordered —
-//     the controller removes served entries by swap-remove — so schedulers
-//     must order by Seq, never by index.
+//   - Seq is a monotone arrival sequence number. The table is kept in
+//     arrival order — the controller removes a served entry by shifting
+//     the older entries up a slot, never by swapping — so index 0 is the
+//     oldest entry and Seq increases with the index. Seq stays for custom
+//     schedulers that keep history across decisions.
 type Entry struct {
 	// Slot indexes the tile's pooled request slab.
 	Slot tile.ReqSlot
@@ -58,8 +60,8 @@ type Scheduler interface {
 	Name() string
 	// Pick returns the index of the entry to serve next. openRows[b] is the
 	// currently open row of bank b (-1 when precharged). Pick is only
-	// called with a non-empty table. Entries are not age-ordered; use
-	// Entry.Seq to break ties by arrival.
+	// called with a non-empty table. Entries are in age order: index 0 is
+	// the oldest, so the first eligible entry of a scan is the oldest one.
 	Pick(table []Entry, openRows []int) int
 }
 
@@ -111,21 +113,15 @@ type FCFS struct{}
 // Name implements Scheduler.
 func (FCFS) Name() string { return "fcfs" }
 
-// Pick implements Scheduler.
-func (FCFS) Pick(table []Entry, openRows []int) int {
-	oldest := 0
-	for i := 1; i < len(table); i++ {
-		if table[i].Seq < table[oldest].Seq {
-			oldest = i
-		}
-	}
-	return oldest
-}
+// Pick implements Scheduler: the table is in arrival order, so the oldest
+// request is at index 0.
+func (FCFS) Pick(table []Entry, openRows []int) int { return 0 }
 
 // FRFCFS implements First-Ready, First-Come-First-Served with read priority:
 // the oldest row-hit read, then the oldest row-hit write, then the oldest
 // read, then the oldest request of any kind (the explicit arrival-order
-// fallback that also covers tables holding only technique requests).
+// fallback that also covers tables holding only technique requests). The
+// table is in arrival order, so the first row-hit read ends the scan.
 type FRFCFS struct{}
 
 // Name implements Scheduler.
@@ -133,34 +129,24 @@ func (FRFCFS) Name() string { return "fr-fcfs" }
 
 // Pick implements Scheduler.
 func (FRFCFS) Pick(table []Entry, openRows []int) int {
-	hitRead, hitWrite, read, oldest := -1, -1, -1, -1
+	hitWrite, read := -1, -1
 	for i := range table {
 		e := &table[i]
-		if oldest < 0 || e.Seq < table[oldest].Seq {
-			oldest = i
-		}
+		// Techniques (RowClone, Profile) are never row hits; they are
+		// served in arrival order.
 		switch e.Kind {
-		case mem.Read, mem.Write, mem.Writeback:
-		default:
-			// Techniques (RowClone, Profile) are never row hits; they are
-			// served in arrival order.
-			continue
-		}
-		if openRows[e.Addr.Bank] == e.Addr.Row {
-			if e.Kind == mem.Read {
-				if hitRead < 0 || e.Seq < table[hitRead].Seq {
-					hitRead = i
-				}
-			} else if hitWrite < 0 || e.Seq < table[hitWrite].Seq {
+		case mem.Read:
+			if openRows[e.Addr.Bank] == e.Addr.Row {
+				return i
+			}
+			if read < 0 {
+				read = i
+			}
+		case mem.Write, mem.Writeback:
+			if hitWrite < 0 && openRows[e.Addr.Bank] == e.Addr.Row {
 				hitWrite = i
 			}
 		}
-		if e.Kind == mem.Read && (read < 0 || e.Seq < table[read].Seq) {
-			read = i
-		}
-	}
-	if hitRead >= 0 {
-		return hitRead
 	}
 	if hitWrite >= 0 {
 		return hitWrite
@@ -168,7 +154,7 @@ func (FRFCFS) Pick(table []Entry, openRows []int) int {
 	if read >= 0 {
 		return read
 	}
-	return oldest
+	return 0
 }
 
 var (

@@ -113,37 +113,33 @@ func TestFRFCFSPicksRowHitRead(t *testing.T) {
 	}
 }
 
-func TestFRFCFSUsesSeqNotIndexOrder(t *testing.T) {
-	// The table is unordered (swap-remove): every priority class must be
-	// resolved by Seq, not by slice position. Build tables whose oldest
-	// entry sits at the *end*.
+// TestFRFCFSPicksOldestRowHitRead checks the age order within a priority
+// class: the table is in arrival order, and FR-FCFS takes the first row-hit
+// read ahead of both an older row-hit write and a younger row-hit read.
+func TestFRFCFSPicksOldestRowHitRead(t *testing.T) {
 	m, _ := NewRowBankCol(16, 128)
 	openRows := openRowsWith(0, 5)
-	hit := func(id uint64, col int) mem.Request {
-		return mem.Request{ID: id, Kind: mem.Read, Addr: m.Unmap(dram.Addr{Bank: 0, Row: 5, Col: col})}
+	at := func(id uint64, kind mem.Kind, col int) mem.Request {
+		return mem.Request{ID: id, Kind: kind, Addr: m.Unmap(dram.Addr{Bank: 0, Row: 5, Col: col})}
 	}
-	table := entries(m, hit(1, 0), hit(2, 1), hit(3, 2))
-	// Scramble: seq order is 2 (oldest), 0, 1.
-	table[0].Seq, table[1].Seq, table[2].Seq = 1, 2, 0
-	if got := (FRFCFS{}).Pick(table, openRows); got != 2 {
-		t.Fatalf("FR-FCFS picked index %d, want 2 (lowest Seq among row-hit reads)", got)
+	table := entries(m, at(1, mem.Write, 0), at(2, mem.Read, 1), at(3, mem.Read, 2))
+	if got := (FRFCFS{}).Pick(table, openRows); got != 1 {
+		t.Fatalf("FR-FCFS picked index %d, want 1 (oldest row-hit read)", got)
 	}
 }
 
 func TestFRFCFSOldestFallbackCoversTechniques(t *testing.T) {
 	// A table holding only technique requests plus non-read misses must fall
-	// back to the oldest request by arrival, wherever it sits in the slice.
+	// back to the oldest request by arrival, whatever its kind.
 	m, _ := NewRowBankCol(16, 128)
 	openRows := openRowsWith(0, 5) // no entry hits this row
 	table := entries(m,
+		mem.Request{ID: 3, Kind: mem.Profile, Addr: m.Unmap(dram.Addr{Bank: 4, Row: 9})},
 		mem.Request{ID: 1, Kind: mem.RowClone, Addr: m.Unmap(dram.Addr{Bank: 1, Row: 3}), Src: m.Unmap(dram.Addr{Bank: 1, Row: 2})},
 		mem.Request{ID: 2, Kind: mem.Writeback, Addr: m.Unmap(dram.Addr{Bank: 2, Row: 7})},
-		mem.Request{ID: 3, Kind: mem.Profile, Addr: m.Unmap(dram.Addr{Bank: 4, Row: 9})},
 	)
-	// Swap-remove scrambled the slice: the oldest arrival is the profile.
-	table[0].Seq, table[1].Seq, table[2].Seq = 7, 5, 1
-	if got := (FRFCFS{}).Pick(table, openRows); got != 2 {
-		t.Fatalf("FR-FCFS picked index %d, want 2 (oldest by Seq)", got)
+	if got := (FRFCFS{}).Pick(table, openRows); got != 0 {
+		t.Fatalf("FR-FCFS picked index %d, want 0 (oldest)", got)
 	}
 	// A lone writeback miss (non-read, no hit) is still served.
 	table = entries(m, mem.Request{ID: 9, Kind: mem.Writeback, Addr: m.Unmap(dram.Addr{Bank: 2, Row: 7})})
@@ -154,15 +150,10 @@ func TestFRFCFSOldestFallbackCoversTechniques(t *testing.T) {
 
 func TestFCFSPicksOldest(t *testing.T) {
 	m, _ := NewRowBankCol(16, 128)
-	table := entries(m, mem.Request{ID: 9}, mem.Request{ID: 1})
-	none := openRowsWith(0, -1)
-	if got := (FCFS{}).Pick(table, none); got != 0 {
-		t.Fatalf("FCFS picked %d, want 0", got)
-	}
-	// Seq, not slice order, decides.
-	table[0].Seq, table[1].Seq = 3, 2
-	if got := (FCFS{}).Pick(table, none); got != 1 {
-		t.Fatalf("FCFS picked %d, want 1 (lower Seq)", got)
+	// The younger request is a row hit; FCFS ignores it.
+	table := entries(m, mem.Request{ID: 9, Addr: m.Unmap(dram.Addr{Bank: 1, Row: 2})}, mem.Request{ID: 1})
+	if got := (FCFS{}).Pick(table, openRowsWith(0, 0)); got != 0 {
+		t.Fatalf("FCFS picked %d, want 0 (oldest)", got)
 	}
 	if FCFS.Name(FCFS{}) != "fcfs" || FRFCFS.Name(FRFCFS{}) != "fr-fcfs" {
 		t.Fatalf("scheduler names wrong")

@@ -169,9 +169,13 @@ func (g *Gen) spill() {
 	g.n = 0
 }
 
-// Compute emits n instructions of non-memory work (coalesced).
+// Compute emits n instructions of non-memory work (coalesced). A sum that
+// would overflow int64 emits the pending op first and starts a new one.
 func (g *Gen) Compute(n int64) {
 	if n > 0 {
+		if g.pendingCompute+n < 0 {
+			g.makeRoom()
+		}
 		g.pendingCompute += n
 		g.lim = 0
 	}
