@@ -280,14 +280,21 @@ func (e *Engine) ExecInto(res *Result, prog []Instr, start clock.PS, wrbuf [][]b
 
 // readBuffered issues a RD whose line lands straight in the readback
 // buffer's next entry: a local line passed through the Device interface
-// would escape to the heap on every test read. A failed read leaves the
-// buffer as it was.
+// would escape to the heap on every test read. The entry is zeroed first,
+// so a device that writes no data (tracking off) leaves zeros. Within the
+// buffer's capacity the entry is resliced in place; append only grows it.
+// A failed read leaves the buffer as it was.
 func (e *Engine) readBuffered(bank, col int, t clock.PS) (bool, error) {
 	n := len(e.readback)
 	if n >= e.maxRead {
 		return false, fmt.Errorf("readback buffer overflow (%d lines)", e.maxRead)
 	}
-	e.readback = append(e.readback, ReadLine{})
+	if n < cap(e.readback) {
+		e.readback = e.readback[:n+1]
+		e.readback[n] = ReadLine{}
+	} else {
+		e.readback = append(e.readback, ReadLine{})
+	}
 	rel, err := e.chip.Read(bank, col, t, e.readback[n].Data[:])
 	if err != nil {
 		e.readback = e.readback[:n]

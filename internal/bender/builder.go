@@ -1,6 +1,8 @@
 package bender
 
 import (
+	"slices"
+
 	"easydram/internal/clock"
 	"easydram/internal/dram"
 	"easydram/internal/timing"
@@ -238,6 +240,8 @@ func (b *Builder) ProfileRow(bank, row, cols int, pattern []byte, rcd clock.PS) 
 	}
 	start := len(b.prog)
 	b.ProfileCheck(dram.Addr{Bank: bank, Row: row}, rcd)
+	k := len(b.prog) - start
+	b.prog = slices.Grow(b.prog, (cols-1)*k)
 	check := b.prog[start:]
 	rd := 0
 	for check[rd].Op != OpRD {
@@ -245,7 +249,10 @@ func (b *Builder) ProfileRow(bank, row, cols int, pattern []byte, rcd clock.PS) 
 	}
 	for col := 1; col < cols; col++ {
 		n := len(b.prog)
-		b.prog = append(b.prog, check...)
+		b.prog = b.prog[:n+k]
+		for i, in := range check {
+			b.prog[n+i] = in
+		}
 		b.prog[n+rd].B = col
 	}
 	return b

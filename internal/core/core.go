@@ -356,7 +356,7 @@ func NewSystem(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		t := tile.NewDevice(mod, cfg.Costs)
+		t := tile.NewDevice(mod.Device(), cfg.Costs)
 		if cfg.Faults.Link.Enabled() {
 			t.SetFaultLink(fault.NewLinkModel(cfg.Faults.Link, chanSeed))
 		}

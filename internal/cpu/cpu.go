@@ -274,11 +274,19 @@ func (c *Core) Config() Config { return c.cfg }
 // Stats returns a snapshot of event counters.
 func (c *Core) Stats() Stats { return c.stats }
 
-// Deliver informs the core that the response for request id arrived.
+// Deliver informs the core that the response for request id arrived. The
+// miss is removed by shifting the younger entries down a slot, so
+// outstanding stays in issue order (outstanding[0] the oldest). The shift
+// is a loop, not copy: the builtin's runtime.memmove call costs more than
+// moving the few entries an MLP-bounded list holds.
 func (c *Core) Deliver(id uint64) {
-	for i := range c.outstanding {
-		if c.outstanding[i].id == id {
-			c.outstanding = append(c.outstanding[:i], c.outstanding[i+1:]...)
+	o := c.outstanding
+	for i := range o {
+		if o[i].id == id {
+			for j := i + 1; j < len(o); j++ {
+				o[j-1] = o[j]
+			}
+			c.outstanding = o[:len(o)-1]
 			break
 		}
 	}

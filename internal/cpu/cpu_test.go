@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"easydram/internal/cache"
@@ -323,5 +324,41 @@ func TestNextLinePrefetcher(t *testing.T) {
 	}
 	if c.Stats().Prefetches != 1 {
 		t.Fatalf("Prefetches = %d", c.Stats().Prefetches)
+	}
+}
+
+// TestDeliverKeepsIssueOrder delivers the first, a middle, the last and an
+// absent miss, and checks that the rest stay in issue order with
+// outstanding[0] the oldest.
+func TestDeliverKeepsIssueOrder(t *testing.T) {
+	c := newTestCore(t, CortexA57(), nil)
+	ids := func() []uint64 {
+		var out []uint64
+		for _, m := range c.outstanding {
+			out = append(out, m.id)
+		}
+		return out
+	}
+	for i := uint64(1); i <= 6; i++ {
+		c.outstanding = append(c.outstanding, outstandingMiss{id: i, issue: clock.Cycles(10 * i)})
+	}
+	for _, step := range []struct {
+		deliver uint64
+		want    []uint64
+	}{
+		{1, []uint64{2, 3, 4, 5, 6}}, // the oldest
+		{4, []uint64{2, 3, 5, 6}},    // a middle one
+		{6, []uint64{2, 3, 5}},       // the youngest
+		{9, []uint64{2, 3, 5}},       // not outstanding
+	} {
+		c.Deliver(step.deliver)
+		if got := ids(); !slices.Equal(got, step.want) {
+			t.Fatalf("after Deliver(%d): outstanding %v, want %v", step.deliver, got, step.want)
+		}
+		for _, m := range c.outstanding {
+			if m.issue != clock.Cycles(10*m.id) {
+				t.Fatalf("after Deliver(%d): miss %d carries issue %d", step.deliver, m.id, m.issue)
+			}
+		}
 	}
 }

@@ -170,6 +170,12 @@ type bankState struct {
 	// so checkpoints omit them.
 	rcdRow, weakCol   int
 	weakRCD, otherRCD clock.PS
+	// openData is the open row's data slice, looked up by the first RD or
+	// WR after an ACT and cleared by ACT, PRE and REF (nil = not looked up
+	// yet). Row slices never move once allocated, and every other writer
+	// (RowClone, scramble, disturb flips, PokeLine, LoadState) writes into
+	// them in place, so the cached slice always sees current data.
+	openData []byte
 }
 
 // Chip is the behavioural rank model. Not safe for concurrent use; the
@@ -310,6 +316,7 @@ func (c *Chip) Activate(bank, row int, t clock.PS, rcd clock.PS) (cloned, cloneO
 		c.noteActivate(bank, row)
 	}
 
+	b.openData = nil
 	if attempted, ok := c.tryBitwiseMAJ(bank, row, t); attempted {
 		b.openRow = row
 		b.lastActRow = row
@@ -357,6 +364,7 @@ func (c *Chip) Precharge(bank int, t clock.PS) {
 	b.preGap = t - b.lastActTime
 	b.lastPreTime = t
 	b.openRow = -1
+	b.openData = nil
 }
 
 // Read issues RD(bank, open row, col) at absolute time t and copies the line
@@ -402,8 +410,7 @@ func (c *Chip) Read(bank, col int, t clock.PS, dst []byte) (reliable bool, err e
 		}
 	}
 	if c.cfg.TrackData && dst != nil {
-		data := c.rowData(bank, b.openRow)
-		copy(dst[:LineBytes], data[col*LineBytes:])
+		moveLine((*[LineBytes]byte)(dst), c.openLine(b, bank, col))
 		if !varReliable {
 			faultMask ^= c.vm.CorruptionMask(bank, b.openRow, col)
 		}
@@ -442,10 +449,26 @@ func (c *Chip) Write(bank, col int, t clock.PS, src []byte) error {
 	c.stats.TimingViolations += int64(c.checker.ApplyCount(timing.CmdWR, bank, t, 0))
 	c.stats.WRs++
 	if c.cfg.TrackData && src != nil {
-		data := c.rowData(bank, b.openRow)
-		copy(data[col*LineBytes:(col+1)*LineBytes], src[:LineBytes])
+		moveLine(c.openLine(b, bank, col), (*[LineBytes]byte)(src))
 	}
 	return nil
+}
+
+// openLine returns column col of bank's open row, looking the row's data
+// up on the first access after its activation.
+func (c *Chip) openLine(b *bankState, bank, col int) *[LineBytes]byte {
+	if b.openData == nil {
+		b.openData = c.rowData(bank, b.openRow)
+	}
+	return (*[LineBytes]byte)(b.openData[col*LineBytes:])
+}
+
+// moveLine copies one line. The copy goes through a local so it compiles
+// to inline 16-byte moves: a direct assignment between two line pointers
+// may overlap, and the compiler makes that a runtime.memmove call.
+func moveLine(dst, src *[LineBytes]byte) {
+	v := *src
+	*dst = v
 }
 
 // Refresh issues REF at absolute time t (all banks must be precharged in
@@ -455,6 +478,7 @@ func (c *Chip) Refresh(t clock.PS) {
 	c.stats.REFs++
 	for i := range c.banks {
 		c.banks[i].openRow = -1
+		c.banks[i].openData = nil
 		c.banks[i].senseAmpsHold = false
 	}
 	// Refresh restores every cell, zeroing all disturb counters.
@@ -476,8 +500,7 @@ func (c *Chip) PeekLine(a Addr, dst []byte) bool {
 		return false
 	}
 	c.boundsRow(a.Bank, a.Row)
-	data := c.rowData(a.Bank, a.Row)
-	copy(dst[:LineBytes], data[a.Col*LineBytes:])
+	moveLine((*[LineBytes]byte)(dst), (*[LineBytes]byte)(c.rowData(a.Bank, a.Row)[a.Col*LineBytes:]))
 	return true
 }
 
@@ -487,8 +510,7 @@ func (c *Chip) PokeLine(a Addr, src []byte) bool {
 		return false
 	}
 	c.boundsRow(a.Bank, a.Row)
-	data := c.rowData(a.Bank, a.Row)
-	copy(data[a.Col*LineBytes:(a.Col+1)*LineBytes], src[:LineBytes])
+	moveLine((*[LineBytes]byte)(c.rowData(a.Bank, a.Row)[a.Col*LineBytes:]), (*[LineBytes]byte)(src))
 	return true
 }
 
@@ -553,15 +575,25 @@ func (c *Chip) scramble(bank, row int) {
 	}
 }
 
+// boundsBank and boundsRow panic on an out-of-range coordinate. The panic
+// is formatted out of line (boundsPanic) so the checks inline into every
+// command.
 func (c *Chip) boundsBank(bank int) {
-	if bank < 0 || bank >= len(c.banks) {
-		panic(fmt.Sprintf("dram: bank %d out of range [0,%d)", bank, len(c.banks)))
+	if uint(bank) >= uint(len(c.banks)) {
+		c.boundsPanic(bank, 0)
 	}
 }
 
 func (c *Chip) boundsRow(bank, row int) {
-	c.boundsBank(bank)
-	if row < 0 || row >= c.cfg.RowsPerBank {
-		panic(fmt.Sprintf("dram: row %d out of range [0,%d)", row, c.cfg.RowsPerBank))
+	if uint(bank) >= uint(len(c.banks)) || uint(row) >= uint(c.cfg.RowsPerBank) {
+		c.boundsPanic(bank, row)
 	}
+}
+
+//go:noinline
+func (c *Chip) boundsPanic(bank, row int) {
+	if uint(bank) >= uint(len(c.banks)) {
+		panic(fmt.Sprintf("dram: bank %d out of range [0,%d)", bank, len(c.banks)))
+	}
+	panic(fmt.Sprintf("dram: row %d out of range [0,%d)", row, c.cfg.RowsPerBank))
 }

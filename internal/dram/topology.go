@@ -179,6 +179,15 @@ func (m *Module) Ranks() int { return len(m.ranks) }
 // Rank returns the i-th rank's chip model.
 func (m *Module) Rank(i int) *Chip { return m.ranks[i] }
 
+// Device returns the command surface a tile drives: the Chip itself when
+// the module has one rank (the Module adds nothing there), else the Module.
+func (m *Module) Device() Device {
+	if len(m.ranks) == 1 {
+		return m.ranks[0]
+	}
+	return m
+}
+
 // Banks reports the device-global bank count (ranks x banks per rank).
 func (m *Module) Banks() int { return len(m.ranks) * m.banksPerRank }
 
@@ -197,11 +206,19 @@ func (m *Module) RowBytes() int { return m.ranks[0].RowBytes() }
 // split decomposes a device-global bank index.
 func (m *Module) split(bank int) (rank int, local int) {
 	rank = bank >> m.rankShift
-	if rank < 0 || rank >= len(m.ranks) {
-		panic(fmt.Sprintf("dram: global bank %d out of range for %d ranks x %d banks",
-			bank, len(m.ranks), m.banksPerRank))
+	if uint(rank) >= uint(len(m.ranks)) {
+		m.bankPanic(bank)
 	}
 	return rank, bank & m.bankMask
+}
+
+// bankPanic reports an out-of-range global bank; it is kept out of line so
+// split inlines into every command.
+//
+//go:noinline
+func (m *Module) bankPanic(bank int) {
+	panic(fmt.Sprintf("dram: global bank %d out of range for %d ranks x %d banks",
+		bank, len(m.ranks), m.banksPerRank))
 }
 
 // Activate implements Device.

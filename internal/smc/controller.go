@@ -1,7 +1,6 @@
 package smc
 
 import (
-	"bytes"
 	"fmt"
 	"math/bits"
 
@@ -772,8 +771,9 @@ func (c *BaseController) serveProfile(env *Env, ent *Entry) error {
 		stripe := rb[len(rb)-total:]
 		for r := range rowLines {
 			cnt := 0
-			for _, line := range stripe[r*cols : (r+1)*cols] {
-				if !line.Reliable || !bytes.Equal(line.Data[:], c.profilePattern[:]) {
+			row := stripe[r*cols : (r+1)*cols]
+			for i := range row {
+				if !row[i].Reliable || row[i].Data != c.profilePattern {
 					break
 				}
 				cnt++

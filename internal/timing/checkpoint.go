@@ -6,8 +6,8 @@ import (
 )
 
 // SaveState serializes the checker's full dynamic timing history. The
-// constraint tables (rules, rrd, ccd, groupOf) are pure functions of the
-// parameter set and are rebuilt by NewChecker, not stored.
+// bank-group table (groupOf) is a pure function of the geometry and is
+// rebuilt by NewChecker, not stored.
 func (c *Checker) SaveState(e *snapshot.Enc) {
 	e.Int(len(c.banks))
 	for i := range c.banks {

@@ -16,7 +16,6 @@ const (
 	CmdRD
 	CmdWR
 	CmdREF
-	cmdCount
 )
 
 var cmdNames = map[Cmd]string{
@@ -56,10 +55,7 @@ const (
 	evtCount
 )
 
-// BankState tracks the timing-relevant history of a single bank. The
-// command-issue history lives in an event-indexed array so the checker's
-// precomputed constraint tables can address it without per-command field
-// dispatch.
+// BankState tracks the timing-relevant history of a single bank.
 type BankState struct {
 	Open    bool
 	OpenRow int
@@ -82,19 +78,6 @@ func NewBankState() BankState {
 	return bs
 }
 
-// bankRule is one precomputed same-bank separation constraint: issuing the
-// owning command at time t requires t >= bank.last[evt] + delta.
-type bankRule struct {
-	evt   uint8
-	delta clock.PS
-	param string
-}
-
-// pairDelta is a (command, command) minimum-separation table indexed by
-// bank-group relation: index 0 is the different-group value, index 1 the
-// same-group value (e.g. {tRRD_S, tRRD_L} for ACT->ACT).
-type pairDelta [2]clock.PS
-
 // Checker tracks per-bank and cross-bank timing state for one rank and
 // reports, for each command, the earliest legal issue time and any violations
 // when the command is issued regardless.
@@ -103,23 +86,15 @@ type pairDelta [2]clock.PS
 // is to issue command sequences that violate the standard. The chip model
 // consults the violations to decide physical behaviour.
 //
-// The constraint logic is table-driven: same-bank constraints are flattened
-// at construction into per-command bankRule lists (rules), cross-bank
-// ACT->ACT and column->column constraints into bank-group-relation tables
-// (rrd, ccd), and the cross-bank history into rolling per-group and global
-// aggregates updated on each Apply — so neither Apply nor the Earliest*
-// queries ever scan the bank array.
+// apply is one switch over the command, each constraint written out in the
+// order violations are reported. The cross-bank history is kept as rolling
+// per-group and global aggregates updated on each Apply, so neither Apply
+// nor the Earliest* queries ever scan the bank array.
 type Checker struct {
 	p     Params
 	banks []BankState
 	// groupOf maps bank -> bank group (lookup table; no divide per command).
 	groupOf []uint8
-	// rules holds the flat same-bank constraint table per command.
-	rules [cmdCount][]bankRule
-	// rrd and ccd are the cross-bank (command, command) separation tables
-	// indexed by bank-group relation (ACT->ACT and RD/WR->RD/WR).
-	rrd pairDelta
-	ccd pairDelta
 	// Rolling cross-bank aggregates: most recent ACT / column command per
 	// bank group and overall.
 	lastACTGroup []clock.PS
@@ -133,11 +108,8 @@ type Checker struct {
 	lastREF   clock.PS
 	// viol is the reusable violation buffer Apply returns (the hot path
 	// calls Apply per command; allocating a fresh slice each time dominated
-	// the engine's allocation profile). collect gates whether apply builds
-	// Violation records or only counts them (ApplyCount, the chip model's
-	// hot path — it consumes nothing but the count).
-	viol    []Violation
-	collect bool
+	// the engine's allocation profile).
+	viol []Violation
 }
 
 // NewChecker returns a Checker for bankGroups*banksPerGroup banks.
@@ -153,8 +125,6 @@ func NewChecker(p Params, bankGroups, banksPerGroup int) *Checker {
 		p:       p,
 		banks:   banks,
 		groupOf: groupOf,
-		rrd:     pairDelta{p.TRRDS, p.TRRDL},
-		ccd:     pairDelta{p.TCCDS, p.TCCDL},
 		lastBus: never,
 		lastREF: never,
 	}
@@ -167,18 +137,6 @@ func NewChecker(p Params, bankGroups, banksPerGroup int) *Checker {
 	c.lastACTAny, c.lastColAny = never, never
 	for i := range c.actWindow {
 		c.actWindow[i] = never
-	}
-	// Same-bank constraint tables, in the order violations are reported.
-	// RD/WR's tRCD depends on the per-activation ActRCD and tCCD on the
-	// shared data bus, so those two stay dynamic in Apply.
-	c.rules[CmdACT] = []bankRule{
-		{evt: evtPRE, delta: p.TRP, param: "tRP"},
-		{evt: evtACT, delta: p.TRC, param: "tRC"},
-	}
-	c.rules[CmdPRE] = []bankRule{
-		{evt: evtACT, delta: p.TRAS, param: "tRAS"},
-		{evt: evtWRData, delta: p.TWR, param: "tWR"},
-		{evt: evtRD, delta: p.TRTP, param: "tRTP"},
 	}
 	return c
 }
@@ -205,8 +163,8 @@ func (c *Checker) EarliestACT(b int) clock.PS {
 	t := bank.last[evtPRE] + c.p.TRP
 	t = maxPS(t, bank.last[evtACT]+c.p.TRC)
 	t = maxPS(t, c.lastREF+c.p.TRFC)
-	t = maxPS(t, c.lastACTGroup[c.groupOf[b]]+c.rrd[1])
-	t = maxPS(t, c.lastACTAny+c.rrd[0])
+	t = maxPS(t, c.lastACTGroup[c.groupOf[b]]+c.p.TRRDL)
+	t = maxPS(t, c.lastACTAny+c.p.TRRDS)
 	// tFAW: at most four ACTs in any tFAW window.
 	oldest := c.actWindow[c.actIdx]
 	t = maxPS(t, oldest+c.p.TFAW)
@@ -226,8 +184,8 @@ func (c *Checker) EarliestPRE(b int) clock.PS {
 func (c *Checker) EarliestRD(b int) clock.PS {
 	bank := &c.banks[b]
 	t := bank.last[evtACT] + bank.effRCD(&c.p)
-	t = maxPS(t, c.lastColGroup[c.groupOf[b]]+c.ccd[1])
-	t = maxPS(t, c.lastColAny+c.ccd[0])
+	t = maxPS(t, c.lastColGroup[c.groupOf[b]]+c.p.TCCDL)
+	t = maxPS(t, c.lastColAny+c.p.TCCDS)
 	return t
 }
 
@@ -252,8 +210,7 @@ func (bs *BankState) effRCD(p *Params) clock.PS {
 // buffer reused by the next Apply call; callers must copy entries they keep.
 func (c *Checker) Apply(cmd Cmd, b int, t clock.PS, rcd clock.PS) []Violation {
 	c.viol = c.viol[:0]
-	c.collect = true
-	c.apply(cmd, b, t, rcd)
+	c.apply(cmd, b, t, rcd, true)
 	return c.viol
 }
 
@@ -262,36 +219,34 @@ func (c *Checker) Apply(cmd Cmd, b int, t clock.PS, rcd clock.PS) []Violation {
 // it: per-command violation detail is diagnostic, and constructing the
 // record structs was a measurable share of every RD/WR.
 func (c *Checker) ApplyCount(cmd Cmd, b int, t clock.PS, rcd clock.PS) int {
-	c.collect = false
-	n := c.apply(cmd, b, t, rcd)
-	c.collect = true
-	return n
+	return c.apply(cmd, b, t, rcd, false)
 }
 
-// record notes one violation: always counted, materialised only when the
-// caller asked for detail.
-func (c *Checker) record(n *int, param string, cmd Cmd, need, t clock.PS) {
-	*n++
-	if c.collect {
+// violate counts one violation of param and, when collect is set, records
+// it in the Apply buffer.
+func (c *Checker) violate(collect bool, param string, cmd Cmd, need, t clock.PS) int {
+	if collect {
 		c.viol = append(c.viol, Violation{Param: param, Cmd: cmd, Need: need, Actual: t, Shortfall: need - t})
 	}
+	return 1
 }
 
-func (c *Checker) apply(cmd Cmd, b int, t clock.PS, rcd clock.PS) int {
-	if cmd >= cmdCount || cmd < CmdACT {
-		panic(fmt.Sprintf("timing: unknown command %v", cmd))
-	}
+// apply checks cmd's constraints in reporting order (ACT: tRP, tRC, tFAW;
+// PRE: tRAS, tWR, tRTP; RD/WR: tRCD, tCCD), records the command, and
+// returns the number of violations.
+func (c *Checker) apply(cmd Cmd, b int, t clock.PS, rcd clock.PS, collect bool) int {
 	n := 0
 	bank := &c.banks[b]
-	for _, r := range c.rules[cmd] {
-		if need := bank.last[r.evt] + r.delta; t < need {
-			c.record(&n, r.param, cmd, need, t)
-		}
-	}
 	switch cmd {
 	case CmdACT:
+		if need := bank.last[evtPRE] + c.p.TRP; t < need {
+			n += c.violate(collect, "tRP", cmd, need, t)
+		}
+		if need := bank.last[evtACT] + c.p.TRC; t < need {
+			n += c.violate(collect, "tRC", cmd, need, t)
+		}
 		if need := c.actWindow[c.actIdx] + c.p.TFAW; t < need {
-			c.record(&n, "tFAW", cmd, need, t)
+			n += c.violate(collect, "tFAW", cmd, need, t)
 		}
 		bank.Open = true
 		bank.ActRCD = rcd
@@ -302,35 +257,47 @@ func (c *Checker) apply(cmd Cmd, b int, t clock.PS, rcd clock.PS) int {
 		c.lastACTGroup[g] = maxPS(c.lastACTGroup[g], t)
 		c.lastACTAny = maxPS(c.lastACTAny, t)
 	case CmdPRE:
+		if need := bank.last[evtACT] + c.p.TRAS; t < need {
+			n += c.violate(collect, "tRAS", cmd, need, t)
+		}
+		if need := bank.last[evtWRData] + c.p.TWR; t < need {
+			n += c.violate(collect, "tWR", cmd, need, t)
+		}
+		if need := bank.last[evtRD] + c.p.TRTP; t < need {
+			n += c.violate(collect, "tRTP", cmd, need, t)
+		}
 		bank.Open = false
 		bank.OpenRow = -1
 		bank.last[evtPRE] = t
-	case CmdRD:
+	case CmdRD, CmdWR:
 		if need := bank.last[evtACT] + bank.effRCD(&c.p); t < need {
-			c.record(&n, "tRCD", cmd, need, t)
+			n += c.violate(collect, "tRCD", cmd, need, t)
 		}
 		if need := c.lastBus; t < need { // coarse data-bus conflict
-			c.record(&n, "tCCD", cmd, need, t)
+			n += c.violate(collect, "tCCD", cmd, need, t)
 		}
-		bank.last[evtRD] = t
-		c.lastBus = t + c.p.TCL + c.p.TBL
-		g := c.groupOf[b]
-		c.lastColGroup[g] = maxPS(c.lastColGroup[g], t)
-		c.lastColAny = maxPS(c.lastColAny, t)
-	case CmdWR:
-		if need := bank.last[evtACT] + bank.effRCD(&c.p); t < need {
-			c.record(&n, "tRCD", cmd, need, t)
+		if cmd == CmdRD {
+			bank.last[evtRD] = t
+			c.lastBus = t + c.p.TCL + c.p.TBL
+		} else {
+			bank.last[evtWRData] = t + c.p.TCWL + c.p.TBL
+			c.lastBus = bank.last[evtWRData]
 		}
-		if need := c.lastBus; t < need {
-			c.record(&n, "tCCD", cmd, need, t)
-		}
-		bank.last[evtWRData] = t + c.p.TCWL + c.p.TBL
-		c.lastBus = bank.last[evtWRData]
 		g := c.groupOf[b]
 		c.lastColGroup[g] = maxPS(c.lastColGroup[g], t)
 		c.lastColAny = maxPS(c.lastColAny, t)
 	case CmdREF:
 		c.lastREF = t
+	default:
+		unknownCmd(cmd)
 	}
 	return n
+}
+
+// unknownCmd panics on a command kind apply does not know; it is kept out
+// of line so the formatting code stays off the command path.
+//
+//go:noinline
+func unknownCmd(cmd Cmd) {
+	panic(fmt.Sprintf("timing: unknown command %v", cmd))
 }
