@@ -67,6 +67,8 @@ const NumRegs = 8
 // emulation (DRAM Bender hardware has a watchdog with the same role).
 const maxSteps = 64 << 20
 
+var errRunaway = fmt.Errorf("bender: program exceeded %d steps (missing END?)", maxSteps)
+
 // ReadLine is one readback-buffer entry.
 type ReadLine struct {
 	Data     [dram.LineBytes]byte
@@ -177,15 +179,14 @@ func (e *Engine) ExecInto(res *Result, prog []Instr, start clock.PS, wrbuf [][]b
 	var regs [NumRegs]int
 	period := e.bus.Period()
 	t := start
-	pc := 0
-	for steps := 0; ; steps++ {
-		if steps > maxSteps {
-			return fmt.Errorf("bender: program exceeded %d steps (missing END?)", maxSteps)
-		}
-		if pc < 0 || pc >= len(prog) {
-			// Falling off the end terminates, like END.
-			break
-		}
+	// The step budget is charged at taken jumps only: steps counts the
+	// instructions run before the straight-line run that began at seg, and
+	// a taken BNZ or JMP at pc adds that run's pc-seg+1. Without a jump a
+	// program ends within len(prog) instructions, so only a loop can run
+	// away, and straight-line code pays no check per instruction.
+	pc, seg, steps := 0, 0, 0
+	// Falling off either end terminates, like END.
+	for uint(pc) < uint(len(prog)) {
 		in := prog[pc]
 		switch in.Op {
 		case OpNOP:
@@ -260,11 +261,17 @@ func (e *Engine) ExecInto(res *Result, prog []Instr, start clock.PS, wrbuf [][]b
 				return err
 			}
 			if regs[in.A] != 0 {
-				pc = in.B
+				if steps += pc - seg + 1; steps > maxSteps {
+					return errRunaway
+				}
+				pc, seg = in.B, in.B
 				continue
 			}
 		case OpJMP:
-			pc = in.A
+			if steps += pc - seg + 1; steps > maxSteps {
+				return errRunaway
+			}
+			pc, seg = in.A, in.A
 			continue
 		case OpEND:
 			res.Elapsed = t - start

@@ -2,6 +2,8 @@ package bender
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"easydram/internal/clock"
@@ -97,8 +99,27 @@ func TestLoops(t *testing.T) {
 func TestRunawayProgramAborts(t *testing.T) {
 	e := newTestEngine(t)
 	prog := []Instr{{Op: OpJMP, A: 0}} // infinite loop
-	if _, err := e.Exec(prog, 0, nil); err == nil {
-		t.Fatalf("infinite loop must abort")
+	_, err := e.Exec(prog, 0, nil)
+	if want := fmt.Sprintf("bender: program exceeded %d steps (missing END?)", maxSteps); err == nil || err.Error() != want {
+		t.Fatalf("infinite loop: err = %v, want %q", err, want)
+	}
+}
+
+// TestCountedLoopStepBudget runs a counted loop (LDI, then DEC and BNZ
+// back to the DEC) on both sides of the step budget. The budget is charged
+// at taken jumps, so n iterations charge 3 + 2(n-1) steps: maxSteps/2
+// iterations stay within it and finish at END, one more exceeds it.
+func TestCountedLoopStepBudget(t *testing.T) {
+	e := newTestEngine(t)
+	loop := func(n int) []Instr {
+		return []Instr{{Op: OpLDI, A: 0, B: n}, {Op: OpDEC, A: 0}, {Op: OpBNZ, A: 0, B: 1}, {Op: OpEND}}
+	}
+	if _, err := e.Exec(loop(maxSteps/2), 0, nil); err != nil {
+		t.Fatalf("loop within the budget: %v", err)
+	}
+	_, err := e.Exec(loop(maxSteps/2+1), 0, nil)
+	if err == nil || !strings.Contains(err.Error(), "exceeded") {
+		t.Fatalf("loop past the budget: err = %v, want the step-budget error", err)
 	}
 }
 

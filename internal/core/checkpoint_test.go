@@ -187,6 +187,81 @@ func mustRunKernel(t *testing.T, cfg Config, k workload.Kernel) Result {
 	return res
 }
 
+// TestCheckpointMidSlabComputeOp checkpoints both engines halfway through
+// a long compute op that sits mid-slab, with ops after it in the same slab:
+// the core holds the op partly consumed, so the restore must resume it as
+// a one-op window and then read the rebuilt stream's slab from the op
+// after it. The cpu section must show that state, and the restored run
+// must match the uninterrupted one.
+func TestCheckpointMidSlabComputeOp(t *testing.T) {
+	const compute = 1 << 22
+	k := workload.Kernel{Name: "mid-slab-compute", Body: func(g *workload.Gen) {
+		for i := uint64(0); i < 100; i++ {
+			g.Load(i << 20)
+		}
+		g.Mark()
+		g.Compute(compute)
+		g.Mark()
+		for i := uint64(0); i < 100; i++ {
+			g.Store(i<<20 + 64)
+		}
+	}}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"scaled", TimeScalingA57()}, {"unscaled", NoTimeScaling()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := mustRunKernel(t, tc.cfg, k)
+			if len(base.Marks) != 2 {
+				t.Fatalf("marks %v, want 2", base.Marks)
+			}
+			sys, err := NewSystem(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, blob, err := sys.RunCheckpoint(k.Stream(), (base.Marks[0]+base.Marks[1])/2)
+			if err != nil || blob == nil {
+				t.Fatalf("RunCheckpoint: blob=%d err=%v", len(blob), err)
+			}
+
+			r, err := snapshot.ParseExpect(blob, snapshot.KindCheckpoint, tc.cfg.CompatKey())
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := r.Section("cpu")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The head of cpu.Core.SaveState: consumed ops, then the op
+			// in flight and its remaining cycles.
+			d := snapshot.NewDec(payload)
+			consumed, inFlight := d.U64(), d.Bool()
+			kind, n := workload.OpKind(d.Byte()), d.I64()
+			d.U64()
+			d.U64()
+			d.Bool()
+			remaining := d.I64()
+			// 100 loads, the barrier and mark, then the compute op.
+			if consumed != 103 || !inFlight || kind != workload.OpCompute || n != compute || remaining <= 0 || remaining >= compute {
+				t.Fatalf("checkpoint at op %d (in flight %v, %v N=%d, %d cycles left), want mid-way through compute op 103",
+					consumed, inFlight, kind, n, remaining)
+			}
+
+			restoredSys, err := NewSystem(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := restoredSys.RunRestored(k.Stream(), blob)
+			if err != nil {
+				t.Fatalf("RunRestored: %v", err)
+			}
+			if restored.Digest() != base.Digest() || !reflect.DeepEqual(restored, base) {
+				t.Fatalf("restored run diverged:\nbase     %+v\nrestored %+v", base, restored)
+			}
+		})
+	}
+}
+
 // TestCheckpointPastEndIsGraceful pins the no-quiescent-point fallback: a
 // checkpoint requested beyond the run's end returns a nil blob, no error,
 // and an unperturbed Result.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"easydram/internal/clock"
 )
 
@@ -89,6 +91,9 @@ func (e *engine) runScaled() error {
 		}
 		out := e.core.Step(ts.Proc(), allowance)
 		if out.Finished {
+			if err := e.core.Err(); err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
 			break
 		}
 		if out.Mark {
@@ -212,6 +217,9 @@ func (e *engine) runUnscaled() error {
 		}
 		out := e.core.Step(proc(), budget)
 		if out.Finished {
+			if err := e.core.Err(); err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
 			break
 		}
 		if out.Mark {

@@ -315,6 +315,9 @@ func (m *mcEngine) stepCore(ci int) error {
 	}
 	out := c.core.Step(proc, budget)
 	if out.Finished {
+		if err := c.core.Err(); err != nil {
+			return fmt.Errorf("core: core %d: %w", ci, err)
+		}
 		c.finished = true
 		c.procCycles = proc
 		return nil

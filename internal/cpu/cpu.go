@@ -12,6 +12,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"easydram/internal/cache"
@@ -209,9 +210,24 @@ type Core struct {
 	// preset), else -1; see computeCycles.
 	issueShift int
 
-	op               workload.Op
+	// win is the window of ops last taken from the stream by
+	// workload.Window: a slice of the stream's own buffer, valid until the
+	// next Window call, or one for a stream that hands out one op at a
+	// time. Ops are read in place: win[next-1] is the current op while
+	// opValid, and win[next:] have not begun. A checkpoint restore puts
+	// an op in flight back as a one-op window over one. Per op only the
+	// integers move; win, a pointer, is written once per window, so a
+	// running GC's write barrier is not paid per op.
+	win              []workload.Op
+	next             int
+	one              [1]workload.Op
 	opValid          bool
 	computeRemaining clock.Cycles
+	// instrLimit is cfg.MaxInstructions, or the largest int64 when
+	// unlimited, so truncation is one compare per op.
+	instrLimit int64
+	// err is the fault that stopped the core (see Err).
+	err error
 
 	nextID uint64
 	// idStride is the request-ID increment (1 for a single core). The
@@ -250,7 +266,11 @@ func New(cfg Config, hier CacheView, strm workload.Stream) (*Core, error) {
 	if w := uint(cfg.IssueWidth); w&(w-1) == 0 {
 		shift = bits.TrailingZeros(w)
 	}
-	c := &Core{cfg: cfg, hier: hier, l1: hier.L1(), strm: strm, issueShift: shift, nextID: 1, idStride: 1}
+	c := &Core{cfg: cfg, hier: hier, l1: hier.L1(), strm: strm, issueShift: shift,
+		nextID: 1, idStride: 1, instrLimit: math.MaxInt64}
+	if cfg.MaxInstructions > 0 {
+		c.instrLimit = cfg.MaxInstructions
+	}
 	for dep := 0; dep < 2; dep++ {
 		c.hitCycles[0][dep] = c.hitCost(cfg.L1Lat, dep == 1)
 		c.hitCycles[1][dep] = c.hitCost(cfg.L2Lat, dep == 1)
@@ -273,6 +293,12 @@ func (c *Core) Config() Config { return c.cfg }
 
 // Stats returns a snapshot of event counters.
 func (c *Core) Stats() Stats { return c.stats }
+
+// Err reports the fault that stopped the core, if any. Step reports an op
+// it cannot execute (an unknown kind, which only a hand-built Stream can
+// produce) by returning Finished with Err set; the engines return it as
+// the run's error.
+func (c *Core) Err() error { return c.err }
 
 // Deliver informs the core that the response for request id arrived. The
 // miss is removed by shifting the younger entries down a slot, so
@@ -336,26 +362,34 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 	if c.fencePending {
 		return Outcome{Fence: true}
 	}
+	// Per-batch limits. outstanding changes only between calls (Deliver)
+	// or at the miss that ends a batch, so the ROB deadline and the
+	// all-MSHRs-busy flag are fixed for the whole batch. ROB window: the
+	// core cannot run ROBWindow cycles past its oldest outstanding miss, so
+	// the batch stops once its cycle now+acc reaches the deadline, exactly
+	// where a per-op check would stop it. When the wait arises mid-batch the
+	// batch returns what it has; the next call reports the wait itself after
+	// the engine has delivered any responses maturing at the batch boundary.
+	limit := budget
+	mlpFull := false
+	var oldestID uint64
+	if !c.cfg.InOrder && len(c.outstanding) > 0 {
+		oldest := c.outstanding[0]
+		rob := oldest.issue + c.cfg.ROBWindow - now
+		if rob <= 0 {
+			return Outcome{WaitID: oldest.id}
+		}
+		limit = min(limit, rob)
+		mlpFull = len(c.outstanding) >= c.cfg.MLP
+		oldestID = oldest.id
+	}
 	var acc clock.Cycles // cycles consumed by the batch so far
 	for {
-		// ROB window: the core cannot run arbitrarily far past its oldest
-		// outstanding miss. Re-checked before every op at the batch's
-		// current cycle (now+acc), exactly as per-call stepping would.
-		// When a wait arises mid-batch the batch returns what it has; the
-		// next call reports the wait itself after the engine has delivered
-		// any responses maturing at the batch boundary.
-		if !c.cfg.InOrder && len(c.outstanding) > 0 {
-			oldest := c.outstanding[0]
-			if (now+acc)-oldest.issue >= c.cfg.ROBWindow {
-				if acc > 0 {
-					return Outcome{Cycles: acc}
-				}
-				return Outcome{WaitID: oldest.id}
-			}
-		}
-		if !c.opValid {
-			truncated := c.cfg.MaxInstructions > 0 && c.stats.Instructions >= c.cfg.MaxInstructions
-			if truncated || !c.strm.Next(&c.op) {
+		var op *workload.Op
+		if c.opValid {
+			op = &c.win[c.next-1]
+		} else {
+			if c.stats.Instructions >= c.instrLimit || c.next >= len(c.win) && !c.refill() {
 				if acc > 0 {
 					return Outcome{Cycles: acc}
 				}
@@ -364,20 +398,24 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 				}
 				return Outcome{Finished: true}
 			}
+			op = &c.win[c.next]
+			c.next++
 			c.opsConsumed++
 			c.opValid = true
-			if c.op.Kind == workload.OpCompute {
-				c.computeRemaining = c.computeCycles(c.op.N)
+			if op.Kind == workload.OpCompute {
+				c.computeRemaining = c.computeCycles(op.N)
 				if c.computeRemaining == 0 {
 					c.computeRemaining = 1
 				}
-				c.stats.Instructions += c.op.N
+				c.stats.Instructions += op.N
 				c.stats.ComputeCycles += int64(c.computeRemaining)
 			}
 		}
 
-		switch c.op.Kind {
+		switch op.Kind {
 		case workload.OpCompute:
+			// The budget, not the ROB deadline, caps a compute op: the
+			// deadline is checked between ops, as per-op stepping does.
 			take := c.computeRemaining
 			if take > budget-acc {
 				take = budget - acc
@@ -387,27 +425,27 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 				c.opValid = false
 			}
 			acc += take
-			if acc >= budget {
+			if acc >= limit {
 				return Outcome{Cycles: acc}
 			}
 			continue
 
 		case workload.OpLoad, workload.OpStore:
 			// A dependent op cannot issue until the producing load returns.
-			if c.op.Dep && c.lastLoadMiss != 0 {
+			if op.Dep && c.lastLoadMiss != 0 {
 				if acc > 0 {
 					return Outcome{Cycles: acc}
 				}
 				return Outcome{WaitID: c.lastLoadMiss}
 			}
-			isStore := c.op.Kind == workload.OpStore
+			isStore := op.Kind == workload.OpStore
 			// Back-pressure before touching the hierarchy: with all MSHRs
 			// busy, an access that would miss cannot even issue.
-			if !c.cfg.InOrder && len(c.outstanding) >= c.cfg.MLP && c.hier.WouldMiss(c.op.Addr) {
+			if mlpFull && c.hier.WouldMiss(op.Addr) {
 				if acc > 0 {
 					return Outcome{Cycles: acc}
 				}
-				return Outcome{WaitID: c.outstanding[0].id}
+				return Outcome{WaitID: oldestID}
 			}
 			c.stats.Instructions++
 			if isStore {
@@ -417,23 +455,23 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 			}
 			c.opValid = false
 			dep := 0
-			if c.op.Dep {
+			if op.Dep {
 				dep = 1
 			}
-			if c.l1.Access(c.op.Addr, isStore) {
+			if c.l1.Access(op.Addr, isStore) {
 				// L1 hit: pure cycles, the batch keeps running.
 				c.stats.L1Hits++
 				acc += c.hitCycles[0][dep]
-				if acc >= budget {
+				if acc >= limit {
 					return Outcome{Cycles: acc}
 				}
 				continue
 			}
-			level, writebacks := c.hier.Fill(c.op.Addr, isStore)
+			level, writebacks := c.hier.Fill(op.Addr, isStore)
 			if level == 2 {
 				c.stats.L2Hits++
 				acc += c.hitCycles[1][dep]
-				if acc >= budget {
+				if acc >= limit {
 					return Outcome{Cycles: acc}
 				}
 				continue
@@ -443,7 +481,7 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 			id := c.newID()
 			c.reqScratch = c.reqScratch[:0]
 			c.reqScratch = append(c.reqScratch, mem.Request{
-				ID: id, Kind: mem.Read, Addr: lineAlign(c.op.Addr),
+				ID: id, Kind: mem.Read, Addr: lineAlign(op.Addr),
 			})
 			if isStore {
 				c.stats.MemFills++
@@ -457,7 +495,7 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 				})
 			}
 			if c.cfg.NextLinePrefetch {
-				next := lineAlign(c.op.Addr) + cache.LineBytes
+				next := lineAlign(op.Addr) + cache.LineBytes
 				if c.hier.WouldMiss(next) {
 					c.stats.Prefetches++
 					c.hier.Access(next, false) // install into the hierarchy
@@ -486,13 +524,13 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 			c.stats.Flushes++
 			c.opValid = false
 			acc += c.cfg.FlushCost
-			if c.hier.Flush(c.op.Addr) {
+			if c.hier.Flush(op.Addr) {
 				c.reqScratch = append(c.reqScratch[:0], mem.Request{
-					ID: c.newID(), Kind: mem.Writeback, Addr: lineAlign(c.op.Addr), Posted: true,
+					ID: c.newID(), Kind: mem.Writeback, Addr: lineAlign(op.Addr), Posted: true,
 				})
 				return Outcome{Cycles: acc, Reqs: c.reqScratch}
 			}
-			if acc >= budget {
+			if acc >= limit {
 				return Outcome{Cycles: acc}
 			}
 			continue
@@ -515,7 +553,7 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 			c.opValid = false
 			id := c.newID()
 			c.reqScratch = append(c.reqScratch[:0], mem.Request{
-				ID: id, Kind: mem.RowClone, Addr: c.op.Addr, Src: c.op.Src,
+				ID: id, Kind: mem.RowClone, Addr: op.Addr, Src: op.Src,
 			})
 			return Outcome{Cycles: 2, Reqs: c.reqScratch, WaitID: id}
 
@@ -534,9 +572,31 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 			return Outcome{Mark: true}
 
 		default:
-			panic(fmt.Sprintf("cpu %s: unknown op kind %v", c.cfg.Name, c.op.Kind))
+			return c.fail(op.Kind)
 		}
 	}
+}
+
+// refill takes the stream's next window, reporting false once the stream
+// is exhausted.
+func (c *Core) refill() bool {
+	w := workload.Window(c.strm, &c.one)
+	c.next = 0
+	// A stream handing out one op at a time returns one each time: the
+	// window is unchanged, and skipping the store skips a write barrier
+	// per op while the GC is marking.
+	if len(w) != len(c.win) || len(w) > 0 && &w[0] != &c.win[0] {
+		c.win = w
+	}
+	return len(w) > 0
+}
+
+// fail stops the core at an op it cannot execute; Err reports why.
+//
+//go:noinline
+func (c *Core) fail(k workload.OpKind) Outcome {
+	c.err = fmt.Errorf("cpu %s: unknown op kind %v", c.cfg.Name, k)
+	return Outcome{Finished: true}
 }
 
 // computeCycles is ceil(n/IssueWidth) for a non-negative instruction count:

@@ -24,13 +24,19 @@ func (c *Core) Quiescent() bool {
 // SaveState serializes the core's persistent state. Call only when
 // Quiescent().
 func (c *Core) SaveState(e *snapshot.Enc) {
+	// Between ops the fields are those of the op last run (zeros once the
+	// stream is exhausted); LoadState ignores them then.
+	var op workload.Op
+	if c.next > 0 {
+		op = c.win[c.next-1]
+	}
 	e.U64(c.opsConsumed)
 	e.Bool(c.opValid)
-	e.Byte(byte(c.op.Kind))
-	e.I64(c.op.N)
-	e.U64(c.op.Addr)
-	e.U64(c.op.Src)
-	e.Bool(c.op.Dep)
+	e.Byte(byte(op.Kind))
+	e.I64(op.N)
+	e.U64(op.Addr)
+	e.U64(op.Src)
+	e.Bool(op.Dep)
 	e.I64(int64(c.computeRemaining))
 	e.U64(c.nextID)
 	e.Bool(c.rcFenced)
@@ -52,11 +58,10 @@ func (c *Core) SaveState(e *snapshot.Enc) {
 func (c *Core) LoadState(d *snapshot.Dec) {
 	n := d.U64()
 	c.opValid = d.Bool()
-	c.op.Kind = workload.OpKind(d.Byte())
-	c.op.N = d.I64()
-	c.op.Addr = d.U64()
-	c.op.Src = d.U64()
-	c.op.Dep = d.Bool()
+	// The op becomes a one-op window: Step resumes it in place when it is
+	// in flight, and takes the stream's next window after it.
+	c.one[0] = workload.Op{Kind: workload.OpKind(d.Byte()), N: d.I64(), Addr: d.U64(), Src: d.U64(), Dep: d.Bool()}
+	c.win, c.next = c.one[:], 1
 	c.computeRemaining = clock.Cycles(d.I64())
 	c.nextID = d.U64()
 	c.rcFenced = d.Bool()
@@ -76,9 +81,9 @@ func (c *Core) LoadState(d *snapshot.Dec) {
 		d.Failf("cpu: zero request-ID allocator")
 		return
 	}
-	var op workload.Op
+	var skip workload.Op
 	for i := uint64(0); i < n; i++ {
-		if !c.strm.Next(&op) {
+		if !c.strm.Next(&skip) {
 			d.Failf("cpu: stream exhausted at op %d of %d during replay", i, n)
 			return
 		}

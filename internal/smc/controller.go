@@ -1,6 +1,7 @@
 package smc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -773,7 +774,7 @@ func (c *BaseController) serveProfile(env *Env, ent *Entry) error {
 			cnt := 0
 			row := stripe[r*cols : (r+1)*cols]
 			for i := range row {
-				if !row[i].Reliable || row[i].Data != c.profilePattern {
+				if !row[i].Reliable || !lineEqual(&row[i].Data, &c.profilePattern) {
 					break
 				}
 				cnt++
@@ -785,6 +786,18 @@ func (c *BaseController) serveProfile(env *Env, ent *Entry) error {
 	env.RespondLines(ent.ID, passed == total, rowLines)
 	env.Tile().Release(ent.Slot)
 	return nil
+}
+
+// lineEqual reports whether two lines hold the same bytes, compared as
+// eight little-endian words. It inlines, where comparing the arrays with
+// != compiles to a runtime.memequal call.
+func lineEqual(a, b *[dram.LineBytes]byte) bool {
+	for i := 0; i < dram.LineBytes; i += 8 {
+		if binary.LittleEndian.Uint64(a[i:]) != binary.LittleEndian.Uint64(b[i:]) {
+			return false
+		}
+	}
+	return true
 }
 
 // stripeCorrupt reports whether the host link mangled a profiling readback

@@ -357,3 +357,25 @@ func TestControllerNeedsRows(t *testing.T) {
 		t.Fatalf("controller without RowsPerBank must fail")
 	}
 }
+
+// TestLineEqualMatchesArrayCompare flips each byte of a line in turn, at
+// each bit: lineEqual must agree with the array comparison it replaces.
+func TestLineEqualMatchesArrayCompare(t *testing.T) {
+	var a [dram.LineBytes]byte
+	for i := range a {
+		a[i] = byte(i*37 + 5)
+	}
+	b := a
+	if !lineEqual(&a, &b) {
+		t.Fatal("equal lines compare unequal")
+	}
+	for i := range b {
+		for bit := 0; bit < 8; bit++ {
+			b[i] ^= 1 << bit
+			if lineEqual(&a, &b) != (a == b) {
+				t.Fatalf("byte %d bit %d: lineEqual = %v", i, bit, lineEqual(&a, &b))
+			}
+			b[i] ^= 1 << bit
+		}
+	}
+}

@@ -150,6 +150,11 @@ func (o *offsetStream) Next(op *Op) bool {
 	if !o.s.Next(op) {
 		return false
 	}
+	o.relocate(op)
+	return true
+}
+
+func (o *offsetStream) relocate(op *Op) {
 	switch op.Kind {
 	case OpLoad, OpStore, OpFlush:
 		op.Addr += o.delta
@@ -157,7 +162,6 @@ func (o *offsetStream) Next(op *Op) bool {
 		op.Addr += o.delta
 		op.Src += o.delta
 	}
-	return true
 }
 
 func (o *offsetStream) Close() { o.s.Close() }

@@ -7,8 +7,10 @@
 // Gen; a Stream adapter runs the kernel body in a goroutine and hands the
 // consumer batched op slabs, so kernel code stays readable and the channel
 // hop is paid once per 4096-op slab. What remains per op is the producer's
-// write into the slab and the consumer's copy out of it; emitters write in
-// place so the former does not stall (see ARCHITECTURE.md, "Op streams").
+// write into the slab and the consumer's read of it: emitters write in
+// place so the former does not stall, and a consumer that takes ops
+// through Window reads them in place, with no copy (see ARCHITECTURE.md,
+// "Op streams").
 package workload
 
 import (
@@ -280,27 +282,42 @@ func (s *goStream) nextSlab() []Op {
 }
 
 func (s *goStream) Next(op *Op) bool {
-	if s.done {
+	if s.done || s.idx >= len(s.buf) && !s.fetch() {
 		return false
-	}
-	if s.idx >= len(s.buf) {
-		// Recycle the spent slab before blocking on the next one; the
-		// consumer never touches it again.
-		if cap(s.buf) == slabSize {
-			select {
-			case s.free <- s.buf[:0]:
-			default:
-			}
-		}
-		slab, ok := <-s.ch
-		if !ok {
-			s.done = true
-			return false
-		}
-		s.buf, s.idx = slab, 0
 	}
 	*op = s.buf[s.idx]
 	s.idx++
+	return true
+}
+
+// window returns the unread rest of the current slab, fetching the next
+// slab when none is left, and counts it as read.
+func (s *goStream) window() []Op {
+	if s.done || s.idx >= len(s.buf) && !s.fetch() {
+		return nil
+	}
+	w := s.buf[s.idx:]
+	s.idx = len(s.buf)
+	return w
+}
+
+// fetch replaces the spent slab with the next one from the producer,
+// reporting false once the stream is exhausted.
+func (s *goStream) fetch() bool {
+	// Recycle the spent slab before blocking on the next one; the
+	// consumer never touches it again.
+	if cap(s.buf) == slabSize {
+		select {
+		case s.free <- s.buf[:0]:
+		default:
+		}
+	}
+	slab, ok := <-s.ch
+	if !ok {
+		s.done = true
+		return false
+	}
+	s.buf, s.idx = slab, 0
 	return true
 }
 
@@ -335,6 +352,40 @@ func Extent(k Kernel) uint64 {
 		}
 	}
 	return max
+}
+
+// Window returns the next unread ops of s and counts them as read, so a
+// consumer can take ops in place instead of copying each out through Next.
+// For the streams this package builds (Kernel.Stream, SliceStream, and
+// OffsetStream over a Kernel.Stream) the window is the unread rest of the
+// stream's current buffer: it aliases that buffer and stays valid until
+// the next Window, Next or Close on s. Any other Stream gets exactly one
+// op, read by one Next call into one[0], so a foreign stream is never read
+// ahead of its consumer. An empty window means the stream is exhausted.
+func Window(s Stream, one *[1]Op) []Op {
+	switch s := s.(type) {
+	case *goStream:
+		return s.window()
+	case *SliceStream:
+		w := s.ops[s.idx:]
+		s.idx = len(s.ops)
+		return w
+	case *offsetStream:
+		// A kernel stream's slab is the consumer's until it is recycled,
+		// and the producer rewrites every slot it reuses, so the window is
+		// relocated in place. Over any other stream, one op as below.
+		if g, ok := s.s.(*goStream); ok {
+			w := g.window()
+			for i := range w {
+				s.relocate(&w[i])
+			}
+			return w
+		}
+	}
+	if s.Next(&one[0]) {
+		return one[:]
+	}
+	return nil
 }
 
 // SliceStream adapts a fixed []Op (tests and microbenchmarks).

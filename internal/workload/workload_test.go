@@ -2,6 +2,7 @@ package workload
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -315,5 +316,124 @@ func TestKernelStreamNilBody(t *testing.T) {
 	s.Close()
 	if Extent(Kernel{Name: "empty"}) != 0 {
 		t.Fatalf("a nil body has a nonzero extent")
+	}
+}
+
+// readWindows takes every op of s through Window, taking a few through
+// Next in between so the two paths interleave, and checks that each
+// window is non-empty until the end.
+func readWindows(t *testing.T, s Stream) (ops []Op, windows int) {
+	t.Helper()
+	var one [1]Op
+	var op Op
+	for {
+		w := Window(s, &one)
+		if len(w) == 0 {
+			break
+		}
+		windows++
+		ops = append(ops, w...)
+		if windows%3 == 0 && s.Next(&op) {
+			ops = append(ops, op)
+		}
+	}
+	if len(Window(s, &one)) != 0 || s.Next(&op) {
+		t.Fatalf("exhausted stream produced again")
+	}
+	return ops, windows
+}
+
+// TestStreamWindowMatchesNext reads kernel, slice and relocated streams
+// through Window and through Next: the same ops in the same order. Kernel
+// streams hand out whole slabs, a SliceStream its whole slice, and any
+// other stream one op per window.
+func TestStreamWindowMatchesNext(t *testing.T) {
+	k := Kernel{Name: "mixed", Body: func(g *Gen) {
+		for i := 0; i < 3*slabSize+17; i++ {
+			g.Load(uint64(i) * 64)
+			if i%5 == 0 {
+				g.Compute(int64(i))
+			}
+			if i%1000 == 0 {
+				g.Mark()
+			}
+		}
+	}}
+	want := collect(t, k)
+	eq := func(name string, got []Op) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d ops, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: op %d = %+v, want %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+
+	s := k.Stream()
+	got, windows := readWindows(t, s)
+	s.Close()
+	eq("kernel", got)
+	if windows > 2*(len(want)/slabSize+1) {
+		t.Fatalf("kernel stream: %d windows for %d ops", windows, len(want))
+	}
+
+	got, windows = readWindows(t, NewSliceStream(want))
+	eq("slice", got)
+	if windows != 1 {
+		t.Fatalf("slice stream: %d windows, want 1", windows)
+	}
+
+	// A relocated kernel stream is relocated in place, slab by slab; a
+	// relocated SliceStream hands out one op per window, leaving the
+	// caller's slice untouched.
+	const delta = 1 << 30
+	unshift := func(ops []Op) []Op {
+		out := slices.Clone(ops)
+		for i := range out {
+			if out[i].Kind == OpLoad {
+				out[i].Addr -= delta
+			}
+		}
+		return out
+	}
+	off := OffsetStream(k.Stream(), delta)
+	got, windows = readWindows(t, off)
+	off.Close()
+	eq("offset kernel", unshift(got))
+	if windows > 2*(len(want)/slabSize+1) {
+		t.Fatalf("offset kernel stream: %d windows for %d ops", windows, len(want))
+	}
+	src := slices.Clone(want)
+	got, windows = readWindows(t, OffsetStream(NewSliceStream(src), delta))
+	eq("offset slice", unshift(got))
+	if windows+windows/3 < len(want) || windows > len(want) {
+		t.Fatalf("offset slice stream: %d windows for %d ops, want one op each", windows, len(want))
+	}
+	eq("offset slice source", src)
+}
+
+// TestStreamWindowAfterClose closes a kernel stream mid-slab, after a
+// window: Window and Next report it exhausted from then on.
+func TestStreamWindowAfterClose(t *testing.T) {
+	k := Kernel{Name: "huge", Body: func(g *Gen) {
+		for i := 0; i < 10*slabSize; i++ {
+			g.Load(uint64(i) * 64)
+		}
+	}}
+	s := k.Stream()
+	var op Op
+	var one [1]Op
+	if !s.Next(&op) {
+		t.Fatal("stream ended early")
+	}
+	if w := Window(s, &one); len(w) != slabSize-1 || w[0].Addr != 64 {
+		t.Fatalf("window after one Next: %d ops from %+v", len(w), w[0])
+	}
+	s.Close()
+	if len(Window(s, &one)) != 0 || s.Next(&op) {
+		t.Fatal("closed stream must not produce")
 	}
 }
