@@ -107,8 +107,10 @@ func TestRunawayProgramAborts(t *testing.T) {
 
 // TestCountedLoopStepBudget runs a counted loop (LDI, then DEC and BNZ
 // back to the DEC) on both sides of the step budget. The budget is charged
-// at taken jumps, so n iterations charge 3 + 2(n-1) steps: maxSteps/2
-// iterations stay within it and finish at END, one more exceeds it.
+// at taken jumps, and n iterations take n-1 of them: the first charges 3
+// steps and each later one 2, so n iterations charge 3 + 2(n-2) = 2n-1.
+// maxSteps/2 iterations charge maxSteps-1 and finish at END; one more
+// charges maxSteps+1 and exceeds the budget.
 func TestCountedLoopStepBudget(t *testing.T) {
 	e := newTestEngine(t)
 	loop := func(n int) []Instr {

@@ -216,8 +216,9 @@ type Core struct {
 	// time. Ops are read in place: win[next-1] is the current op while
 	// opValid, and win[next:] have not begun. A checkpoint restore puts
 	// an op in flight back as a one-op window over one. Per op only the
-	// integers move; win, a pointer, is written once per window, so a
-	// running GC's write barrier is not paid per op.
+	// integers move; win, a pointer, is written once per window (once
+	// per 4096-op slab for a kernel stream), so a running GC's write
+	// barrier is not paid per op.
 	win              []workload.Op
 	next             int
 	one              [1]workload.Op
@@ -581,13 +582,7 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 // is exhausted.
 func (c *Core) refill() bool {
 	w := workload.Window(c.strm, &c.one)
-	c.next = 0
-	// A stream handing out one op at a time returns one each time: the
-	// window is unchanged, and skipping the store skips a write barrier
-	// per op while the GC is marking.
-	if len(w) != len(c.win) || len(w) > 0 && &w[0] != &c.win[0] {
-		c.win = w
-	}
+	c.win, c.next = w, 0
 	return len(w) > 0
 }
 
