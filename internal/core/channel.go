@@ -90,7 +90,7 @@ func (e *engine) chanKey(ch int) int64 { return e.toKey(e.decisionTime(ch)) }
 // pickChannel selects the channel with work whose next decision point is
 // earliest in exact picoseconds (ties to the lower index): the channel a
 // bank of real parallel controllers would have made progress on first.
-// The single-core drivers pick this way; the multi-core merge orders by
+// The single-core driver picks this way; the multi-core merge orders by
 // the floored chanKey, and each order is part of its loop's pinned output.
 func (e *engine) pickChannel() (int, bool) {
 	best, ok := -1, false
@@ -146,7 +146,7 @@ func (e *engine) settleRefreshes(ch int) error {
 			return nil
 		}
 		env := c.env
-		env.Reset(due)
+		env.Clear()
 		if err := c.ctl.ServeRefresh(env); err != nil {
 			return err
 		}
@@ -180,9 +180,7 @@ func (e *engine) stepChannel(ch int) error {
 	}
 	c := &e.sys.chans[ch]
 	env := c.env
-	// The controller decides at its service point on the key grid, or at
-	// the merge clock when that is later (wallNow stays 0 when scaling).
-	env.Reset(max(e.wallNow, e.keyTime(e.toKey(e.chain[ch]))))
+	env.Clear()
 	worked, err := c.ctl.ServeOne(env)
 	if err != nil {
 		return err

@@ -494,12 +494,7 @@ func (s *System) run(strm workload.Stream, ck *ckptReq, restore *snapshot.Reader
 	}
 	e.core = core
 	e.ckpt, e.restore = ck, restore
-	if s.cfg.Scaling {
-		err = e.runScaled()
-	} else {
-		err = e.runUnscaled()
-	}
-	return s.finish(e, err)
+	return s.finish(e, e.runSingle())
 }
 
 // newEngine assembles the engine state every loop shares.
@@ -514,6 +509,7 @@ func (s *System) newEngine() (*engine, error) {
 		arrivals:      make([]arrivalRing, nch),
 		staged:        make([][]stagedReq, nch),
 		keyPS:         1,
+		unit:          int64(s.cfg.ProcPhys.Period()),
 	}
 	for i := range e.inflight {
 		e.inflight[i] = newSlotRing()
@@ -525,6 +521,7 @@ func (s *System) newEngine() (*engine, error) {
 		}
 		e.ts = ts
 		e.keyPS = s.cfg.CPU.Clock.Period()
+		e.unit = 1
 	}
 	return e, nil
 }
@@ -563,8 +560,11 @@ type engine struct {
 	// ts holds the time-scaling counters (nil without time scaling).
 	ts *timescale.Counters
 	// keyPS is one event key in picoseconds: an emulated processor cycle
-	// with time scaling, a picosecond without (see channel.go).
+	// with time scaling, a picosecond without (see channel.go). unit is one
+	// processor cycle in keys: 1 with time scaling, the processor period
+	// without.
 	keyPS clock.PS
+	unit  int64
 
 	// wallNow is the wall clock without time scaling (0 with it).
 	wallNow clock.PS

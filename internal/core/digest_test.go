@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"easydram/internal/clock"
 	"easydram/internal/dram"
 	"easydram/internal/smc"
 	"easydram/internal/workload"
@@ -174,6 +175,23 @@ func digestCases() []digestCase {
 					}
 					return strms
 				}})
+		}
+	}
+	// The time-scaled fault cases again with the processor's physical clock
+	// at 40 MHz: 25,000 ps on the 10,000 ps fabric is the matrix's only
+	// processor-to-FPGA ratio that is not whole, and only there does the
+	// rounding of each processor jump to FPGA cycles make GlobalCycles
+	// depend on the order a fence drains in.
+	for _, p := range presets {
+		if !p.cfg.Scaling {
+			continue
+		}
+		for _, k := range kernels {
+			cfg := p.cfg
+			cfg.ProcPhys = clock.FromMHz("proc-phys-40mhz", 40)
+			cfg.Faults = faultyConfig().Faults
+			cfg.Topology = dram.Topology{Channels: 2, Ranks: 1}
+			cases = append(cases, digestCase{"faults/" + p.name + "/phys40mhz/" + k.kern.Name, cfg, oneStream(k.kern)})
 		}
 	}
 	return cases

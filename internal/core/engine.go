@@ -6,27 +6,30 @@ import (
 	"easydram/internal/clock"
 )
 
-// The two single-core drivers. What differs between them is the §6 policy
-// itself, so they stay two loops over the shared channel-service path
-// (channel.go):
+// runSingle drives every single-core run, with time scaling (Figure 5
+// mechanics) or without. Three things differ between the modes, and they
+// are the §6 policy itself:
 //
-//   - runScaled gates the processor in critical mode while requests are
-//     outstanding, and a blocked load is consumed before the next
-//     controller step;
-//   - runUnscaled lets the processor follow a free-running wall clock, and
-//     the controller steps before a not-yet-ready response is waited out.
+//   - the clock: the timescale counters, or the free-running wall clock at
+//     the processor's physical period (procKey, procCycle, advanceTo,
+//     advanceCycles);
+//   - critical-mode gating: with time scaling the processor may not run
+//     past the modeled-MC counter while requests are outstanding, and it
+//     issues straight to the tile; without it requests are staged and
+//     become visible to the controller at their arrival;
+//   - end-of-run accounting: without time scaling, wall time covers every
+//     channel's busy chain (finishWall).
+//
+// Everything else is one loop over the shared channel-service path
+// (channel.go), including one fence drain order: consume the earliest
+// ready response, else step a controller. Without time scaling the order
+// cannot be observed: nothing the controller reads depends on the
+// processor's clock, and deliveries inside a fence commute.
 //
 // Running single core as the N=1 case of the multi-core merge loop instead
 // is not byte-identical: the merge steps channels eagerly in key order,
-// while these loops serve only when the processor is stuck.
-
-// runScaled executes the workload under time scaling (Figure 5 mechanics).
-// Each channel is its own modeled-MC service chain; the global MC counter —
-// what gates the processor's allowance in critical mode — is kept at the
-// maximum over channels, so channels that serve in parallel overlap in
-// emulated time exactly as independent controllers would.
-func (e *engine) runScaled() error {
-	ts := e.ts
+// while this loop serves only when the processor is stuck.
+func (e *engine) runSingle() error {
 	if e.restore != nil {
 		if err := e.loadCheckpoint(); err != nil {
 			return err
@@ -34,15 +37,17 @@ func (e *engine) runScaled() error {
 	}
 
 	for {
-		e.deliverMatured(&e.coreState, int64(ts.Proc()))
+		e.deliverMatured(&e.coreState, e.procKey())
 
-		if e.ckpt != nil && !e.ckpt.taken && ts.Proc() >= e.ckpt.at && e.quiescent() {
+		if e.ckpt != nil && !e.ckpt.taken && e.procCycle() >= e.ckpt.at && e.quiescent() {
 			e.capture()
 		}
 
 		if e.blockedOn != 0 {
-			if release, ok := e.ready.Release(e.blockedOn); ok {
-				ts.JumpProcTo(clock.Cycles(release))
+			if rel, ok := e.ready.Release(e.blockedOn); ok {
+				// The processor consumes the response at its next clock
+				// edge.
+				e.advanceTo(e.cycles(rel) * e.unit)
 				e.consume(e.blockedOn)
 				e.blockedOn = 0
 				continue
@@ -55,15 +60,14 @@ func (e *engine) runScaled() error {
 
 		if e.fencing {
 			if e.inflightLen() == 0 && e.ready.Len() == 0 {
-				ts.JumpProcTo(clock.Cycles(e.fenceAt))
-				e.maybeExitCritical()
+				e.advanceTo(e.fenceAt)
 				e.fencing = false
 				e.core.FenceDone()
 				continue
 			}
 			if e.ready.Len() > 0 {
 				it := e.ready.Min()
-				ts.JumpProcTo(clock.Cycles(it.release))
+				e.advanceTo(it.release)
 				e.consume(it.id)
 				continue
 			}
@@ -73,23 +77,26 @@ func (e *engine) runScaled() error {
 			continue
 		}
 
-		allowance := ts.ProcAllowance()
-		if allowance == 0 {
-			if err := e.smcStep(); err != nil {
-				return err
+		budget := clock.Cycles(0) // unlimited
+		if e.ts != nil {
+			if budget = e.ts.ProcAllowance(); budget == 0 {
+				if err := e.smcStep(); err != nil {
+					return err
+				}
+				continue
 			}
-			continue
 		}
 		// Batching contract (see cpu.Core.Step): cap the batch at the next
-		// response release point so every decision inside the batch sees
-		// the same delivered-response state as cycle-at-a-time stepping.
+		// response's delivery edge — the first processor clock edge at or
+		// past its release — so every decision inside the batch sees the
+		// same delivered-response state as cycle-at-a-time stepping.
 		// Matured releases were delivered above, so the cap is >= 1.
 		if e.ready.Len() > 0 {
-			if d := clock.Cycles(e.ready.Min().release) - ts.Proc(); d < allowance {
-				allowance = d
+			if d := clock.Cycles(e.cycles(e.ready.Min().release - e.procKey())); budget == 0 || d < budget {
+				budget = d
 			}
 		}
-		out := e.core.Step(ts.Proc(), allowance)
+		out := e.core.Step(e.procCycle(), budget)
 		if out.Finished {
 			if err := e.core.Err(); err != nil {
 				return fmt.Errorf("core: %w", err)
@@ -97,18 +104,18 @@ func (e *engine) runScaled() error {
 			break
 		}
 		if out.Mark {
-			e.marks = append(e.marks, ts.Proc())
+			e.marks = append(e.marks, e.procCycle())
 		}
-		ts.AdvanceProc(out.Cycles)
-		if err := e.checkCap(ts.Proc()); err != nil {
+		e.advanceCycles(out.Cycles)
+		if err := e.checkCap(e.procCycle()); err != nil {
 			return err
 		}
 		for i := range out.Reqs {
 			req := &out.Reqs[i]
-			e.issue(req, e.sys.chanIndex(req.Addr), int64(ts.Proc()), false)
+			e.issue(req, e.sys.chanIndex(req.Addr), e.procKey(), e.ts == nil)
 		}
-		if len(out.Reqs) > 0 && !ts.Critical() {
-			ts.EnterCritical()
+		if e.ts != nil && len(out.Reqs) > 0 {
+			e.ts.EnterCritical()
 		}
 		if out.Fence {
 			e.fencing = true
@@ -124,132 +131,60 @@ func (e *engine) runScaled() error {
 			return err
 		}
 	}
-	e.maybeExitCritical()
+	if e.ts == nil {
+		e.procCycles = e.procCycle()
+		e.finishWall()
+	}
 	return nil
 }
 
-// consume delivers one ready response the processor waited for (time
-// scaling).
+// procKey is the processor's position on the event-key grid.
+func (e *engine) procKey() int64 {
+	if e.ts != nil {
+		return int64(e.ts.Proc())
+	}
+	return int64(e.wallNow)
+}
+
+// procCycle is the processor's position in whole emulated cycles.
+func (e *engine) procCycle() clock.Cycles {
+	if e.ts != nil {
+		return e.ts.Proc()
+	}
+	return clock.Cycles(e.wallNow / clock.PS(e.unit))
+}
+
+// advanceTo moves the processor forward to key k; an earlier k is a no-op.
+func (e *engine) advanceTo(k int64) {
+	if e.ts != nil {
+		e.ts.JumpProcTo(clock.Cycles(k))
+	} else if clock.PS(k) > e.wallNow {
+		e.wallNow = clock.PS(k)
+	}
+}
+
+// advanceCycles moves the processor forward n cycles of execution.
+func (e *engine) advanceCycles(n clock.Cycles) {
+	if e.ts != nil {
+		e.ts.AdvanceProc(n)
+	} else {
+		e.wallNow += clock.PS(n) * clock.PS(e.unit)
+	}
+}
+
+// cycles converts the key span k >= 0 to whole processor cycles, rounding
+// up. Under time scaling keys are cycles and the conversion is free.
+func (e *engine) cycles(k int64) int64 {
+	if e.unit == 1 {
+		return k
+	}
+	return (k + e.unit - 1) / e.unit
+}
+
+// consume delivers one ready response the processor waited for.
 func (e *engine) consume(id uint64) {
 	e.ready.Remove(id)
 	e.core.Deliver(id)
-	e.maybeExitCritical()
-}
-
-// runUnscaled executes the workload without time scaling. The processor
-// follows the wall clock at its own frequency; each memory channel's SMC is
-// a concurrently running serial resource whose busy point is its chain —
-// with several channels their service chains advance independently, which
-// is exactly the wall-time overlap a multi-channel module buys. Two
-// sub-modes share this path:
-//
-//   - raw software MC (HardwareMC=false): the "EasyDRAM - No Time Scaling"
-//     configuration; the full programmable-core latency is visible;
-//   - hardware MC (HardwareMC=true): the §6 validation reference, where
-//     each request costs only the modeled controller latency plus DRAM time.
-func (e *engine) runUnscaled() error {
-	procPeriod := e.cfg.ProcPhys.Period()
-
-	proc := func() clock.Cycles { return clock.Cycles(e.wallNow / procPeriod) }
-	if e.restore != nil {
-		if err := e.loadCheckpoint(); err != nil {
-			return err
-		}
-	}
-
-	for {
-		e.deliverMatured(&e.coreState, int64(e.wallNow))
-
-		if e.ckpt != nil && !e.ckpt.taken && proc() >= e.ckpt.at && e.quiescent() {
-			e.capture()
-		}
-
-		if e.blockedOn != 0 {
-			if w, ok := e.ready.Release(e.blockedOn); ok {
-				// The processor consumes the response at its next clock
-				// edge (time-scaled release keys are integral cycles for
-				// the same reason).
-				if clock.PS(w) > e.wallNow {
-					e.wallNow = clock.PS(e.cfg.ProcPhys.CyclesCeil(clock.PS(w))) * procPeriod
-				}
-				e.ready.Remove(e.blockedOn)
-				e.core.Deliver(e.blockedOn)
-				e.blockedOn = 0
-				continue
-			}
-			if err := e.smcStep(); err != nil {
-				return err
-			}
-			continue
-		}
-
-		if e.fencing {
-			if e.inflightLen() == 0 && e.ready.Len() == 0 {
-				if w := clock.PS(e.fenceAt); w > e.wallNow {
-					e.wallNow = w
-				}
-				e.fencing = false
-				e.core.FenceDone()
-				continue
-			}
-			if e.inflightLen() > 0 {
-				if err := e.smcStep(); err != nil {
-					return err
-				}
-				continue
-			}
-			// Only ready responses remain: advance to the earliest.
-			if earliest := clock.PS(e.ready.Min().release); earliest > e.wallNow {
-				e.wallNow = earliest
-			}
-			continue
-		}
-
-		// Batching contract (see cpu.Core.Step): cap the batch at the next
-		// response's delivery edge — the first processor clock edge at or
-		// past its wall release — so batched decisions see the same
-		// delivered-response state as cycle-at-a-time stepping. Matured
-		// releases were delivered above, so the cap is >= 1.
-		budget := clock.Cycles(0)
-		if e.ready.Len() > 0 {
-			rel := clock.PS(e.ready.Min().release)
-			budget = clock.Cycles((rel - e.wallNow + procPeriod - 1) / procPeriod)
-		}
-		out := e.core.Step(proc(), budget)
-		if out.Finished {
-			if err := e.core.Err(); err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-			break
-		}
-		if out.Mark {
-			e.marks = append(e.marks, proc())
-		}
-		e.wallNow += clock.PS(out.Cycles) * procPeriod
-		if err := e.checkCap(proc()); err != nil {
-			return err
-		}
-		for i := range out.Reqs {
-			req := &out.Reqs[i]
-			e.issue(req, e.sys.chanIndex(req.Addr), int64(e.wallNow), true)
-		}
-		if out.Fence {
-			e.fencing = true
-		}
-		if out.WaitID != 0 {
-			e.blockedOn = out.WaitID
-		}
-	}
-
-	e.procCycles = proc()
-	// Drain remaining posted writebacks for wall-time accounting.
-	for e.inflightLen() > 0 {
-		if err := e.smcStep(); err != nil {
-			return err
-		}
-	}
-	e.finishWall()
-	return nil
 }
 
 // finishWall sets the run's final FPGA cycle count without time scaling:

@@ -23,7 +23,7 @@ func (s *System) hostServe(req mem.Request) (mem.Response, error) {
 	c := &s.chans[s.chanIndex(req.Addr)]
 	c.tile.PushRequest(&req)
 	for i := 0; i < 1024; i++ {
-		c.env.Reset(0)
+		c.env.Clear()
 		worked, err := c.ctl.ServeOne(c.env)
 		if err != nil {
 			return mem.Response{}, err

@@ -20,7 +20,7 @@ import (
 // the globally earliest actor (ties: channels before cores, then the lower
 // index). Eager channel stepping is what makes scheduler decisions see
 // exactly the requests that arrived by their decision time — the lazy
-// "serve only when the core is stuck" order of the single-core engines is
+// "serve only when the core is stuck" order of the single-core driver is
 // only timing-correct with one core, because no new requests can arrive
 // while that core is stopped.
 //
@@ -30,9 +30,9 @@ import (
 // staged lists and arrival rings on the invariants the channel machinery
 // assumes. The clamp's distortion is bounded by the core step quantum
 // (mcQuantum) plus one batch's overshoot. Single-core configs never enter
-// this loop: Cores <= 1 routes through the single-core drivers (engine.go),
-// so they stay bit-identical to the pre-multicore engine (golden-pinned).
-// Both loops share the channel-service path (channel.go).
+// this loop: Cores <= 1 routes through the single-core driver (runSingle in
+// engine.go), so they stay bit-identical to the pre-multicore engine
+// (golden-pinned). Both loops share the channel-service path (channel.go).
 
 // mcQuantum caps how many emulated cycles one core step may advance between
 // merge events, bounding both inter-core skew and the arrival clamp's
@@ -47,7 +47,7 @@ const mcInf = int64(math.MaxInt64)
 func mcOwner(id uint64, n int) int { return int((id - 1) % uint64(n)) }
 
 // mcCore is one emulated core's engine-side state: the per-core queue and
-// flags every driver keeps (coreState) plus the core's merge position.
+// flags both drivers keep (coreState) plus the core's merge position.
 type mcCore struct {
 	coreState
 	// pos is the core's own clock on the event-key grid: emulated
@@ -66,9 +66,6 @@ type mcCore struct {
 type mcEngine struct {
 	e     *engine
 	cores []*mcCore
-	// unit is one processor cycle on the event-key grid: 1 under time
-	// scaling, the processor period in picoseconds without it.
-	unit int64
 	// lastArrival is the per-channel monotone arrival clamp (event-key
 	// domain of the mode in use).
 	lastArrival []int64
@@ -196,13 +193,13 @@ func (m *mcEngine) deadlockErr() error {
 
 // runMerge drives the key-ordered merge loop in either mode. Keys are
 // emulated processor cycles with time scaling and wall picoseconds without;
-// unit is one processor cycle in keys. With time scaling the loop runs
+// e.unit is one processor cycle in keys. With time scaling the loop runs
 // without critical mode: the key order itself paces cores against the
 // modeled memory system, so ProcAllowance never gates a step. The ts
 // counters still carry the wall (FPGA) charges of every SMC step, and the
 // processor counter is jumped to the makespan once at the end —
 // GlobalCycles therefore covers the emulation's full wall cost exactly as
-// the single-core engine's incremental advances would.
+// the single-core driver's incremental advances would.
 func (e *engine) runMerge() error {
 	m := e.multi
 	for {
@@ -214,8 +211,8 @@ func (e *engine) runMerge() error {
 			return m.deadlockErr()
 		}
 		// The wall-clock merge clock: keys are processed in nondecreasing
-		// order, so wallNow is monotone — the channel service path reads it
-		// as "now".
+		// order, so wallNow is monotone, and finishWall's wall time covers
+		// it.
 		if !e.cfg.Scaling && clock.PS(key) > e.wallNow {
 			e.wallNow = clock.PS(key)
 		}
@@ -246,15 +243,6 @@ func (e *engine) runMerge() error {
 	return nil
 }
 
-// cycles converts the key span k >= 0 to whole processor cycles, rounding
-// up. Under time scaling keys are cycles and the conversion is free.
-func (m *mcEngine) cycles(k int64) int64 {
-	if m.unit == 1 {
-		return k
-	}
-	return (k + m.unit - 1) / m.unit
-}
-
 // stepCore advances core ci one merge event: consume a matured response,
 // complete a fence, or run up to mcQuantum processor cycles and issue the
 // resulting requests. A core consumes a response at its next clock edge,
@@ -271,7 +259,7 @@ func (m *mcEngine) stepCore(ci int) error {
 			return fmt.Errorf("core: multicore merge stepped blocked core %d without its response", ci)
 		}
 		if rel > c.pos {
-			c.pos = m.cycles(rel) * m.unit
+			c.pos = e.cycles(rel) * e.unit
 		}
 		c.ready.Remove(c.blockedOn)
 		c.core.Deliver(c.blockedOn)
@@ -304,14 +292,14 @@ func (m *mcEngine) stepCore(ci int) error {
 	// delivery edge (the batching contract of cpu.Core.Step).
 	budget := clock.Cycles(mcQuantum)
 	if c.ready.Len() > 0 {
-		if b := clock.Cycles(m.cycles(c.ready.Min().release - c.pos)); b < budget {
+		if b := clock.Cycles(e.cycles(c.ready.Min().release - c.pos)); b < budget {
 			budget = b
 		}
 	}
 	// The core's processor cycle, floored; a step adds whole cycles.
 	proc := clock.Cycles(c.pos)
-	if m.unit != 1 {
-		proc = clock.Cycles(c.pos / m.unit)
+	if e.unit != 1 {
+		proc = clock.Cycles(c.pos / e.unit)
 	}
 	out := c.core.Step(proc, budget)
 	if out.Finished {
@@ -325,7 +313,7 @@ func (m *mcEngine) stepCore(ci int) error {
 	if out.Mark {
 		c.marks = append(c.marks, proc)
 	}
-	c.pos += int64(out.Cycles) * m.unit
+	c.pos += int64(out.Cycles) * e.unit
 	proc += out.Cycles
 	if err := e.checkCap(proc); err != nil {
 		return err
@@ -355,13 +343,9 @@ func (s *System) runMulti(strms []workload.Stream) (Result, error) {
 	}
 	n, nch := len(strms), len(s.chans)
 	m := &mcEngine{
-		unit:        1,
 		lastArrival: make([]int64, nch),
 		keys:        make([]int64, nch+n),
 		nch:         nch,
-	}
-	if !s.cfg.Scaling {
-		m.unit = int64(s.cfg.ProcPhys.Period())
 	}
 	for i, st := range strms {
 		core, err := cpu.New(s.cfg.CPU, s.mhier.View(i), st)

@@ -69,7 +69,7 @@ func (h *BenchHarness) ServeRowGroups(n, depth int) error {
 			h.nextAddr += dram.LineBytes
 		}
 		for {
-			env.Reset(0)
+			env.Clear()
 			worked, err := h.Ctl.ServeOne(env)
 			if err != nil {
 				return fmt.Errorf("smc: bench harness: %w", err)

@@ -23,10 +23,6 @@ import (
 type Env struct {
 	tile *tile.Tile
 
-	// EmulatedNow is the emulated-system time at the start of the step
-	// (set by the engine; the controller uses it for refresh bookkeeping).
-	EmulatedNow clock.PS
-
 	chargedFPGA int64
 	benderWall  clock.PS
 	occupancy   clock.PS
@@ -41,9 +37,14 @@ func NewEnv(t *tile.Tile) *Env { return &Env{tile: t} }
 // Tile returns the underlying tile.
 func (e *Env) Tile() *tile.Tile { return e.tile }
 
-// Reset clears per-step accumulators.
-func (e *Env) Reset(emulatedNow clock.PS) {
-	e.EmulatedNow = emulatedNow
+// Reset clears per-step accumulators and ignores its argument.
+//
+// Deprecated: use Clear. Reset remains only because the host benchmark in
+// bench/ still calls it; ROADMAP item 3 deletes it.
+func (e *Env) Reset(clock.PS) { e.Clear() }
+
+// Clear clears per-step accumulators.
+func (e *Env) Clear() {
 	e.chargedFPGA = 0
 	e.benderWall = 0
 	e.occupancy = 0

@@ -52,7 +52,7 @@ func serveReads(t *testing.T, h *BenchHarness, base uint64, n int) map[uint64]bo
 		h.nextID++
 		h.Env.Tile().PushRequest(&mem.Request{ID: h.nextID, Kind: mem.Read, Addr: base + uint64(i)*dram.LineBytes})
 		for h.Ctl.Pending() > 0 || !h.Env.Tile().IncomingEmpty() {
-			h.Env.Reset(0)
+			h.Env.Clear()
 			worked, err := h.Ctl.ServeOne(h.Env)
 			if err != nil {
 				t.Fatal(err)
@@ -167,7 +167,7 @@ func TestMitigationEmitsVictimRefreshes(t *testing.T) {
 		h.nextID++
 		addr := uint64(i%2) * 2 * rowStride
 		h.Env.Tile().PushRequest(&mem.Request{ID: h.nextID, Kind: mem.Read, Addr: addr})
-		h.Env.Reset(0)
+		h.Env.Clear()
 		if _, err := h.Ctl.ServeOne(h.Env); err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestServeOneLaunchFailureRemovesEntry(t *testing.T) {
 		tl.PushRequest(&mem.Request{ID: uint64(i), Kind: mem.Read, Addr: uint64(i) * 4096 * dram.LineBytes})
 	}
 	for left := n - 1; left >= 0; left-- {
-		env.Reset(0)
+		env.Clear()
 		worked, err := ctl.ServeOne(env)
 		if err == nil || worked {
 			t.Fatalf("ServeOne = (%v, %v), want the launch failure", worked, err)

@@ -73,7 +73,7 @@ func (h *MultiBenchHarness) ServeInterleaved(n, depth int) error {
 		for c := range h.ctls {
 			env := h.envs[c]
 			for !env.Tile().IncomingEmpty() || h.ctls[c].Pending() > 0 {
-				env.Reset(0)
+				env.Clear()
 				worked, err := h.ctls[c].ServeOne(env)
 				if err != nil {
 					return fmt.Errorf("smc: multi bench harness: %w", err)

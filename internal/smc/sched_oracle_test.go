@@ -250,7 +250,7 @@ func TestControllerTableStaysInArrivalOrder(t *testing.T) {
 				for k := rng.Intn(4); k > 0; k-- {
 					push(kinds[rng.Intn(len(kinds))], dram.Addr{Bank: rng.Intn(4), Row: rng.Intn(3), Col: rng.Intn(8)})
 				}
-				env.Reset(0)
+				env.Clear()
 				worked, err := ctl.ServeOne(env)
 				if err != nil {
 					t.Fatal(err)
@@ -269,7 +269,7 @@ func TestControllerTableStaysInArrivalOrder(t *testing.T) {
 			push(mem.Read, dram.Addr{Bank: 1, Row: 1})
 			push(mem.Read, dram.Addr{Bank: 2, Row: ctl.cfg.RowsPerBank})
 			push(mem.Read, dram.Addr{Bank: 3, Row: 2})
-			env.Reset(0)
+			env.Clear()
 			if _, err := ctl.ServeOne(env); err == nil {
 				t.Fatal("ServeOne accepted a request past the bank's last row")
 			}
@@ -285,7 +285,7 @@ func TestControllerTableStaysInArrivalOrder(t *testing.T) {
 				if !env.Tile().IncomingEmpty() {
 					want++
 				}
-				env.Reset(0)
+				env.Clear()
 				if _, err := ctl.ServeOne(env); err == nil {
 					t.Fatal("ServeOne succeeded with every launch failing")
 				}

@@ -183,7 +183,7 @@ func newControllerEnv(t *testing.T) (*BaseController, *Env) {
 func TestControllerServesRead(t *testing.T) {
 	ctl, env := newControllerEnv(t)
 	env.Tile().PushRequest(&mem.Request{ID: 1, Kind: mem.Read, Addr: 0})
-	env.Reset(0)
+	env.Clear()
 	worked, err := ctl.ServeOne(env)
 	if err != nil {
 		t.Fatalf("ServeOne: %v", err)
@@ -209,7 +209,7 @@ func TestControllerRowHitTracking(t *testing.T) {
 		env.Tile().PushRequest(&mem.Request{ID: i + 1, Kind: mem.Read, Addr: i * 64})
 	}
 	for i := 0; i < 3; i++ {
-		env.Reset(0)
+		env.Clear()
 		if _, err := ctl.ServeOne(env); err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestControllerRowHitTracking(t *testing.T) {
 
 func TestControllerIdleReturnsFalse(t *testing.T) {
 	ctl, env := newControllerEnv(t)
-	env.Reset(0)
+	env.Clear()
 	worked, err := ctl.ServeOne(env)
 	if err != nil || worked {
 		t.Fatalf("idle controller: worked=%v err=%v", worked, err)
@@ -274,7 +274,7 @@ func TestControllerProfileDetectsWeakLine(t *testing.T) {
 
 	serve := func(addr uint64, rcd int64) bool {
 		env.Tile().PushRequest(&mem.Request{ID: 99, Kind: mem.Profile, Addr: addr, RCD: 9000})
-		env.Reset(0)
+		env.Clear()
 		if _, err := ctl.ServeOne(env); err != nil {
 			t.Fatalf("ServeOne: %v", err)
 		}
@@ -309,7 +309,7 @@ func TestControllerRefresh(t *testing.T) {
 	if due != chip.Timing().TREFI {
 		t.Fatalf("first refresh due at %v, want tREFI", due)
 	}
-	env.Reset(due)
+	env.Clear()
 	if err := ctl.ServeRefresh(env); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestControllerRowCloneCrossBankFails(t *testing.T) {
 	src := m.Unmap(dram.Addr{Bank: 0, Row: 10})
 	dst := m.Unmap(dram.Addr{Bank: 1, Row: 10})
 	env.Tile().PushRequest(&mem.Request{ID: 5, Kind: mem.RowClone, Addr: dst, Src: src})
-	env.Reset(0)
+	env.Clear()
 	if _, err := ctl.ServeOne(env); err != nil {
 		t.Fatal(err)
 	}
