@@ -49,10 +49,12 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// Instr is one DRAM Bender instruction.
+// Instr is one DRAM Bender instruction: 16 bytes, the opcode and three
+// 32-bit operands. Builder never truncates an operand that does not fit
+// (see Builder.Err).
 type Instr struct {
 	Op      Op
-	A, B, C int
+	A, B, C int32
 }
 
 // String renders the instruction as "MNEMONIC A,B,C".
@@ -192,7 +194,7 @@ func (e *Engine) ExecInto(res *Result, prog []Instr, start clock.PS, wrbuf [][]b
 		case OpNOP:
 			t += period
 		case OpACT:
-			cloned, ok := e.chip.Activate(in.A, in.B, t, clock.PS(in.C))
+			cloned, ok := e.chip.Activate(int(in.A), int(in.B), t, clock.PS(in.C))
 			if cloned {
 				res.CloneAttempts++
 				if ok {
@@ -202,7 +204,7 @@ func (e *Engine) ExecInto(res *Result, prog []Instr, start clock.PS, wrbuf [][]b
 			res.Commands++
 			t += period
 		case OpPRE:
-			e.chip.Precharge(in.A, t)
+			e.chip.Precharge(int(in.A), t)
 			res.Commands++
 			t += period
 		case OpRD:
@@ -213,9 +215,9 @@ func (e *Engine) ExecInto(res *Result, prog []Instr, start clock.PS, wrbuf [][]b
 				// declared the readback unused (ExecDiscardReads), so no
 				// line is buffered. Chip state, statistics, and timing
 				// checks advance exactly as a buffered read's would.
-				rel, err = e.chip.Read(in.A, in.B, t, nil)
+				rel, err = e.chip.Read(int(in.A), int(in.B), t, nil)
 			} else {
-				rel, err = e.readBuffered(in.A, in.B, t)
+				rel, err = e.readBuffered(int(in.A), int(in.B), t)
 			}
 			if err != nil {
 				return fmt.Errorf("bender: pc=%d: %w", pc, err)
@@ -228,10 +230,10 @@ func (e *Engine) ExecInto(res *Result, prog []Instr, start clock.PS, wrbuf [][]b
 			t += period
 		case OpWR:
 			var src []byte
-			if in.C >= 0 && in.C < len(wrbuf) {
+			if in.C >= 0 && int(in.C) < len(wrbuf) {
 				src = wrbuf[in.C]
 			}
-			if err := e.chip.Write(in.A, in.B, t, src); err != nil {
+			if err := e.chip.Write(int(in.A), int(in.B), t, src); err != nil {
 				return fmt.Errorf("bender: pc=%d: %w", pc, err)
 			}
 			res.Commands++
@@ -250,7 +252,7 @@ func (e *Engine) ExecInto(res *Result, prog []Instr, start clock.PS, wrbuf [][]b
 			if err := checkReg(in.A, pc); err != nil {
 				return err
 			}
-			regs[in.A] = in.B
+			regs[in.A] = int(in.B)
 		case OpDEC:
 			if err := checkReg(in.A, pc); err != nil {
 				return err
@@ -264,14 +266,14 @@ func (e *Engine) ExecInto(res *Result, prog []Instr, start clock.PS, wrbuf [][]b
 				if steps += pc - seg + 1; steps > maxSteps {
 					return errRunaway
 				}
-				pc, seg = in.B, in.B
+				pc, seg = int(in.B), int(in.B)
 				continue
 			}
 		case OpJMP:
 			if steps += pc - seg + 1; steps > maxSteps {
 				return errRunaway
 			}
-			pc, seg = in.A, in.A
+			pc, seg = int(in.A), int(in.A)
 			continue
 		case OpEND:
 			res.Elapsed = t - start
@@ -311,7 +313,7 @@ func (e *Engine) readBuffered(bank, col int, t clock.PS) (bool, error) {
 	return rel, nil
 }
 
-func checkReg(r, pc int) error {
+func checkReg(r int32, pc int) error {
 	if r < 0 || r >= NumRegs {
 		return fmt.Errorf("bender: pc=%d: register %d out of range [0,%d)", pc, r, NumRegs)
 	}

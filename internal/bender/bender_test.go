@@ -3,8 +3,10 @@ package bender
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"easydram/internal/clock"
 	"easydram/internal/dram"
@@ -113,7 +115,7 @@ func TestRunawayProgramAborts(t *testing.T) {
 // charges maxSteps+1 and exceeds the budget.
 func TestCountedLoopStepBudget(t *testing.T) {
 	e := newTestEngine(t)
-	loop := func(n int) []Instr {
+	loop := func(n int32) []Instr {
 		return []Instr{{Op: OpLDI, A: 0, B: n}, {Op: OpDEC, A: 0}, {Op: OpBNZ, A: 0, B: 1}, {Op: OpEND}}
 	}
 	if _, err := e.Exec(loop(maxSteps/2), 0, nil); err != nil {
@@ -282,5 +284,55 @@ func TestBitwiseMAJBuilder(t *testing.T) {
 	}
 	if chip.OpenRow(0) != -1 {
 		t.Fatalf("sequence must leave the bank precharged")
+	}
+}
+
+func TestInstrIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n != 16 {
+		t.Fatalf("Instr is %d bytes, want 16", n)
+	}
+}
+
+// TestBuilderRejectsWideOperands checks that an operand outside int32 is
+// recorded, never truncated, on either side of the range: its instruction
+// is not appended, Err names the first such opcode and value, and Reset
+// clears it. The int32 limits themselves still encode. (tile's
+// TestExecRejectsWideOperands covers WAIT, loop-count and row operands
+// through Exec.)
+func TestBuilderRejectsWideOperands(t *testing.T) {
+	b := NewBuilder(dram.DefaultConfig().Timing)
+	b.ACT(math.MaxInt32, math.MinInt32).WaitCycles(math.MaxInt32)
+	if err := b.Err(); err != nil || b.Len() != 2 {
+		t.Fatalf("int32 limits: err %v, %d instrs, want nil and 2", err, b.Len())
+	}
+	if got := b.Program()[0]; got != (Instr{Op: OpACT, A: math.MaxInt32, B: math.MinInt32}) {
+		t.Fatalf("int32 limits encoded as %v", got)
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(*Builder)
+		want  string
+	}{
+		{"Wait", func(b *Builder) { b.Wait(clock.PS(1) << 62) }, "bender: WAIT operand"},
+		{"RD column", func(b *Builder) { b.RD(0, math.MaxInt32+1) }, "bender: RD operand 2147483648 does not fit in 32 bits"},
+		{"PRE bank", func(b *Builder) { b.PRE(math.MinInt32 - 1) }, "bender: PRE operand -2147483649 does not fit in 32 bits"},
+		{"first kept", func(b *Builder) { b.ACT(0, 1<<33).RD(1<<34, 0) }, "bender: ACT operand 8589934592 does not fit in 32 bits"},
+	} {
+		b.Reset()
+		b.REF()
+		tc.build(b)
+		err := b.Err()
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Fatalf("%s: Err() = %v, want %q", tc.name, err, tc.want)
+		}
+		for _, in := range b.Program() {
+			if in.Op != OpREF && in.Op != OpEND && in.Op != OpDEC && in.Op != OpBNZ {
+				t.Fatalf("%s: appended %v for an operand that does not fit", tc.name, in)
+			}
+		}
+	}
+	b.Reset()
+	if b.Err() != nil || b.Len() != 0 {
+		t.Fatalf("Reset left Err %v and %d instrs", b.Err(), b.Len())
 	}
 }

@@ -1,6 +1,7 @@
 package bender
 
 import (
+	"fmt"
 	"slices"
 
 	"easydram/internal/clock"
@@ -14,10 +15,23 @@ import (
 //
 // A Builder computes WAITs from timing parameters. The zero value is not
 // usable; construct with NewBuilder.
+//
+// Its methods take int operands, and an Instr holds int32s. An operand
+// that does not fit is never truncated: the builder records the first one
+// (Err) and appends nothing for it, and the program must not be run.
 type Builder struct {
 	p    timing.Params
 	prog []Instr
 	wr   [][]byte
+	// bad is the first instruction since Reset with an operand outside
+	// int32, kept with its int operands (nil when every operand fit).
+	bad *wideInstr
+}
+
+// wideInstr is an instruction whose operands did not fit an Instr.
+type wideInstr struct {
+	op       Op
+	operands [3]int
 }
 
 // NewBuilder returns a Builder that computes delays from p.
@@ -25,10 +39,27 @@ func NewBuilder(p timing.Params) *Builder {
 	return &Builder{p: p}
 }
 
-// Reset clears the program and write buffer for reuse.
+// Reset clears the program, the write buffer and Err for reuse.
 func (b *Builder) Reset() {
 	b.prog = b.prog[:0]
 	b.wr = b.wr[:0]
+	b.bad = nil
+}
+
+// Err reports the first operand since the last Reset that did not fit in
+// an Instr's 32 bits, naming its opcode and value (nil when every operand
+// fit). Its instruction was not appended, so the program is incomplete.
+func (b *Builder) Err() error {
+	if b.bad == nil {
+		return nil
+	}
+	v := b.bad.operands[0]
+	for _, v = range b.bad.operands {
+		if int(int32(v)) != v {
+			break
+		}
+	}
+	return fmt.Errorf("bender: %v operand %d does not fit in 32 bits", b.bad.op, v)
 }
 
 // Len reports the current instruction count.
@@ -46,6 +77,21 @@ func (b *Builder) WriteBuf() [][]byte { return b.wr }
 // Emit appends a raw instruction.
 func (b *Builder) Emit(in Instr) *Builder {
 	b.prog = append(b.prog, in)
+	return b
+}
+
+// emit appends op with operands x, y, z, or, when one does not fit in 32
+// bits, appends nothing and records the instruction if it is the first
+// such. v fits exactly when v+2^31 lies in [0, 2^32), so one OR tests all
+// three and emit stays small enough to inline.
+func (b *Builder) emit(op Op, x, y, z int) *Builder {
+	if (uint64(int64(x)+1<<31)|uint64(int64(y)+1<<31)|uint64(int64(z)+1<<31))>>32 != 0 {
+		if b.bad == nil {
+			b.bad = &wideInstr{op, [3]int{x, y, z}}
+		}
+		return b
+	}
+	b.prog = append(b.prog, Instr{Op: op, A: int32(x), B: int32(y), C: int32(z)})
 	return b
 }
 
@@ -75,23 +121,23 @@ func (b *Builder) WaitCycles(n int) *Builder {
 
 // ACT appends an activate with nominal tRCD spacing left to the caller.
 func (b *Builder) ACT(bank, row int) *Builder {
-	return b.Emit(Instr{Op: OpACT, A: bank, B: row})
+	return b.emit(OpACT, bank, row, 0)
 }
 
 // ACTWithRCD appends an activate annotated with a reduced tRCD (the RD that
 // follows will arrive rcd after the ACT).
 func (b *Builder) ACTWithRCD(bank, row int, rcd clock.PS) *Builder {
-	return b.Emit(Instr{Op: OpACT, A: bank, B: row, C: int(rcd)})
+	return b.emit(OpACT, bank, row, int(rcd))
 }
 
 // PRE appends a precharge.
 func (b *Builder) PRE(bank int) *Builder {
-	return b.Emit(Instr{Op: OpPRE, A: bank})
+	return b.emit(OpPRE, bank, 0, 0)
 }
 
 // RD appends a column read.
 func (b *Builder) RD(bank, col int) *Builder {
-	return b.Emit(Instr{Op: OpRD, A: bank, B: col})
+	return b.emit(OpRD, bank, col, 0)
 }
 
 // WR appends a column write carrying data (copied into the write buffer).
@@ -99,7 +145,7 @@ func (b *Builder) RD(bank, col int) *Builder {
 // unchanged (used when the emulated datapath does not model values).
 func (b *Builder) WR(bank, col int, data []byte) *Builder {
 	if data == nil {
-		return b.Emit(Instr{Op: OpWR, A: bank, B: col, C: -1})
+		return b.emit(OpWR, bank, col, -1)
 	}
 	return b.WRStaged(bank, col, b.StageWrite(data))
 }
@@ -120,7 +166,7 @@ func (b *Builder) StageWrite(data []byte) int {
 // WRStaged appends a column write sourcing a previously staged buffer entry
 // (see StageWrite).
 func (b *Builder) WRStaged(bank, col, idx int) *Builder {
-	return b.Emit(Instr{Op: OpWR, A: bank, B: col, C: idx})
+	return b.emit(OpWR, bank, col, idx)
 }
 
 // ReadSequence appends a standard-compliant closed-row read:
@@ -217,10 +263,11 @@ func (b *Builder) ProfileCheck(a dram.Addr, rcd clock.PS) *Builder {
 // cols request round-trips through the controller. The readback buffer
 // receives exactly cols lines, in column order.
 //
-// Column 0's check is emitted by ProfileCheck itself; every later column
-// copies it with the RD's column patched, so the delays are converted to
-// bus cycles once per row and the program stays instruction for
-// instruction the one per-column ProfileCheck calls would emit.
+// Column 0's check is emitted by ProfileCheck itself and replicated for
+// every later column by doubling block copies, then each copy's RD gets
+// its column: the delays are converted to bus cycles once per row and the
+// program stays instruction for instruction the one per-column
+// ProfileCheck calls would emit.
 func (b *Builder) ProfileRow(bank, row, cols int, pattern []byte, rcd clock.PS) *Builder {
 	b.ACT(bank, row)
 	b.Wait(b.p.TRCD - b.p.Bus.Period())
@@ -240,20 +287,19 @@ func (b *Builder) ProfileRow(bank, row, cols int, pattern []byte, rcd clock.PS) 
 	}
 	start := len(b.prog)
 	b.ProfileCheck(dram.Addr{Bank: bank, Row: row}, rcd)
+	if b.bad != nil {
+		return b // the program is not run; its check may lack its RD
+	}
 	k := len(b.prog) - start
 	b.prog = slices.Grow(b.prog, (cols-1)*k)
-	check := b.prog[start:]
-	rd := 0
-	for check[rd].Op != OpRD {
-		rd++
+	b.prog = b.prog[:start+cols*k]
+	checks := b.prog[start:]
+	for n := k; n < len(checks); n *= 2 {
+		copy(checks[n:], checks[:n])
 	}
+	rd := slices.IndexFunc(checks[:k], func(in Instr) bool { return in.Op == OpRD })
 	for col := 1; col < cols; col++ {
-		n := len(b.prog)
-		b.prog = b.prog[:n+k]
-		for i, in := range check {
-			b.prog[n+i] = in
-		}
-		b.prog[n+rd].B = col
+		checks[col*k+rd].B = int32(col)
 	}
 	return b
 }
@@ -285,16 +331,16 @@ func (b *Builder) ProfileRowStripe(bank, startRow, rows, cols int, pattern []byt
 // Loop wraps body(i-free) in an LDI/DEC/BNZ loop executing count times.
 // The body must not emit absolute jumps.
 func (b *Builder) Loop(reg, count int, body func(*Builder)) *Builder {
-	b.Emit(Instr{Op: OpLDI, A: reg, B: count})
+	b.emit(OpLDI, reg, count, 0)
 	top := len(b.prog)
 	body(b)
-	b.Emit(Instr{Op: OpDEC, A: reg})
-	b.Emit(Instr{Op: OpBNZ, A: reg, B: top})
+	b.emit(OpDEC, reg, 0, 0)
+	b.emit(OpBNZ, reg, top, 0)
 	return b
 }
 
 func (b *Builder) waitCycles(n int) {
 	if n > 0 {
-		b.Emit(Instr{Op: OpWAIT, A: n})
+		b.emit(OpWAIT, n, 0, 0)
 	}
 }

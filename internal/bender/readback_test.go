@@ -39,7 +39,7 @@ func refExec(t *testing.T, chip *dram.Chip, prog []Instr, start clock.PS, wrbuf 
 	for _, in := range prog {
 		switch in.Op {
 		case OpACT:
-			cloned, ok := chip.Activate(in.A, in.B, now, clock.PS(in.C))
+			cloned, ok := chip.Activate(int(in.A), int(in.B), now, clock.PS(in.C))
 			if cloned {
 				res.CloneAttempts++
 				if ok {
@@ -47,10 +47,10 @@ func refExec(t *testing.T, chip *dram.Chip, prog []Instr, start clock.PS, wrbuf 
 				}
 			}
 		case OpPRE:
-			chip.Precharge(in.A, now)
+			chip.Precharge(int(in.A), now)
 		case OpRD:
 			var line ReadLine
-			rel, err := chip.Read(in.A, in.B, now, line.Data[:])
+			rel, err := chip.Read(int(in.A), int(in.B), now, line.Data[:])
 			if err != nil {
 				t.Fatalf("reference RD: %v", err)
 			}
@@ -61,7 +61,7 @@ func refExec(t *testing.T, chip *dram.Chip, prog []Instr, start clock.PS, wrbuf 
 			rb = append(rb, line)
 			res.Reads++
 		case OpWR:
-			if err := chip.Write(in.A, in.B, now, wrbuf[in.C]); err != nil {
+			if err := chip.Write(int(in.A), int(in.B), now, wrbuf[in.C]); err != nil {
 				t.Fatalf("reference WR: %v", err)
 			}
 		case OpWAIT:

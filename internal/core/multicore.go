@@ -161,22 +161,22 @@ func (m *mcEngine) actorKey(a int) int64 {
 	return m.e.chanKey(a)
 }
 
-// pickActor returns the earliest actor and its key, or -1 when no actor
-// has an event. Channels scan before cores and the strict comparison
-// keeps the first, so channels win ties and responses settle before a
-// same-key core steps past them. Only stale keys are recomputed.
-func (m *mcEngine) pickActor() (best int, key int64) {
+// pickActor returns the earliest actor, or -1 when no actor has an event.
+// Channels scan before cores and the strict comparison keeps the first, so
+// channels win ties and responses settle before a same-key core steps past
+// them. Only stale keys are recomputed.
+func (m *mcEngine) pickActor() int {
 	for _, a := range m.stale {
 		m.keys[a] = m.actorKey(a)
 	}
 	m.stale = m.stale[:0]
-	best, key = -1, mcInf
+	best, key := -1, mcInf
 	for a, k := range m.keys {
 		if k < key {
 			best, key = a, k
 		}
 	}
-	return best, key
+	return best
 }
 
 // deadlockErr reports the stuck state when no actor has an event.
@@ -203,18 +203,12 @@ func (m *mcEngine) deadlockErr() error {
 func (e *engine) runMerge() error {
 	m := e.multi
 	for {
-		a, key := m.pickActor()
+		a := m.pickActor()
 		if a < 0 {
 			if m.allFinished() {
 				break
 			}
 			return m.deadlockErr()
-		}
-		// The wall-clock merge clock: keys are processed in nondecreasing
-		// order, so wallNow is monotone, and finishWall's wall time covers
-		// it.
-		if !e.cfg.Scaling && clock.PS(key) > e.wallNow {
-			e.wallNow = clock.PS(key)
 		}
 		m.stale = append(m.stale, a)
 		if a < m.nch {

@@ -170,12 +170,15 @@ type bankState struct {
 	// so checkpoints omit them.
 	rcdRow, weakCol   int
 	weakRCD, otherRCD clock.PS
-	// openData is the open row's data slice, looked up by the first RD or
-	// WR after an ACT and cleared by ACT, PRE and REF (nil = not looked up
-	// yet). Row slices never move once allocated, and every other writer
-	// (RowClone, scramble, disturb flips, PokeLine, LoadState) writes into
-	// them in place, so the cached slice always sees current data.
-	openData []byte
+	// openData is row openDataRow's data slice, looked up by the first RD
+	// or WR that finds the bank open on another row (openDataRow -1 =
+	// none). ACT and PRE leave it, so re-activating the same row reuses
+	// it; REF and LoadState clear it. Row slices never move once
+	// allocated, and every other writer (RowClone, scramble, disturb
+	// flips, PokeLine, LoadState) writes into them in place, so the
+	// cached slice always sees current data.
+	openData    []byte
+	openDataRow int
 }
 
 // Chip is the behavioural rank model. Not safe for concurrent use; the
@@ -194,7 +197,11 @@ type Chip struct {
 	// lazily. The RD/WR data path indexes instead of hashing, and the
 	// GC-scannable metadata stays proportional to the row neighbourhoods
 	// actually touched rather than the full 32K-row geometry.
-	rows  [][][][]byte
+	rows [][][][]byte
+	// arena is the unused tail of the block new rows take their data
+	// from: rowArenaRows rows allocated at once, on the first touch that
+	// finds the tail empty.
+	arena []byte
 	stats Stats
 
 	// fm is the fault-injection model (nil without injection: every hook
@@ -210,6 +217,9 @@ const (
 	rowChunkShift = 8
 	rowChunkRows  = 1 << rowChunkShift
 )
+
+// rowArenaRows is how many rows' data one arena block holds.
+const rowArenaRows = 64
 
 // New constructs a Chip.
 func New(cfg Config) (*Chip, error) {
@@ -232,7 +242,7 @@ func New(cfg Config) (*Chip, error) {
 	}
 	banks := make([]bankState, geom.Banks)
 	for i := range banks {
-		banks[i] = bankState{openRow: -1, lastActRow: -1, lastActTime: -1 << 60, lastPreTime: -1 << 60, rcdRow: -1}
+		banks[i] = bankState{openRow: -1, lastActRow: -1, lastActTime: -1 << 60, lastPreTime: -1 << 60, rcdRow: -1, openDataRow: -1}
 	}
 	c := &Chip{
 		cfg:       cfg,
@@ -288,7 +298,12 @@ func (c *Chip) rowData(bank, row int) []byte {
 	}
 	d := ch[row&(rowChunkRows-1)]
 	if d == nil {
-		d = make([]byte, c.RowBytes())
+		n := c.RowBytes()
+		if len(c.arena) < n {
+			c.arena = make([]byte, rowArenaRows*n)
+		}
+		d = c.arena[:n:n]
+		c.arena = c.arena[n:]
 		ch[row&(rowChunkRows-1)] = d
 	}
 	return d
@@ -316,7 +331,6 @@ func (c *Chip) Activate(bank, row int, t clock.PS, rcd clock.PS) (cloned, cloneO
 		c.noteActivate(bank, row)
 	}
 
-	b.openData = nil
 	if attempted, ok := c.tryBitwiseMAJ(bank, row, t); attempted {
 		b.openRow = row
 		b.lastActRow = row
@@ -364,7 +378,6 @@ func (c *Chip) Precharge(bank int, t clock.PS) {
 	b.preGap = t - b.lastActTime
 	b.lastPreTime = t
 	b.openRow = -1
-	b.openData = nil
 }
 
 // Read issues RD(bank, open row, col) at absolute time t and copies the line
@@ -455,10 +468,11 @@ func (c *Chip) Write(bank, col int, t clock.PS, src []byte) error {
 }
 
 // openLine returns column col of bank's open row, looking the row's data
-// up on the first access after its activation.
+// up only when the bank's memo holds another row (or none).
 func (c *Chip) openLine(b *bankState, bank, col int) *[LineBytes]byte {
-	if b.openData == nil {
+	if b.openDataRow != b.openRow {
 		b.openData = c.rowData(bank, b.openRow)
+		b.openDataRow = b.openRow
 	}
 	return (*[LineBytes]byte)(b.openData[col*LineBytes:])
 }
@@ -478,7 +492,7 @@ func (c *Chip) Refresh(t clock.PS) {
 	c.stats.REFs++
 	for i := range c.banks {
 		c.banks[i].openRow = -1
-		c.banks[i].openData = nil
+		c.banks[i].openData, c.banks[i].openDataRow = nil, -1
 		c.banks[i].senseAmpsHold = false
 	}
 	// Refresh restores every cell, zeroing all disturb counters.

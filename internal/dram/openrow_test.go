@@ -137,6 +137,66 @@ func TestOpenRowFollowsActivation(t *testing.T) {
 	requireOpenRowMatchesStore(t, c, 2, at+p.TRCD, "row 32 after REF")
 }
 
+// TestOpenRowReactivation re-opens a row whose data slice the bank still
+// holds: the same row after PRE, after REF, and after another row was open
+// in between. Each time the row's contents change while it is closed
+// (PokeLine) or through a WR before it closes, and the reads after the
+// re-activation must follow the store.
+func TestOpenRowReactivation(t *testing.T) {
+	c := newTestChip(t, testConfig())
+	p := c.Timing()
+	const bank = 2
+	fill := func(row, col int, v byte) []byte {
+		line := bytes.Repeat([]byte{v}, LineBytes)
+		c.PokeLine(Addr{Bank: bank, Row: row, Col: col}, line)
+		return line
+	}
+	at := clock.PS(0)
+	open := func(row int, what string) {
+		t.Helper()
+		c.Activate(bank, row, at, 0)
+		requireOpenRowMatchesStore(t, c, bank, at+p.TRCD, what)
+		at += 200 * p.TRC
+	}
+	closeBank := func() {
+		c.Precharge(bank, at)
+		at += p.TRP
+	}
+
+	fill(30, 4, 0x1E)
+	fill(31, 4, 0x1F)
+	open(30, "row 30")
+	written := bytes.Repeat([]byte{0xA5}, LineBytes)
+	if err := c.Write(bank, 7, at, written); err != nil {
+		t.Fatal(err)
+	}
+	at += p.TRC
+	closeBank()
+	fill(30, 4, 0x2E)
+	open(30, "row 30 again after PRE")
+	got := make([]byte, LineBytes)
+	if _, err := c.Read(bank, 7, at, got); err != nil || !bytes.Equal(got, written) {
+		t.Fatalf("RD of the line written before PRE = %x (err %v), want %x", got[:8], err, written[:8])
+	}
+	at += p.TRC
+
+	closeBank()
+	c.Refresh(at)
+	at += p.TRFC
+	fill(30, 5, 0x3E)
+	open(30, "row 30 again after REF")
+
+	closeBank()
+	open(31, "row 31 in between")
+	closeBank()
+	want := fill(30, 6, 0x4E)
+	fill(31, 6, 0x4F)
+	open(30, "row 30 again after row 31")
+	if _, err := c.Read(bank, 6, at, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("RD after row 31 = %x (err %v), want row 30's %x", got[:8], err, want[:8])
+	}
+}
+
 func TestOpenRowReadAfterDisturbFlip(t *testing.T) {
 	cfg := faultedConfig()
 	c, err := New(cfg)

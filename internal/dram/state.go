@@ -89,7 +89,7 @@ func (c *Chip) LoadState(d *snapshot.Dec) {
 		b.lastPreTime = clock.PS(d.I64())
 		b.senseAmpsHold = d.Bool()
 		b.preGap = clock.PS(d.I64())
-		b.openData = nil
+		b.openData, b.openDataRow = nil, -1
 	}
 	c.loadStats(d)
 

@@ -123,3 +123,53 @@ func TestExecDiscardReadsMatchesEngineExec(t *testing.T) {
 		}
 	}
 }
+
+// TestExecRejectsWideOperands checks the error path for an operand the
+// 16-byte instruction cannot hold: Exec names the opcode and value, runs
+// nothing (chip and tile statistics and the DRAM cursor stay put), and
+// resets the builder so the next program runs normally.
+func TestExecRejectsWideOperands(t *testing.T) {
+	cfg := dram.DefaultConfig()
+	cfg.RowsPerBank = 4096
+	chip, err := dram.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := New(chip, DefaultCostModel())
+	p := chip.Timing()
+	for _, tc := range []struct {
+		name  string
+		build func(b *bender.Builder)
+		want  string
+	}{
+		{"WaitCycles", func(b *bender.Builder) { b.WaitCycles(1 << 40) }, "tile: bender: WAIT operand 1099511627776 does not fit in 32 bits"},
+		{"Loop", func(b *bender.Builder) {
+			b.Loop(0, 1<<40, func(b *bender.Builder) { b.REF().Wait(p.TRFC) })
+		}, "tile: bender: LDI operand 1099511627776 does not fit in 32 bits"},
+		{"ACT", func(b *bender.Builder) {
+			b.ACT(0, 1<<33).Wait(p.TRCD).RD(0, 0).PRE(0)
+		}, "tile: bender: ACT operand 8589934592 does not fit in 32 bits"},
+	} {
+		chipBefore, tileBefore, cursor := chip.Stats(), tl.Stats(), tl.dramCursor
+		b := tl.Builder()
+		b.REF().Wait(p.TRFC)
+		tc.build(b)
+		res, rb, err := tl.Exec(false)
+		if err == nil || err.Error() != tc.want {
+			t.Fatalf("%s: err %v, want %q", tc.name, err, tc.want)
+		}
+		if *res != (bender.Result{}) || rb != nil {
+			t.Fatalf("%s: result %+v with %d readback lines, want none", tc.name, *res, len(rb))
+		}
+		if chip.Stats() != chipBefore || tl.Stats() != tileBefore || tl.dramCursor != cursor {
+			t.Fatalf("%s: the rejected program ran: chip %+v, tile %+v, cursor %d", tc.name, chip.Stats(), tl.Stats(), tl.dramCursor)
+		}
+		if b.Len() != 0 || b.Err() != nil {
+			t.Fatalf("%s: builder holds %d instrs and Err %v after the error", tc.name, b.Len(), b.Err())
+		}
+	}
+	tl.Builder().REF()
+	if _, _, err := tl.Exec(true); err != nil || chip.Stats().REFs != 1 {
+		t.Fatalf("program after the rejected ones: err %v, %d REFs", err, chip.Stats().REFs)
+	}
+}

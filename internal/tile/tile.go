@@ -250,8 +250,16 @@ func (t *Tile) SetFaultLink(m *fault.LinkModel) { t.link = m }
 // the builder keeps the program and the cursor does not advance, so the
 // controller can re-flush it), and a returned readback may come back short by
 // its final line or with one line corrupted (marked LinkCorrupt).
+//
+// A program with an operand the builder could not encode (bender.Builder.Err)
+// is an error: nothing runs, and the builder is reset.
 func (t *Tile) Exec(discard bool) (*bender.Result, []bender.ReadLine, error) {
 	res := &t.last
+	if err := t.builder.Err(); err != nil {
+		t.builder.Reset()
+		*res = bender.Result{}
+		return res, nil, fmt.Errorf("tile: %w", err)
+	}
 	if t.link != nil && t.link.FailLaunch() {
 		// The modeled retry backoff is the controller's to charge.
 		t.stats.LaunchFails++
