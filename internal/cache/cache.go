@@ -55,6 +55,14 @@ func (s *Stats) Add(o Stats) {
 // w of set s is tags[s*assoc+w], its "position". recency holds one word
 // per set listing the set's way numbers, one per nibble, from the most
 // recently used (nibble 0) to the least (nibble assoc-1).
+//
+// Every tag lookup (Access, accessFill, index) first compares the tag word
+// of the way nibble 0 names, the set's most recently used way, and scans
+// the set only when that way does not hold the line. The probe is exact:
+// a line sits in at most one way of its set, nibble 0 always names a way
+// below assoc, and a flushed way keeps its nibble but its tag word is
+// zero, which never equals a key (keys carry validBit). A hit there needs
+// no touch: moving nibble 0 to the front leaves the recency word as it is.
 type Cache struct {
 	name    string
 	tags    []uint64
@@ -165,8 +173,11 @@ type Victim struct {
 // index returns the position of addr's line in c.tags, or -1 when addr
 // misses. It changes no replacement state.
 func (c *Cache) index(addr uint64) int {
-	key := c.key(addr)
-	base := c.setOf(addr) * c.assoc
+	set, key := c.setOf(addr), c.key(addr)
+	base := set * c.assoc
+	if mru := base + int(c.recency[set]&15); c.tags[mru]|dirtyBit == key {
+		return mru
+	}
 	for i, w := range c.tags[base : base+c.assoc] {
 		if w|dirtyBit == key {
 			return base + i
@@ -185,6 +196,13 @@ func (c *Cache) Lookup(addr uint64) bool { return c.index(addr) >= 0 }
 func (c *Cache) Access(addr uint64, write bool) (hit bool) {
 	set, key := c.setOf(addr), c.key(addr)
 	base := set * c.assoc
+	if mru := base + int(c.recency[set]&15); c.tags[mru]|dirtyBit == key {
+		if write {
+			c.tags[mru] = key
+		}
+		c.stats.Hits++
+		return true
+	}
 	for i, w := range c.tags[base : base+c.assoc] {
 		if w|dirtyBit == key {
 			if write {
@@ -228,6 +246,10 @@ func (c *Cache) Install(addr uint64, dirty bool) Victim {
 func (c *Cache) accessFill(addr uint64) (idx int, hit bool, v Victim) {
 	set, key := c.setOf(addr), c.key(addr)
 	base := set * c.assoc
+	if mru := base + int(c.recency[set]&15); c.tags[mru]|dirtyBit == key {
+		c.stats.Hits++
+		return mru, true, Victim{}
+	}
 	invalid := -1
 	for i, w := range c.tags[base : base+c.assoc] {
 		if w|dirtyBit == key {
