@@ -263,30 +263,20 @@ func (b *Builder) ProfileCheck(a dram.Addr, rcd clock.PS) *Builder {
 // cols request round-trips through the controller. The readback buffer
 // receives exactly cols lines, in column order.
 //
-// The write block and the check block are built alike: one column's
-// instructions are emitted, replicated for every column by doubling block
-// copies, and each copy's WR or RD then gets its column. The delays are
-// converted to bus cycles once per row and the program stays instruction
-// for instruction the one per-column WRStaged and ProfileCheck calls would
-// emit.
+// Column 0's check is emitted by ProfileCheck itself and replicated for
+// every later column by doubling block copies, then each copy's RD gets
+// its column: the delays are converted to bus cycles once per row and the
+// program stays instruction for instruction the one per-column
+// ProfileCheck calls would emit.
 func (b *Builder) ProfileRow(bank, row, cols int, pattern []byte, rcd clock.PS) *Builder {
 	b.ACT(bank, row)
 	b.Wait(b.p.TRCD - b.p.Bus.Period())
 	idx := b.StageWrite(pattern)
-	if cols > 0 {
-		// One write and its tCCD_L wait per column, less the last wait.
-		// The first write names the last column, so emit checks that
-		// every column fits an instruction.
-		start := len(b.prog)
-		b.WRStaged(bank, cols-1, idx)
-		b.waitCycles(int(b.p.Bus.CyclesCeil(b.p.TCCDL - b.p.Bus.Period())))
-		if b.bad != nil {
-			return b // the program is not run
-		}
-		k := b.replicate(start, cols)
-		b.prog = b.prog[:len(b.prog)-(k-1)]
-		for col := 0; col < cols; col++ {
-			b.prog[start+col*k].B = int32(col)
+	ccd := int(b.p.Bus.CyclesCeil(b.p.TCCDL - b.p.Bus.Period()))
+	for col := 0; col < cols; col++ {
+		b.WRStaged(bank, col, idx)
+		if col != cols-1 {
+			b.waitCycles(ccd)
 		}
 	}
 	b.Wait(b.p.TCWL + b.p.TBL + b.p.TWR)
@@ -300,27 +290,18 @@ func (b *Builder) ProfileRow(bank, row, cols int, pattern []byte, rcd clock.PS) 
 	if b.bad != nil {
 		return b // the program is not run; its check may lack its RD
 	}
-	k := b.replicate(start, cols)
+	k := len(b.prog) - start
+	b.prog = slices.Grow(b.prog, (cols-1)*k)
+	b.prog = b.prog[:start+cols*k]
 	checks := b.prog[start:]
+	for n := k; n < len(checks); n *= 2 {
+		copy(checks[n:], checks[:n])
+	}
 	rd := slices.IndexFunc(checks[:k], func(in Instr) bool { return in.Op == OpRD })
 	for col := 1; col < cols; col++ {
 		checks[col*k+rd].B = int32(col)
 	}
 	return b
-}
-
-// replicate extends the program so that its block from start on, k
-// instructions long, appears n times in a row, by doubling copies, and
-// returns k.
-func (b *Builder) replicate(start, n int) (k int) {
-	k = len(b.prog) - start
-	b.prog = slices.Grow(b.prog, (n-1)*k)
-	b.prog = b.prog[:start+n*k]
-	block := b.prog[start:]
-	for m := k; m < len(block); m *= 2 {
-		copy(block[m:], block[:m])
-	}
-	return k
 }
 
 // StripeRowsMax is the largest row count ProfileRowStripe accepts in one

@@ -56,13 +56,15 @@ func (s *Stats) Add(o Stats) {
 // per set listing the set's way numbers, one per nibble, from the most
 // recently used (nibble 0) to the least (nibble assoc-1).
 //
-// Every tag lookup (Access, accessFill, index) first compares the tag word
-// of the way nibble 0 names, the set's most recently used way, and scans
-// the set only when that way does not hold the line. The probe is exact:
-// a line sits in at most one way of its set, nibble 0 always names a way
-// below assoc, and a flushed way keeps its nibble but its tag word is
-// zero, which never equals a key (keys carry validBit). A hit there needs
-// no touch: moving nibble 0 to the front leaves the recency word as it is.
+// Access and accessFill first compare the tag word of the way nibble 0
+// names, the set's most recently used way, and scan the set only when that
+// way does not hold the line. The probe is exact: a line sits in at most
+// one way of its set, nibble 0 always names a way below assoc, and a
+// flushed way keeps its nibble but its tag word is zero, which never
+// equals a key (keys carry validBit). A hit there needs no touch: moving
+// nibble 0 to the front leaves the recency word as it is. index keeps the
+// plain scan: it runs far less often than Access, and without the probe
+// it stays small enough to inline into WouldMiss and Flush.
 type Cache struct {
 	name    string
 	tags    []uint64
@@ -173,11 +175,8 @@ type Victim struct {
 // index returns the position of addr's line in c.tags, or -1 when addr
 // misses. It changes no replacement state.
 func (c *Cache) index(addr uint64) int {
-	set, key := c.setOf(addr), c.key(addr)
-	base := set * c.assoc
-	if mru := base + int(c.recency[set]&15); c.tags[mru]|dirtyBit == key {
-		return mru
-	}
+	key := c.key(addr)
+	base := c.setOf(addr) * c.assoc
 	for i, w := range c.tags[base : base+c.assoc] {
 		if w|dirtyBit == key {
 			return base + i
