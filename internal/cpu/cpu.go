@@ -143,7 +143,12 @@ func (s *Stats) Add(o Stats) {
 	s.StallCycles += o.StallCycles
 }
 
-// Outcome is the result of one core step.
+// Outcome is the result of one core step. Step writes it into the core
+// and returns a pointer to it, valid until the next Step. Returned by
+// value, its six fields would come back in registers that every caller
+// stores to the stack and copies with 16-byte loads, which cannot be
+// forwarded from those stores (see ARCHITECTURE, "Small structs written
+// where they are used").
 type Outcome struct {
 	// Cycles consumed by this step (the engine advances Proc by this).
 	Cycles clock.Cycles
@@ -245,7 +250,9 @@ type Core struct {
 	rcFenced bool
 
 	reqScratch []mem.Request
-	stats      Stats
+	// out is the last Step's outcome, which Step returns by pointer.
+	out   Outcome
+	stats Stats
 
 	// opsConsumed counts ops pulled from the stream, the replay position a
 	// checkpoint restore fast-forwards a rebuilt stream to (see state.go).
@@ -356,12 +363,12 @@ const maxBatchCycles clock.Cycles = 1 << 16
 // stepping, the final operation of a batch may overshoot the budget by its
 // own atomic cost. The engine must honor Outcome.WaitID/Fence before
 // calling Step again.
-func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
+func (c *Core) Step(now clock.Cycles, budget clock.Cycles) *Outcome {
 	if budget <= 0 || budget > maxBatchCycles {
 		budget = maxBatchCycles
 	}
 	if c.fencePending {
-		return Outcome{Fence: true}
+		return c.done(Outcome{Fence: true})
 	}
 	// Per-batch limits. outstanding changes only between calls (Deliver)
 	// or at the miss that ends a batch, so the ROB deadline and the
@@ -378,7 +385,7 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 		oldest := c.outstanding[0]
 		rob := oldest.issue + c.cfg.ROBWindow - now
 		if rob <= 0 {
-			return Outcome{WaitID: oldest.id}
+			return c.done(Outcome{WaitID: oldest.id})
 		}
 		limit = min(limit, rob)
 		mlpFull = len(c.outstanding) >= c.cfg.MLP
@@ -392,12 +399,12 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 		} else {
 			if c.stats.Instructions >= c.instrLimit || c.next >= len(c.win) && !c.refill() {
 				if acc > 0 {
-					return Outcome{Cycles: acc}
+					return c.done(Outcome{Cycles: acc})
 				}
 				if len(c.outstanding) > 0 || c.fencePending {
-					return Outcome{Fence: true}
+					return c.done(Outcome{Fence: true})
 				}
-				return Outcome{Finished: true}
+				return c.done(Outcome{Finished: true})
 			}
 			op = &c.win[c.next]
 			c.next++
@@ -427,7 +434,7 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 			}
 			acc += take
 			if acc >= limit {
-				return Outcome{Cycles: acc}
+				return c.done(Outcome{Cycles: acc})
 			}
 			continue
 
@@ -435,18 +442,18 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 			// A dependent op cannot issue until the producing load returns.
 			if op.Dep && c.lastLoadMiss != 0 {
 				if acc > 0 {
-					return Outcome{Cycles: acc}
+					return c.done(Outcome{Cycles: acc})
 				}
-				return Outcome{WaitID: c.lastLoadMiss}
+				return c.done(Outcome{WaitID: c.lastLoadMiss})
 			}
 			isStore := op.Kind == workload.OpStore
 			// Back-pressure before touching the hierarchy: with all MSHRs
 			// busy, an access that would miss cannot even issue.
 			if mlpFull && c.hier.WouldMiss(op.Addr) {
 				if acc > 0 {
-					return Outcome{Cycles: acc}
+					return c.done(Outcome{Cycles: acc})
 				}
-				return Outcome{WaitID: oldestID}
+				return c.done(Outcome{WaitID: oldestID})
 			}
 			c.stats.Instructions++
 			if isStore {
@@ -464,7 +471,7 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 				c.stats.L1Hits++
 				acc += c.hitCycles[0][dep]
 				if acc >= limit {
-					return Outcome{Cycles: acc}
+					return c.done(Outcome{Cycles: acc})
 				}
 				continue
 			}
@@ -473,7 +480,7 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 				c.stats.L2Hits++
 				acc += c.hitCycles[1][dep]
 				if acc >= limit {
-					return Outcome{Cycles: acc}
+					return c.done(Outcome{Cycles: acc})
 				}
 				continue
 			}
@@ -481,9 +488,7 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 			// the issue cycle they would under per-op stepping.
 			id := c.newID()
 			c.reqScratch = c.reqScratch[:0]
-			c.reqScratch = append(c.reqScratch, mem.Request{
-				ID: id, Kind: mem.Read, Addr: lineAlign(op.Addr),
-			})
+			c.addReq(id, mem.Read, lineAlign(op.Addr), false)
 			if isStore {
 				c.stats.MemFills++
 			} else {
@@ -491,34 +496,30 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 			}
 			for _, wb := range writebacks {
 				c.stats.Writebacks++
-				c.reqScratch = append(c.reqScratch, mem.Request{
-					ID: c.newID(), Kind: mem.Writeback, Addr: wb, Posted: true,
-				})
+				c.addReq(c.newID(), mem.Writeback, wb, true)
 			}
 			if c.cfg.NextLinePrefetch {
 				next := lineAlign(op.Addr) + cache.LineBytes
 				if c.hier.WouldMiss(next) {
 					c.stats.Prefetches++
 					c.hier.Access(next, false) // install into the hierarchy
-					c.reqScratch = append(c.reqScratch, mem.Request{
-						ID: c.newID(), Kind: mem.Read, Addr: next, Posted: true,
-					})
+					c.addReq(c.newID(), mem.Read, next, true)
 				}
 			}
 			issue := c.cfg.MissIssueCost
 			if issue <= 0 {
 				issue = 1
 			}
-			o := Outcome{Cycles: acc + issue, Reqs: c.reqScratch}
+			var wait uint64
 			if c.cfg.InOrder {
-				o.WaitID = id
+				wait = id
 			} else {
 				c.outstanding = append(c.outstanding, outstandingMiss{id: id, issue: now + acc})
 				if !isStore {
 					c.lastLoadMiss = id
 				}
 			}
-			return o
+			return c.issued(Outcome{Cycles: acc + issue, WaitID: wait})
 
 		case workload.OpFlush:
 			c.stats.Instructions++
@@ -526,13 +527,12 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 			c.opValid = false
 			acc += c.cfg.FlushCost
 			if c.hier.Flush(op.Addr) {
-				c.reqScratch = append(c.reqScratch[:0], mem.Request{
-					ID: c.newID(), Kind: mem.Writeback, Addr: lineAlign(op.Addr), Posted: true,
-				})
-				return Outcome{Cycles: acc, Reqs: c.reqScratch}
+				c.reqScratch = c.reqScratch[:0]
+				c.addReq(c.newID(), mem.Writeback, lineAlign(op.Addr), true)
+				return c.issued(Outcome{Cycles: acc})
 			}
 			if acc >= limit {
-				return Outcome{Cycles: acc}
+				return c.done(Outcome{Cycles: acc})
 			}
 			continue
 
@@ -541,41 +541,68 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 			// first, then issue a blocking RowClone request. Handled as its
 			// own step so the fence/issue sequencing stays explicit.
 			if acc > 0 {
-				return Outcome{Cycles: acc}
+				return c.done(Outcome{Cycles: acc})
 			}
 			if !c.rcFenced {
 				c.rcFenced = true
 				c.fencePending = true
-				return Outcome{Cycles: 1, Fence: true}
+				return c.done(Outcome{Cycles: 1, Fence: true})
 			}
 			c.rcFenced = false
 			c.stats.Instructions++
 			c.stats.RowClones++
 			c.opValid = false
 			id := c.newID()
-			c.reqScratch = append(c.reqScratch[:0], mem.Request{
-				ID: id, Kind: mem.RowClone, Addr: op.Addr, Src: op.Src,
-			})
-			return Outcome{Cycles: 2, Reqs: c.reqScratch, WaitID: id}
+			c.reqScratch = c.reqScratch[:0]
+			c.addReq(id, mem.RowClone, op.Addr, false).Src = op.Src
+			return c.issued(Outcome{Cycles: 2, WaitID: id})
 
 		case workload.OpBarrier:
 			c.opValid = false
 			c.fencePending = true
-			return Outcome{Cycles: acc + 1, Fence: true}
+			return c.done(Outcome{Cycles: acc + 1, Fence: true})
 
 		case workload.OpMark:
 			// Marks are recorded by the engine at the pre-advance cycle, so
 			// a mark always terminates the preceding batch first.
 			if acc > 0 {
-				return Outcome{Cycles: acc}
+				return c.done(Outcome{Cycles: acc})
 			}
 			c.opValid = false
-			return Outcome{Mark: true}
+			return c.done(Outcome{Mark: true})
 
 		default:
 			return c.fail(op.Kind)
 		}
 	}
+}
+
+// done stores o as the step's outcome and returns it. A literal o
+// without Reqs is written straight into c.out.
+func (c *Core) done(o Outcome) *Outcome {
+	c.out = o
+	return &c.out
+}
+
+// issued is done for a step that issues reqScratch. Reqs is stored on its
+// own: a literal holding the slice is built on the stack and copied.
+func (c *Core) issued(o Outcome) *Outcome {
+	c.out = o
+	c.out.Reqs = c.reqScratch
+	return &c.out
+}
+
+// addReq appends a request to reqScratch and returns it. It appends a
+// zeroed slot and writes the fields into the slot itself: appending a
+// filled mem.Request literal builds it in a stack temporary with 8-byte
+// stores and copies it out with 16-byte loads, which cannot be forwarded
+// from those stores (see ARCHITECTURE, "Small structs written where they
+// are used").
+func (c *Core) addReq(id uint64, kind mem.Kind, addr uint64, posted bool) *mem.Request {
+	c.reqScratch = append(c.reqScratch, mem.Request{})
+	r := &c.reqScratch[len(c.reqScratch)-1]
+	r.ID, r.Kind, r.Addr, r.Posted = id, kind, addr, posted
+	return r
 }
 
 // refill takes the stream's next window, reporting false once the stream
@@ -589,9 +616,9 @@ func (c *Core) refill() bool {
 // fail stops the core at an op it cannot execute; Err reports why.
 //
 //go:noinline
-func (c *Core) fail(k workload.OpKind) Outcome {
+func (c *Core) fail(k workload.OpKind) *Outcome {
 	c.err = fmt.Errorf("cpu %s: unknown op kind %v", c.cfg.Name, k)
-	return Outcome{Finished: true}
+	return c.done(Outcome{Finished: true})
 }
 
 // computeCycles is ceil(n/IssueWidth) for a non-negative instruction count:

@@ -86,7 +86,7 @@ func (m *memStub) step(c *Core, budget clock.Cycles) Outcome {
 		m.deliver(c)
 		c.FenceDone()
 	}
-	return out
+	return *out
 }
 
 // windowTestOps is a short mixed stream: hits, misses to distinct lines, a

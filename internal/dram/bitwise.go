@@ -22,18 +22,10 @@ const bitwiseEarlyGap = 2 * clock.Nanosecond
 // the row-decoder glitch activates the address-wise OR.
 func TripleRow(r1, r2 int) int { return r1 | r2 }
 
-// tryBitwiseMAJ checks whether the ACT at time t on (bank,row) completes a
-// many-row activation and, if so, applies the majority function. Returns
-// (attempted, succeeded).
-func (c *Chip) tryBitwiseMAJ(bank, row int, t clock.PS) (bool, bool) {
-	b := &c.banks[bank]
-	if !b.senseAmpsHold || row == b.lastActRow {
-		return false, false
-	}
-	if b.preGap > bitwiseEarlyGap || t-b.lastPreTime > bitwiseEarlyGap {
-		return false, false
-	}
-	r1, r2 := b.lastActRow, row
+// bitwiseMAJ applies a many-row activation of (r1, r2) in bank: the ACT of
+// r2 arrived within bitwiseEarlyGap of an early PRE of r1 (Activate checks
+// the timing). It reports whether the majority function took effect.
+func (c *Chip) bitwiseMAJ(bank, r1, r2 int) bool {
 	r3 := TripleRow(r1, r2)
 	c.stats.BitwiseOps++
 	// All three rows must sit in one subarray, like RowClone.
@@ -43,7 +35,7 @@ func (c *Chip) tryBitwiseMAJ(bank, row int, t clock.PS) (bool, bool) {
 		if c.cfg.TrackData {
 			c.scramble(bank, r2)
 		}
-		return true, false
+		return false
 	}
 	if !c.cfg.Ideal && !c.vm.TripleOK(bank, r1, r2) {
 		c.stats.BitwiseFails++
@@ -53,7 +45,7 @@ func (c *Chip) tryBitwiseMAJ(bank, row int, t clock.PS) (bool, bool) {
 				c.scramble(bank, r3)
 			}
 		}
-		return true, false
+		return false
 	}
 	if c.cfg.TrackData {
 		d1 := c.rowData(bank, r1)
@@ -65,5 +57,5 @@ func (c *Chip) tryBitwiseMAJ(bank, row int, t clock.PS) (bool, bool) {
 			d1[i], d2[i], d3[i] = maj, maj, maj
 		}
 	}
-	return true, true
+	return true
 }

@@ -321,7 +321,9 @@ const rowCloneEarlyACT = 10 * clock.Nanosecond
 // (0 = nominal). It returns whether this activation completed a RowClone
 // sequence, and whether that clone succeeded. (Many-row activations —
 // bitwise MAJ, see bitwise.go — are detected here too and reported through
-// Stats; they also count as a "clone" attempt for the caller.)
+// Stats; they also count as a "clone" attempt for the caller.) Both need
+// sense amps still holding another row of the bank, so an ordinary ACT
+// tests that once and goes straight to the bank update.
 func (c *Chip) Activate(bank, row int, t clock.PS, rcd clock.PS) (cloned, cloneOK bool) {
 	c.boundsRow(bank, row)
 	b := &c.banks[bank]
@@ -330,40 +332,45 @@ func (c *Chip) Activate(bank, row int, t clock.PS, rcd clock.PS) (cloned, cloneO
 	if c.fm != nil && c.fm.DisturbEnabled() {
 		c.noteActivate(bank, row)
 	}
-
-	if attempted, ok := c.tryBitwiseMAJ(bank, row, t); attempted {
-		b.openRow = row
-		b.lastActRow = row
-		b.lastActTime = t
-		b.senseAmpsHold = false
-		c.checker.Bank(bank).OpenRow = row
-		return true, ok
+	if b.senseAmpsHold && row != b.lastActRow {
+		cloned, cloneOK = c.senseAmpActivate(bank, row, t)
 	}
-
-	if b.senseAmpsHold && t-b.lastPreTime <= rowCloneEarlyACT && row != b.lastActRow {
-		// RowClone second activation: the sense amps drive the held data
-		// into the newly opened row.
-		cloned = true
-		if c.cfg.Ideal || c.vm.Clonable(bank, b.lastActRow, row) {
-			c.stats.RowClones++
-			cloneOK = true
-			if c.cfg.TrackData {
-				copy(c.rowData(bank, row), c.rowData(bank, b.lastActRow))
-			}
-		} else {
-			c.stats.RowCloneFails++
-			if c.cfg.TrackData {
-				c.scramble(bank, row)
-			}
-		}
-	}
-
 	b.openRow = row
 	b.lastActRow = row
 	b.lastActTime = t
 	b.senseAmpsHold = false
 	c.checker.Bank(bank).OpenRow = row
 	return cloned, cloneOK
+}
+
+// senseAmpActivate handles an ACT of row while the bank's sense amps still
+// hold lastActRow, an early PRE ago: within bitwiseEarlyGap of both
+// commands it is a many-row activation (bitwise.go), within
+// rowCloneEarlyACT of the PRE a RowClone's second activation, and
+// otherwise an ordinary ACT. It reports Activate's results; the caller
+// updates the bank.
+func (c *Chip) senseAmpActivate(bank, row int, t clock.PS) (cloned, cloneOK bool) {
+	b := &c.banks[bank]
+	if b.preGap <= bitwiseEarlyGap && t-b.lastPreTime <= bitwiseEarlyGap {
+		return true, c.bitwiseMAJ(bank, b.lastActRow, row)
+	}
+	if t-b.lastPreTime > rowCloneEarlyACT {
+		return false, false
+	}
+	// RowClone second activation: the sense amps drive the held data into
+	// the newly opened row.
+	if c.cfg.Ideal || c.vm.Clonable(bank, b.lastActRow, row) {
+		c.stats.RowClones++
+		if c.cfg.TrackData {
+			copy(c.rowData(bank, row), c.rowData(bank, b.lastActRow))
+		}
+		return true, true
+	}
+	c.stats.RowCloneFails++
+	if c.cfg.TrackData {
+		c.scramble(bank, row)
+	}
+	return true, false
 }
 
 // Precharge issues PRE(bank) at absolute time t.

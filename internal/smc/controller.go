@@ -292,11 +292,11 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 		req := t.Req(slot)
 		ent := c.appendEntry()
 		ent.Slot, ent.ID, ent.Kind, ent.Seq = slot, req.ID, req.Kind, c.nextSeq
-		ent.Addr = c.cfg.Mapper.Map(req.Addr)
+		c.cfg.Mapper.MapTo(req.Addr, &ent.Addr)
 		c.nextSeq++
 		switch req.Kind {
 		case mem.RowClone, mem.Bitwise:
-			ent.Src = c.cfg.Mapper.Map(req.Src)
+			c.cfg.Mapper.MapTo(req.Src, &ent.Src)
 		}
 		// The chip has no row past the bank's last to drive: reject such
 		// an address here, before it reaches a Bender program. Src is zero

@@ -112,16 +112,23 @@ func (e *Env) Exec(discard bool) (*bender.Result, []bender.ReadLine, error) {
 // Respond enqueues the response for the request with the given ID (EasyAPI
 // enqueue_response). The engine computes the response's release point when
 // settling the step.
-func (e *Env) Respond(id uint64, ok bool) {
-	e.Charge(e.tile.Costs().Respond)
-	e.responses = append(e.responses, mem.Response{ReqID: id, OK: ok})
-}
+func (e *Env) Respond(id uint64, ok bool) { e.respond(id, ok, nil) }
 
 // RespondLines enqueues a profiling response carrying per-row detail: the
 // leading reliable line count of each covered row.
-func (e *Env) RespondLines(id uint64, ok bool, rowLines []int) {
+func (e *Env) RespondLines(id uint64, ok bool, rowLines []int) { e.respond(id, ok, rowLines) }
+
+// respond appends a zeroed slot to responses and fills it in place.
+// Appending a filled mem.Response literal builds it in a stack temporary
+// and copies it out with 16-byte loads of its 8-byte stores (see
+// ARCHITECTURE, "Small structs written where they are used"). responses
+// is reused from step to step; the zeroing clears the RowLines a profile
+// response left in the slot.
+func (e *Env) respond(id uint64, ok bool, rowLines []int) {
 	e.Charge(e.tile.Costs().Respond)
-	e.responses = append(e.responses, mem.Response{ReqID: id, OK: ok, RowLines: rowLines})
+	e.responses = append(e.responses, mem.Response{})
+	r := &e.responses[len(e.responses)-1]
+	r.ReqID, r.OK, r.RowLines = id, ok, rowLines
 }
 
 // Responses returns the responses produced this step. Release points are

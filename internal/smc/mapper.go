@@ -15,6 +15,12 @@ import (
 // (EasyAPI get_addr_mapping).
 type Mapper interface {
 	Map(pa uint64) dram.Addr
+	// MapTo is Map writing the coordinates into *a field by field, for
+	// the controller's request intake: Map's five-word result is stored
+	// to the stack and copied out with 16-byte loads that cannot be
+	// forwarded from those stores (see ARCHITECTURE, "Small structs
+	// written where they are used").
+	MapTo(pa uint64, a *dram.Addr)
 	Unmap(a dram.Addr) uint64
 	// RowBytes reports the bytes covered by one DRAM row.
 	RowBytes() int
@@ -52,13 +58,19 @@ func NewRowBankCol(banks, colsPerRow int) (*RowBankCol, error) {
 const lineShift = 6 // log2(cache.LineBytes)
 
 // Map implements Mapper.
-func (m *RowBankCol) Map(pa uint64) dram.Addr {
+func (m *RowBankCol) Map(pa uint64) (a dram.Addr) {
+	m.MapTo(pa, &a)
+	return a
+}
+
+// MapTo implements Mapper.
+func (m *RowBankCol) MapTo(pa uint64, a *dram.Addr) {
 	l := pa >> lineShift
 	col := int(l & uint64(m.cols-1))
 	l >>= m.colBits
 	bank := int(l & uint64(m.banks-1))
 	l >>= m.bankBits
-	return dram.Addr{Bank: bank, Row: int(l), Col: col}
+	a.Chan, a.Rank, a.Bank, a.Row, a.Col = 0, 0, bank, int(l), col
 }
 
 // Unmap implements Mapper.

@@ -63,7 +63,13 @@ func (m *TopologyMapper) Channels() int { return m.chans }
 
 // Map implements Mapper: it decodes pa to full (channel, rank, bank, row,
 // col) coordinates. Bank is channel-global (rank folded in).
-func (m *TopologyMapper) Map(pa uint64) dram.Addr {
+func (m *TopologyMapper) Map(pa uint64) (a dram.Addr) {
+	m.MapTo(pa, &a)
+	return a
+}
+
+// MapTo implements Mapper.
+func (m *TopologyMapper) MapTo(pa uint64, a *dram.Addr) {
 	l := pa >> lineShift
 	var ch int
 	if m.topo.Interleave == dram.InterleaveLine {
@@ -78,7 +84,7 @@ func (m *TopologyMapper) Map(pa uint64) dram.Addr {
 	}
 	gbank := int(l & uint64(m.gbanks-1))
 	l >>= m.bankBits
-	return dram.Addr{Chan: ch, Rank: gbank >> m.rankShift, Bank: gbank, Row: int(l), Col: col}
+	a.Chan, a.Rank, a.Bank, a.Row, a.Col = ch, gbank>>m.rankShift, gbank, int(l), col
 }
 
 // Unmap implements Mapper (the exact inverse of Map; Addr.Rank is ignored —
